@@ -46,6 +46,7 @@ from .graph import (
     GraphFamilySpec,
     complete,
     complete_bipartite,
+    coverage,
     cycle,
     generate,
     gnp,

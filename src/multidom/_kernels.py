@@ -6,7 +6,7 @@ arrays, so both paths return bit-identical results. Selection:
   MULTIDOM_NUMBA=0   force the pure-Python/numpy fallback
   (default)          use numba when it imports, else fall back
 
-``python_impl(fn)`` recovers the undecorated function for benchmarking.
+``python_impl(fn)`` recovers the undecorated function, so tests can run both.
 """
 
 from __future__ import annotations

@@ -56,10 +56,12 @@ def _log_add(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class RSParams:
-    """Parameters driving the capped-function bounds (closed neighborhoods).
+    """Parameters driving the capped-function bounds.
 
-    tau = min cap, s = max demand, r = floor(s/(delta+1)) + 1,
-    theta = (delta+1)r - s >= 1, B_t = C((delta+1)r, t) kept as a log.
+    A closed neighborhood has delta+1 slots and an open one delta. With
+    that slot count: tau = min cap, s = max demand, r = floor(s/slots) + 1,
+    theta = slots*r - s >= 1, B_t = C(slots*r, t) kept as a log. The open
+    (total) parameters are the paper's r~ and theta~.
     """
 
     tau: int
@@ -71,36 +73,17 @@ class RSParams:
     log_b: float  # ln B_{s-1}
 
     @classmethod
-    def derive(cls, r_vec: Sequence[int], s_vec: Sequence[int], delta: int) -> "RSParams":
-        tau = min(r_vec)
-        s = max(s_vec)
-        r = s // (delta + 1) + 1
-        theta = (delta + 1) * r - s
-        top = (delta + 1) * r
-        return cls(tau, s, r, theta, 1.0 / theta, top, log_binomial(top, s - 1))
-
-
-@dataclass(frozen=True)
-class TotalRSParams:
-    """Open-neighborhood analogue: r~ = floor(s/delta) + 1, theta~ = delta*r~ - s."""
-
-    tau: int
-    s: int
-    r: int
-    theta: int
-    rho: float
-    top: int
-    log_b: float
-
-    @classmethod
-    def derive(cls, r_vec: Sequence[int], s_vec: Sequence[int], delta: int) -> "TotalRSParams":
-        if delta < 1:
+    def derive(
+        cls, r_vec: Sequence[int], s_vec: Sequence[int], delta: int, closed: bool = True
+    ) -> "RSParams":
+        slots = delta + 1 if closed else delta
+        if slots < 1:
             raise ValueError("total variant needs delta >= 1")
         tau = min(r_vec)
         s = max(s_vec)
-        r = s // delta + 1
-        theta = delta * r - s
-        top = delta * r
+        r = s // slots + 1
+        theta = slots * r - s
+        top = slots * r
         return cls(tau, s, r, theta, 1.0 / theta, top, log_binomial(top, s - 1))
 
 
@@ -225,7 +208,7 @@ def bound_caro_roditty(delta: int, n: int, force: bool = False) -> BoundReport:
     )
 
 
-# -- capped-function bounds (closed neighborhoods) ------------------------------
+# -- capped-function bounds (closed and open neighborhoods) ---------------------
 
 
 def _rs_strong_coeff(p: RSParams) -> float:
@@ -242,7 +225,7 @@ def _rs_log_coeff(theta: int, log_b: float, r: int) -> float:
     return (math.log(theta + 1) + log_b - math.log(r) + 1.0) / (theta + 1) * r
 
 
-def _rs_gate(p: RSParams | TotalRSParams) -> tuple[bool, str]:
+def _rs_gate(p: RSParams) -> tuple[bool, str]:
     if p.s < 1:
         return False, "max demand is 0; the zero function already dominates"
     if p.r > p.tau:
@@ -250,34 +233,51 @@ def _rs_gate(p: RSParams | TotalRSParams) -> tuple[bool, str]:
     return True, ""
 
 
+def _capped_report(
+    name: str,
+    coeff: Callable[[RSParams], float],
+    r_vec: Sequence[int],
+    s_vec: Sequence[int],
+    delta: int,
+    n: int,
+    force: bool,
+    closed: bool,
+) -> BoundReport:
+    """A capped-function bound over closed (delta+1 slots) or open (delta
+    slots) neighborhoods; the open parameters are reported as r~, theta~."""
+    delta = _check_delta(delta)
+    params = {"delta": delta}
+    p = None
+    if not closed and delta < 1:
+        applicable, reason = False, "total variant needs delta >= 1"
+    else:
+        p = RSParams.derive(r_vec, s_vec, delta, closed)
+        applicable, reason = _rs_gate(p)
+        r_key, theta_key = ("r", "theta") if closed else ("r_tilde", "theta_tilde")
+        params.update({"tau": p.tau, "s": p.s, r_key: p.r, theta_key: p.theta,
+                       "log_B_s1": p.log_b})
+    return _report(
+        name, n, float(sum(r_vec)), params, applicable, reason,
+        lambda: coeff(p) if p is not None and p.s >= 1 else None, force,
+    )
+
+
+def _rs_log_params_coeff(p: RSParams) -> float:
+    return _rs_log_coeff(p.theta, p.log_b, p.r)
+
+
 def bound_rs(
     r_vec: Sequence[int], s_vec: Sequence[int], delta: int, n: int, force: bool = False
 ) -> BoundReport:
     """Strong capped-function bound: (1 - (r rho)^rho / ((1+rho)^(1+rho) B_{s-1}^rho)) r n."""
-    delta = _check_delta(delta)
-    p = RSParams.derive(r_vec, s_vec, delta)
-    applicable, reason = _rs_gate(p)
-    params = {"delta": delta, "tau": p.tau, "s": p.s, "r": p.r, "theta": p.theta,
-              "log_B_s1": p.log_b}
-    return _report(
-        "rs_strong", n, float(sum(r_vec)), params, applicable, reason,
-        lambda: _rs_strong_coeff(p) if p.s >= 1 else None, force,
-    )
+    return _capped_report("rs_strong", _rs_strong_coeff, r_vec, s_vec, delta, n, force, True)
 
 
 def bound_rs_log(
     r_vec: Sequence[int], s_vec: Sequence[int], delta: int, n: int, force: bool = False
 ) -> BoundReport:
     """Weaker log-form bound: (ln(theta+1) + ln B_{s-1} - ln r + 1)/(theta+1) * r n."""
-    delta = _check_delta(delta)
-    p = RSParams.derive(r_vec, s_vec, delta)
-    applicable, reason = _rs_gate(p)
-    params = {"delta": delta, "tau": p.tau, "s": p.s, "r": p.r, "theta": p.theta,
-              "log_B_s1": p.log_b}
-    return _report(
-        "rs_log", n, float(sum(r_vec)), params, applicable, reason,
-        lambda: _rs_log_coeff(p.theta, p.log_b, p.r) if p.s >= 1 else None, force,
-    )
+    return _capped_report("rs_log", _rs_log_params_coeff, r_vec, s_vec, delta, n, force, True)
 
 
 def bound_rs_log_optimized(
@@ -310,58 +310,18 @@ def bound_rs_log_optimized(
     )
 
 
-# -- capped-function bounds (open neighborhoods) ---------------------------------
-
-
-def _total_gate(r_vec, s_vec, delta) -> tuple[TotalRSParams | None, bool, str]:
-    if delta < 1:
-        return None, False, "total variant needs delta >= 1"
-    p = TotalRSParams.derive(r_vec, s_vec, delta)
-    ok, reason = _rs_gate(p)
-    return p, ok, reason
-
-
 def bound_total_rs(
     r_vec: Sequence[int], s_vec: Sequence[int], delta: int, n: int, force: bool = False
 ) -> BoundReport:
-    """Strong bound for the open-neighborhood (total) variant."""
-    delta = _check_delta(delta)
-    p, applicable, reason = _total_gate(r_vec, s_vec, delta)
-    params = {"delta": delta}
-    if p is not None:
-        params.update({"tau": p.tau, "s": p.s, "r_tilde": p.r, "theta_tilde": p.theta,
-                       "log_B_s1": p.log_b})
-
-    def coeff() -> float | None:
-        if p is None or p.s < 1:
-            return None
-        # same shape as the closed form, with the tilde parameters
-        x = math.exp(
-            p.rho * math.log(p.r * p.rho)
-            - (1.0 + p.rho) * math.log1p(p.rho)
-            - p.rho * p.log_b
-        )
-        return (1.0 - x) * p.r
-
-    return _report("total_rs_strong", n, float(sum(r_vec)), params,
-                   applicable, reason, coeff, force)
+    """Strong bound for the open-neighborhood (total) variant: bound_rs with r~, theta~."""
+    return _capped_report("total_rs_strong", _rs_strong_coeff, r_vec, s_vec, delta, n, force, False)
 
 
 def bound_total_rs_log(
     r_vec: Sequence[int], s_vec: Sequence[int], delta: int, n: int, force: bool = False
 ) -> BoundReport:
     """Log-form bound for the open-neighborhood (total) variant."""
-    delta = _check_delta(delta)
-    p, applicable, reason = _total_gate(r_vec, s_vec, delta)
-    params = {"delta": delta}
-    if p is not None:
-        params.update({"tau": p.tau, "s": p.s, "r_tilde": p.r, "theta_tilde": p.theta,
-                       "log_B_s1": p.log_b})
-    return _report(
-        "total_rs_log", n, float(sum(r_vec)), params, applicable, reason,
-        lambda: _rs_log_coeff(p.theta, p.log_b, p.r) if p is not None and p.s >= 1 else None,
-        force,
-    )
+    return _capped_report("total_rs_log", _rs_log_params_coeff, r_vec, s_vec, delta, n, force, False)
 
 
 # -- (k,l) set bounds ------------------------------------------------------------

@@ -160,7 +160,7 @@ def _cmd_construct(args) -> int:
     g = _resolve_graph(args)
     spec = parse_spec(args.spec)
     spec.check_feasible(g)
-    kwargs = dict(workers=args.workers, collect_trace=args.trace)
+    kwargs = dict(collect_trace=args.trace)
     v = spec.variant
     if v == "rs":
         result = construct_rs(g, spec.r, spec.s, args.seed, args.trials, **kwargs)
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--spec", required=True, help=SPEC_HELP)
     p.add_argument("--trials", type=int, default=100, help="max randomized trials")
-    p.add_argument("--workers", type=int, default=1, help="concurrent trial workers")
     p.add_argument("--trace", action="store_true", help="include the per-trial weight trace")
     _add_output_args(p, formats=("json",))
     p.set_defaults(func=_cmd_construct)

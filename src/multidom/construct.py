@@ -8,9 +8,9 @@ Every trial yields a valid witness; trials stop early once one meets the
 ceiling of the applicable bound, otherwise the best valid witness is
 returned with met_target=False (the bound only holds in expectation).
 
-Trials are independent given per-trial seeds derived from (seed, index),
-so they may run concurrently; the winner is always the lowest trial index
-meeting the target, regardless of worker count.
+Trials are independent given per-trial seeds derived from (seed, index);
+they run in index order and the winner is the lowest index meeting the
+target.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ import numpy as np
 
 from .bounds import (
     RSParams,
-    TotalRSParams,
     ParametricParams,
     bound_parametric,
     bound_parametric_alt,
     bound_rs,
     bound_total_rs,
 )
-from .errors import InfeasibleSpecError
-from .graph import Graph
+from .errors import InfeasibleSpecError, MultidomError
+from .graph import Graph, coverage
 from .verify import DominationSpec, VertexFunction, verify_function, verify_set
 
 
@@ -86,43 +85,30 @@ def _run_trials(
     seed: int,
     max_trials: int,
     threshold: int,
-    workers: int,
 ):
     """Evaluate trials in index order; stop at the first one meeting threshold."""
     trace: list[int] = []
     best = None  # (weight, index, witness, notes)
     met_index = None
-    if workers <= 1:
-        for i in range(max_trials):
-            witness, wt, notes = trial_fn(i, _trial_rng(seed, i))
-            trace.append(wt)
-            if best is None or wt < best[0]:
-                best = (wt, i, witness, notes)
-            if wt <= threshold:
-                met_index = i
-                break
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            wave = workers * 2
-            i = 0
-            while i < max_trials and met_index is None:
-                hi = min(max_trials, i + wave)
-                futures = [
-                    pool.submit(trial_fn, j, _trial_rng(seed, j)) for j in range(i, hi)
-                ]
-                for j, fut in zip(range(i, hi), futures):
-                    witness, wt, notes = fut.result()
-                    if met_index is not None:
-                        continue  # past the winner; discard for determinism
-                    trace.append(wt)
-                    if best is None or wt < best[0]:
-                        best = (wt, j, witness, notes)
-                    if wt <= threshold:
-                        met_index = j
-                i = hi
+    for i in range(max_trials):
+        witness, wt, notes = trial_fn(i, _trial_rng(seed, i))
+        trace.append(wt)
+        if best is None or wt < best[0]:
+            best = (wt, i, witness, notes)
+        if wt <= threshold:
+            met_index = i
+            break
     return best, met_index, trace
+
+
+def _restricted(g: Graph, closed: bool) -> np.ndarray:
+    """Row v holds N'(v) ascending: the min_degree lowest-indexed
+    neighbours of v (the first entries of its CSR row), plus v iff closed."""
+    indptr, indices = g.csr()
+    picked = indices[indptr[:-1, None] + np.arange(g.min_degree)]
+    if closed:
+        return np.sort(np.column_stack((picked, np.arange(g.n))), axis=1)
+    return picked
 
 
 # -- capped-function construction (closed and open variants) --------------------
@@ -140,7 +126,7 @@ def _clamped_p(log_inner: float, theta: int) -> tuple[float, bool]:
 
 
 def _capped_trial(
-    restricted: list[tuple[int, ...]],
+    restricted: np.ndarray,
     n: int,
     cap: int,
     s: int,
@@ -155,36 +141,35 @@ def _capped_trial(
     neighborhood summing to at least s, hence valid for the full sums too.
     """
     a = (rng.random((cap, n)) < p).sum(axis=0).astype(np.int64)
-    msum = np.array([int(a[list(nb)].sum()) for nb in restricted], dtype=np.int64)
+    msum = a[restricted].sum(axis=1)
+    room = (cap - a).tolist()
     repairs = np.zeros((s, n), dtype=np.int64)
     for m in range(s):
-        cm = repairs[m]
-        members = 0
-        for v in range(n):  # ascending order keeps trials reproducible
-            if msum[v] != m:
-                continue
-            members += 1
-            nb = restricted[v]
-            cur = int(cm[list(nb)].sum())
+        cm = [0] * n
+        members = np.flatnonzero(msum == m).tolist()  # ascending keeps trials reproducible
+        for v in members:
+            nb = restricted[v].tolist()
+            cur = sum(cm[u] for u in nb)
             if cur >= s - m:
                 continue  # enough repair mass already placed here
             need = s - m - cur
             # spare capacity in N'(v) is (slots*cap - m) - cur = need + theta > 0
-            spare = sum(cap - int(a[u]) - int(cm[u]) for u in nb)
-            assert spare >= need, "spare-capacity argument violated"
+            if sum(room[u] - cm[u] for u in nb) < need:
+                raise MultidomError(f"internal: spare-capacity argument violated at vertex {v}")
             for u in nb:
-                room = cap - int(a[u]) - int(cm[u])
-                if room <= 0:
+                take = min(room[u] - cm[u], need)
+                if take <= 0:
                     continue
-                take = room if room < need else need
                 cm[u] += take
                 need -= take
                 if need == 0:
                     break
-            assert need == 0
+            if need:
+                raise MultidomError(f"internal: repair at vertex {v} left {need} unplaced")
+        repairs[m] = cm
         if debug is not None:
-            debug.setdefault("class_sizes", {})[m] = members
-            debug.setdefault("repair_weights", {})[m] = int(cm.sum())
+            debug.setdefault("class_sizes", {})[m] = len(members)
+            debug.setdefault("repair_weights", {})[m] = sum(cm)
     return a + (repairs.max(axis=0) if s > 0 else 0)
 
 
@@ -194,7 +179,6 @@ def _construct_capped(
     s_vec: Sequence[int],
     seed: int,
     max_trials: int,
-    workers: int,
     collect_trace: bool,
     total: bool,
 ) -> ConstructionResult:
@@ -205,14 +189,10 @@ def _construct_capped(
     spec.check_feasible(g)
     delta = g.min_degree
     notes: list[str] = []
-    if total:
-        if delta < 1:
-            raise InfeasibleSpecError("total construction needs delta >= 1")
-        params = TotalRSParams.derive(r_vec, s_vec, delta)
-        target_report = bound_total_rs(r_vec, s_vec, delta, g.n)
-    else:
-        params = RSParams.derive(r_vec, s_vec, delta)
-        target_report = bound_rs(r_vec, s_vec, delta, g.n)
+    if total and delta < 1:
+        raise InfeasibleSpecError("total construction needs delta >= 1")
+    params = RSParams.derive(r_vec, s_vec, delta, closed=not total)
+    target_report = (bound_total_rs if total else bound_rs)(r_vec, s_vec, delta, g.n)
     if params.r > params.tau:
         raise InfeasibleSpecError(
             f"derived uniform cap r={params.r} exceeds min cap tau={params.tau}"
@@ -230,16 +210,17 @@ def _construct_capped(
         notes.append("selection probability clamped to 0; the repair step does all the work")
     target = target_report.absolute
     threshold = math.ceil(target)
-    restricted = [g.restricted_neighborhood(v, closed=not total) for v in range(g.n)]
+    restricted = _restricted(g, closed=not total)
 
     def trial(i: int, rng: np.random.Generator):
         vals = _capped_trial(restricted, g.n, params.r, params.s, params.theta, p, rng)
-        f = VertexFunction(tuple(int(x) for x in vals), r_vec)
+        f = VertexFunction(tuple(vals.tolist()), r_vec)
         report = verify_function(g, spec, f)
-        assert report.valid, "internal: repaired trial failed verification"
+        if not report.valid:
+            raise MultidomError(f"internal: repaired trial {i} failed verification")
         return f, report.weight, ()
 
-    best, met_index, trace = _run_trials(trial, seed, max_trials, threshold, workers)
+    best, met_index, trace = _run_trials(trial, seed, max_trials, threshold)
     weight, index, witness, trial_notes = best
     return ConstructionResult(
         witness=witness,
@@ -265,11 +246,10 @@ def construct_rs(
     seed: int,
     max_trials: int = 100,
     *,
-    workers: int = 1,
     collect_trace: bool = False,
 ) -> ConstructionResult:
     """Randomized construction of a demand-dominating capped function."""
-    return _construct_capped(g, r_vec, s_vec, seed, max_trials, workers, collect_trace, False)
+    return _construct_capped(g, r_vec, s_vec, seed, max_trials, collect_trace, False)
 
 
 def construct_total_rs(
@@ -279,11 +259,10 @@ def construct_total_rs(
     seed: int,
     max_trials: int = 100,
     *,
-    workers: int = 1,
     collect_trace: bool = False,
 ) -> ConstructionResult:
     """Open-neighborhood (total) variant of construct_rs."""
-    return _construct_capped(g, r_vec, s_vec, seed, max_trials, workers, collect_trace, True)
+    return _construct_capped(g, r_vec, s_vec, seed, max_trials, collect_trace, True)
 
 
 # -- (k,l) set construction ------------------------------------------------------
@@ -291,59 +270,59 @@ def construct_total_rs(
 
 def _parametric_trial(
     g: Graph,
-    restricted: list[tuple[int, ...]],
+    restricted: np.ndarray,
     k: int,
     l: int,
     p: float,
     rng: np.random.Generator,
     debug: dict | None = None,
-) -> tuple[set[int], tuple[str, ...]]:
+) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """One randomized trial: the random set A, the deficiency classes, the
+    patches; returns the members of D in ascending order."""
     n = g.n
     in_a = rng.random(n) < p
-    msum = [sum(1 for u in restricted[v] if in_a[u]) for v in range(n)]
-    d = {int(v) for v in np.flatnonzero(in_a)}
+    msum = in_a[restricted].sum(axis=1)
+    x = in_a.astype(np.int64)  # indicator of D
     a_patches: dict[int, set[int]] = {}
     b_patches: dict[int, set[int]] = {}
     a_sizes: dict[int, int] = {}
     b_sizes: dict[int, int] = {}
-    for v in range(n):
-        m = msum[v]
+    # members of A short of l-1 and non-members short of k; the rest need no patch
+    short = np.where(in_a, msum <= l - 2, msum <= k - 1)
+    for v in np.flatnonzero(short).tolist():
+        m = int(msum[v])
         if in_a[v]:
-            if m > l - 2:
-                continue
             take = l - m - 1
             bucket, sizes = a_patches, a_sizes
         else:
-            if m > k - 1:
-                continue
             take = k - m
             bucket, sizes = b_patches, b_sizes
         sizes[m] = sizes.get(m, 0) + 1
-        picked = [u for u in restricted[v] if not in_a[u]][:take]
+        nb = restricted[v]
+        picked = nb[~in_a[nb]][:take]
         # delta >= max(k, l-1) guarantees enough candidates outside A
-        assert len(picked) == take, "not enough patch candidates in N'(v) - A"
-        bucket.setdefault(m, set()).update(picked)
-        d.update(picked)
+        if len(picked) < take:
+            raise MultidomError(f"internal: not enough patch candidates in N'({v}) - A")
+        bucket.setdefault(m, set()).update(picked.tolist())
+        x[picked] = 1
     notes: tuple[str, ...] = ()
     if l >= k + 2:
         # Vertices pulled into D by a patch only carry the non-member
         # guarantee of k; top up their coverage to the member demand l.
         rounds = 0
         while True:
-            deficient = []
-            for v in sorted(d):
-                achieved = sum(1 for u in g.closed_neighborhood(v) if u in d)
-                if achieved < l:
-                    deficient.append((v, l - achieved))
+            cov = coverage(g, x, closed=True)
+            deficient = np.flatnonzero((x == 1) & (cov < l)).tolist()
             if not deficient:
                 break
             rounds += 1
-            for v, need in deficient:
-                for u in restricted[v]:
+            for v in deficient:
+                need = l - int(cov[v])
+                for u in restricted[v].tolist():
                     if need == 0:
                         break
-                    if u not in d:
-                        d.add(u)
+                    if not x[u]:
+                        x[u] = 1
                         need -= 1
         if rounds:
             notes = (f"member coverage completion ran {rounds} round(s)",)
@@ -352,7 +331,7 @@ def _parametric_trial(
         debug["b_class_sizes"] = b_sizes
         debug["a_patch_sizes"] = {m: len(s) for m, s in a_patches.items()}
         debug["b_patch_sizes"] = {m: len(s) for m, s in b_patches.items()}
-    return d, notes
+    return tuple(np.flatnonzero(x).tolist()), notes
 
 
 def construct_parametric(
@@ -362,7 +341,6 @@ def construct_parametric(
     seed: int,
     max_trials: int = 100,
     *,
-    workers: int = 1,
     collect_trace: bool = False,
 ) -> ConstructionResult:
     """Randomized construction of a (k,l)-dominating set."""
@@ -401,16 +379,16 @@ def construct_parametric(
         target = float(g.n)
         notes.append("no strong bound applicable; target set to the trivial bound n")
     threshold = math.ceil(target)
-    restricted = [g.restricted_neighborhood(v, closed=False) for v in range(g.n)]
+    restricted = _restricted(g, closed=False)
 
     def trial(i: int, rng: np.random.Generator):
-        d, trial_notes = _parametric_trial(g, restricted, k, l, p, rng)
-        members = tuple(sorted(d))
+        members, trial_notes = _parametric_trial(g, restricted, k, l, p, rng)
         report = verify_set(g, spec, members)
-        assert report.valid, "internal: patched trial failed verification"
+        if not report.valid:
+            raise MultidomError(f"internal: patched trial {i} failed verification")
         return members, report.weight, trial_notes
 
-    best, met_index, trace = _run_trials(trial, seed, max_trials, threshold, workers)
+    best, met_index, trace = _run_trials(trial, seed, max_trials, threshold)
     weight, index, witness, trial_notes = best
     return ConstructionResult(
         witness=witness,

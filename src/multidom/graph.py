@@ -6,7 +6,6 @@ Vertices are 0-based everywhere inside the library; the DIMACS format is
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -26,37 +25,43 @@ FAMILIES = (
 
 
 class Graph:
-    """Simple undirected graph with sorted adjacency lists.
+    """Simple undirected graph held as sorted CSR arrays.
 
-    Instances are immutable after construction; all algorithms take
-    read-only views, so sharing a Graph across threads is safe.
+    ``indices[indptr[v]:indptr[v+1]]`` lists the neighbours of v in
+    ascending order. Instances and both arrays are read-only after
+    construction, so a Graph can be shared freely.
     """
 
-    __slots__ = ("n", "m", "adjacency", "_degrees", "_csr", "_closed_csr")
+    __slots__ = ("n", "m", "indptr", "indices")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
+        e = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        u, v = e[:, 0], e[:, 1]
+        if e.size and (e.min() < 0 or e.max() >= n):
+            i = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))[0]
+            raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
+        if (u == v).any():
+            raise ValueError(f"self-loop at vertex {u[u == v][0]}")
+        # both orientations of every edge, sorted by (source, target)
+        keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        dup = keys[1:][keys[1:] == keys[:-1]]
+        if dup.size:
+            a, b = divmod(int(dup[0]), n)
+            raise ValueError(f"duplicate edge ({min(a, b)},{max(a, b)})")
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        indices = keys % n
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", len(seen))
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "_degrees", np.array([len(a) for a in adj], dtype=np.int64))
-        object.__setattr__(self, "_csr", None)
-        object.__setattr__(self, "_closed_csr", None)
+        object.__setattr__(self, "m", len(e))
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -69,28 +74,31 @@ class Graph:
             raise ValueError(f"vertex id {v} out of range for n={self.n}")
         return v
 
+    def _row(self, v: int) -> np.ndarray:
+        v = self._check_vertex(v)
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+
     def degree(self, v: int) -> int:
-        return len(self.adjacency[self._check_vertex(v)])
+        return len(self._row(v))
 
     @property
     def degrees(self) -> np.ndarray:
-        return self._degrees
+        return np.diff(self.indptr)
 
     @property
     def min_degree(self) -> int:
-        return int(self._degrees.min())
+        return int(self.degrees.min())
 
     @property
     def max_degree(self) -> int:
-        return int(self._degrees.max())
+        return int(self.degrees.max())
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[self._check_vertex(v)]
+        return tuple(self._row(v).tolist())
 
     def closed_neighborhood(self, v: int) -> tuple[int, ...]:
         """N[v] = N(v) ∪ {v}, sorted ascending."""
-        v = self._check_vertex(v)
-        return tuple(sorted(self.adjacency[v] + (v,)))
+        return tuple(sorted(self.neighbors(v) + (int(v),)))
 
     def restricted_neighborhood(self, v: int, closed: bool = True) -> tuple[int, ...]:
         """The fixed delta-subset N'(v) used by the probabilistic constructions.
@@ -98,55 +106,68 @@ class Graph:
         Deterministic selection rule: the ``min_degree`` lowest-indexed
         neighbors of v, plus v itself iff ``closed``.
         """
-        v = self._check_vertex(v)
-        picked = self.adjacency[v][: self.min_degree]
+        picked = self.neighbors(v)[: self.min_degree]
         if closed:
-            return tuple(sorted(picked + (v,)))
+            return tuple(sorted(picked + (int(v),)))
         return picked
 
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = self._check_vertex(u), self._check_vertex(v)
-        a = self.adjacency[u]
-        i = bisect.bisect_left(a, v)
-        return i < len(a) and a[i] == v
+        row = self._row(u)
+        v = self._check_vertex(v)
+        i = int(np.searchsorted(row, v))
+        return i < len(row) and int(row[i]) == v
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
+        """Every edge once as (u, v) with u < v, in ascending order."""
+        rows = np.repeat(np.arange(self.n), self.degrees)
+        upper = rows < self.indices
+        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
     # -- array views for kernels -------------------------------------------
 
     def csr(self, closed: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) arrays; ``closed`` includes each vertex itself."""
-        attr = "_closed_csr" if closed else "_csr"
-        cached = getattr(self, attr)
-        if cached is None:
-            lists = (
-                [self.closed_neighborhood(v) for v in range(self.n)]
-                if closed
-                else self.adjacency
-            )
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for v, a in enumerate(lists):
-                indptr[v + 1] = indptr[v] + len(a)
-            indices = np.fromiter(
-                (u for a in lists for u in a), dtype=np.int64, count=int(indptr[-1])
-            )
-            cached = (indptr, indices)
-            object.__setattr__(self, attr, cached)
-        return cached
+        if not closed:
+            return self.indptr, self.indices
+        vertices = np.arange(self.n)
+        rows = np.repeat(vertices, self.degrees)
+        # v goes after its neighbours below v, in sorted position
+        below = np.bincount(rows[self.indices < rows], minlength=self.n)
+        indices = np.insert(self.indices, self.indptr[:-1] + below, vertices)
+        return self.indptr + np.arange(self.n + 1), indices
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.adjacency == other.adjacency
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
 
     def __hash__(self):
-        return hash((self.n, self.adjacency))
+        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def coverage(g: Graph, x, closed: bool) -> np.ndarray:
+    """Neighbourhood sums of the labels x: sum of x over N[v] when
+    ``closed``, over N(v) otherwise, for every vertex v.
+
+    Every domination condition compares these sums with a demand; the
+    closed and open sums differ only by the vertex's own label.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    if x.shape != (g.n,):
+        raise ValueError(f"labels have shape {x.shape}, graph has n={g.n}")
+    indptr, indices = g.csr()
+    sums = np.zeros(g.n, dtype=np.int64)
+    # reduceat would give an empty row its successor's first entry
+    nonempty = indptr[1:] > indptr[:-1]
+    if nonempty.any():
+        sums[nonempty] = np.add.reduceat(x[indices], indptr[:-1][nonempty])
+    return sums + x if closed else sums
 
 
 # -- deterministic family generators ----------------------------------------
@@ -195,7 +216,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     draws = rng.random(n * (n - 1) // 2)
     rows, cols = np.triu_indices(n, k=1)
     mask = draws < p
-    return Graph(n, zip(rows[mask].tolist(), cols[mask].tolist()))
+    return Graph(n, np.column_stack((rows[mask], cols[mask])))
 
 
 def random_regular(n: int, d: int, seed: int, max_attempts: int = 100_000) -> Graph:

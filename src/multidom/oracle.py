@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ResourceLimitError
+from .errors import MultidomError, ResourceLimitError
 from .graph import Graph
 from .verify import DominationSpec, VertexFunction, verify_function, verify_set
 
@@ -73,10 +73,10 @@ def exact_set_number(
             )
         if status == 1:
             witness = tuple(int(v) for v in np.flatnonzero(membership))
-            report = verify_set(g, spec, witness)
-            assert report.valid, "internal: search returned an invalid witness"
+            if not verify_set(g, spec, witness).valid:
+                raise MultidomError("internal: search returned an invalid witness")
             return ExactResult(t, witness, nodes_total, spec)
-    raise AssertionError("internal: V(G) itself should satisfy any feasible set spec")
+    raise MultidomError("internal: V(G) itself should satisfy any feasible set spec")
 
 
 def exact_function_number(
@@ -95,16 +95,11 @@ def exact_function_number(
     order = np.argsort(g.degrees, kind="stable")
     inv = np.empty(g.n, dtype=np.int64)
     inv[order] = np.arange(g.n)
-    indptr, indices = g.csr(closed=not spec.uses_open_neighborhoods)
-    # rebuild the constraint CSR in search order
-    perm_lists = [sorted(int(inv[u]) for u in indices[indptr[v]:indptr[v + 1]]) for v in order]
-    nindptr = np.zeros(g.n + 1, dtype=np.int64)
-    for i, lst in enumerate(perm_lists):
-        nindptr[i + 1] = nindptr[i] + len(lst)
-    nindices = np.fromiter((u for lst in perm_lists for u in lst), dtype=np.int64,
-                           count=int(nindptr[-1]))
-    caps_perm = np.array([caps[v] for v in order], dtype=np.int64)
-    demands_perm = np.array([demands[v] for v in order], dtype=np.int64)
+    # the constraint CSR of the graph relabelled into search order
+    edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
+    nindptr, nindices = Graph(g.n, inv[edges]).csr(closed=not spec.uses_open_neighborhoods)
+    caps_perm = np.asarray(caps, dtype=np.int64)[order]
+    demands_perm = np.asarray(demands, dtype=np.int64)[order]
     best_init = int(caps_perm.sum())  # the all-caps function; valid by feasibility
     status, best_w, best_vals, nodes = _kernels.function_search_min_weight(
         nindptr, nindices, caps_perm, demands_perm, node_budget, best_init
@@ -119,6 +114,6 @@ def exact_function_number(
         values[int(v)] = int(best_vals[i])
     witness = VertexFunction(tuple(values), caps)
     report = verify_function(g, spec, witness)
-    assert report.valid, "internal: search returned an invalid witness"
-    assert report.weight == int(best_w)
+    if not report.valid or report.weight != int(best_w):
+        raise MultidomError("internal: search returned an invalid witness")
     return ExactResult(int(best_w), witness, nodes, spec)

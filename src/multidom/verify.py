@@ -10,17 +10,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CapViolationError, InfeasibleSpecError
-from .graph import Graph
+from .graph import Graph, coverage
 
 SET_VARIANTS = ("classical", "k_dominating", "k_tuple", "total_k", "parametric")
 FUNCTION_VARIANTS = ("brace_k", "rs", "total_rs")
 
 
+# Labels, caps, demands, k and l stay below this, so that every
+# neighbourhood sum of them fits the int64 arrays coverage() adds in.
+LABEL_LIMIT = 2**31
+
+
 def _as_vector(values: Sequence[int], what: str) -> tuple[int, ...]:
     out = tuple(int(x) for x in values)
-    if any(x < 0 for x in out):
+    if out and min(out) < 0:
         raise ValueError(f"{what} entries must be nonnegative")
+    if out and max(out) >= LABEL_LIMIT:
+        raise ValueError(f"{what} entries must be below {LABEL_LIMIT}")
     return out
 
 
@@ -45,6 +54,8 @@ class DominationSpec:
             raise ValueError("k must be >= 1")
         if self.l is not None and self.l < 1:
             raise ValueError("l must be >= 1")
+        if max(self.k or 0, self.l or 0) >= LABEL_LIMIT:
+            raise ValueError(f"k and l must be below {LABEL_LIMIT}")
         if (self.r is None) != (self.s is None):
             raise ValueError("r and s vectors must be given together")
         if self.r is not None and len(self.r) != len(self.s):
@@ -155,15 +166,15 @@ class DominationSpec:
                 return False, f"({self.k},{self.l})-domination needs min degree >= {self.l - 1}, got {d}"
             return True, ""
         caps, demands = self.vectors(g.n)
-        open_only = v == "total_rs"
-        for i in range(g.n):
-            nbrs = g.neighbors(i) if open_only else g.closed_neighborhood(i)
-            have = sum(caps[u] for u in nbrs)
-            if have < demands[i]:
-                kind = "open" if open_only else "closed"
-                return False, (
-                    f"vertex {i}: {kind} neighborhood caps sum to {have} < demand {demands[i]}"
-                )
+        closed = not self.uses_open_neighborhoods
+        have = coverage(g, caps, closed)
+        short = np.flatnonzero(have < np.asarray(demands))
+        if short.size:
+            i = short[0]
+            kind = "closed" if closed else "open"
+            return False, (
+                f"vertex {i}: {kind} neighborhood caps sum to {have[i]} < demand {demands[i]}"
+            )
         return True, ""
 
     def check_feasible(self, g: Graph) -> None:
@@ -256,30 +267,36 @@ class VerifyReport:
         }
 
 
-def _normalize_set(g: Graph, members: Iterable[int]) -> frozenset[int]:
-    out = set()
-    for v in members:
-        v = int(v)
-        if not 0 <= v < g.n:
-            raise ValueError(f"witness vertex {v} out of range for n={g.n}")
-        out.add(v)
-    return frozenset(out)
+def _deficiencies(achieved: np.ndarray, required: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    short = np.flatnonzero(achieved < required)
+    return tuple(zip(short.tolist(), required[short].tolist(), achieved[short].tolist()))
+
+
+def _indicator(g: Graph, members: Iterable[int]) -> np.ndarray:
+    """0/1 membership vector of a witness set; repeated ids count once."""
+    ids = np.fromiter((int(v) for v in members), dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= g.n)]
+    if bad.size:
+        raise ValueError(f"witness vertex {bad[0]} out of range for n={g.n}")
+    x = np.zeros(g.n, dtype=np.int64)
+    x[ids] = 1
+    return x
 
 
 def verify_set(g: Graph, spec: DominationSpec, members: Iterable[int]) -> VerifyReport:
-    """Check a vertex set against a set-type spec; deficiencies are exhaustive."""
+    """Check a vertex set against a set-type spec; deficiencies are exhaustive.
+
+    The requirements are closed-neighborhood demands for every set variant
+    (see ``DominationSpec.requirements``), so the sums are closed too.
+    """
     if not spec.is_set_variant:
         raise ValueError(f"verify_set needs a set variant, got {spec.variant}")
     spec.check_feasible(g)
-    x = _normalize_set(g, members)
+    x = _indicator(g, members)
     k_req, l_req = spec.requirements()
-    deficiencies = []
-    for v in range(g.n):
-        achieved = sum(1 for u in g.closed_neighborhood(v) if u in x)
-        required = l_req if v in x else k_req
-        if achieved < required:
-            deficiencies.append((v, required, achieved))
-    return VerifyReport(not deficiencies, len(x), tuple(deficiencies))
+    required = np.where(x == 1, l_req, k_req)
+    deficiencies = _deficiencies(coverage(g, x, closed=True), required)
+    return VerifyReport(not deficiencies, int(x.sum()), deficiencies)
 
 
 def verify_function(g: Graph, spec: DominationSpec, f: VertexFunction) -> VerifyReport:
@@ -296,14 +313,11 @@ def verify_function(g: Graph, spec: DominationSpec, f: VertexFunction) -> Verify
         raise ValueError(f"function has {len(f.values)} values, graph has n={g.n}")
     if f.caps != caps:
         raise ValueError(f"function caps {f.caps} do not match spec caps {caps}")
-    for v, (x, cap) in enumerate(zip(f.values, caps)):
-        if x > cap:
-            raise CapViolationError(f"f({v}) = {x} exceeds cap {cap}")
-    open_only = spec.uses_open_neighborhoods
-    deficiencies = []
-    for v in range(g.n):
-        nbrs = g.neighbors(v) if open_only else g.closed_neighborhood(v)
-        achieved = sum(f.values[u] for u in nbrs)
-        if achieved < demands[v]:
-            deficiencies.append((v, demands[v], achieved))
-    return VerifyReport(not deficiencies, f.weight, tuple(deficiencies))
+    values = np.asarray(f.values, dtype=np.int64)
+    over = np.flatnonzero(values > np.asarray(caps))
+    if over.size:
+        v = over[0]
+        raise CapViolationError(f"f({v}) = {values[v]} exceeds cap {caps[v]}")
+    achieved = coverage(g, values, closed=not spec.uses_open_neighborhoods)
+    deficiencies = _deficiencies(achieved, np.asarray(demands, dtype=np.int64))
+    return VerifyReport(not deficiencies, f.weight, deficiencies)

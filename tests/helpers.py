@@ -1,7 +1,8 @@
 """Independent brute-force oracles and shared graph collections for tests.
 
-These deliberately work off the raw adjacency lists and never call the
-library's verify/oracle code paths, so they can serve as ground truth.
+These deliberately work off plain adjacency lists read from
+``Graph.neighbors`` and never call the library's verify/oracle code paths,
+so they can serve as ground truth.
 """
 
 from itertools import combinations, product
@@ -9,15 +10,20 @@ from itertools import combinations, product
 from multidom import Graph, cycle, complete, gnp, path, petersen
 
 
+def adjacency(g: Graph) -> list[tuple[int, ...]]:
+    return [g.neighbors(v) for v in range(g.n)]
+
+
 def brute_set_number(g: Graph, k_req: int, l_req: int):
     """Minimum size of a set whose closed-neighborhood coverage meets
     k_req outside the set and l_req inside; None if none exists."""
+    adj = adjacency(g)
     for t in range(g.n + 1):
         for chosen in combinations(range(g.n), t):
             xs = set(chosen)
             ok = True
             for v in range(g.n):
-                cov = sum(1 for u in g.adjacency[v] if u in xs) + (1 if v in xs else 0)
+                cov = sum(1 for u in adj[v] if u in xs) + (1 if v in xs else 0)
                 need = l_req if v in xs else k_req
                 if cov < need:
                     ok = False
@@ -29,11 +35,12 @@ def brute_set_number(g: Graph, k_req: int, l_req: int):
 
 def brute_function_number(g: Graph, caps, demands, open_nbhd: bool = False):
     """Minimum weight over all cap-respecting labelings meeting the demands."""
+    adj = adjacency(g)
     best = None
     for vals in product(*(range(c + 1) for c in caps)):
         ok = True
         for v in range(g.n):
-            nb = g.adjacency[v] if open_nbhd else g.adjacency[v] + (v,)
+            nb = adj[v] if open_nbhd else adj[v] + (v,)
             if sum(vals[u] for u in nb) < demands[v]:
                 ok = False
                 break
@@ -45,7 +52,7 @@ def brute_function_number(g: Graph, caps, demands, open_nbhd: bool = False):
 
 
 def coverage(g: Graph, members: set[int], v: int, closed: bool = True) -> int:
-    cov = sum(1 for u in g.adjacency[v] if u in members)
+    cov = sum(1 for u in g.neighbors(v) if u in members)
     if closed and v in members:
         cov += 1
     return cov

@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import multidom
+import multidom.construct
 from multidom import (
     DominationSpec,
     Graph,
     InfeasibleSpecError,
+    MultidomError,
+    VerifyReport,
     bound_rs,
     complete,
     construct_parametric,
@@ -18,7 +25,7 @@ from multidom import (
     verify_function,
     verify_set,
 )
-from multidom.construct import _capped_trial, _parametric_trial, _trial_rng
+from multidom.construct import _capped_trial, _parametric_trial, _restricted, _trial_rng
 
 
 def test_rs_unit_vectors_on_k5():
@@ -81,17 +88,15 @@ def test_parametric_precondition():
         construct_parametric(path(4), 2, 2, seed=0)  # delta = 1 < k
 
 
-def test_determinism_and_workers():
+def test_determinism():
     g = gnp(30, 0.3, seed=5)
     a = construct_parametric(g, 2, 2, seed=11, max_trials=25, collect_trace=True)
     b = construct_parametric(g, 2, 2, seed=11, max_trials=25, collect_trace=True)
     assert a.to_dict() == b.to_dict()
-    c = construct_parametric(g, 2, 2, seed=11, max_trials=25, collect_trace=True, workers=4)
-    assert a.to_dict() == c.to_dict()
 
     vec = (2,) * 30
     x = construct_rs(g, vec, vec, seed=7, max_trials=25, collect_trace=True)
-    y = construct_rs(g, vec, vec, seed=7, max_trials=25, collect_trace=True, workers=3)
+    y = construct_rs(g, vec, vec, seed=7, max_trials=25, collect_trace=True)
     assert x.to_dict() == y.to_dict()
 
 
@@ -114,7 +119,7 @@ def test_repair_accounting_invariant():
     from multidom.bounds import RSParams
 
     params = RSParams.derive(vec, vec, g.min_degree)
-    restricted = [g.restricted_neighborhood(v, closed=True) for v in range(g.n)]
+    restricted = _restricted(g, closed=True)
     p = 1.0 - math.exp(
         (math.log(params.r) - math.log1p(params.theta) - params.log_b) / params.theta
     )
@@ -132,7 +137,7 @@ def test_patch_accounting_invariant():
     k, l = 2, 3
     if g.min_degree < max(k, l - 1):
         pytest.skip("graph too sparse for the construction")
-    restricted = [g.restricted_neighborhood(v, closed=False) for v in range(g.n)]
+    restricted = _restricted(g, closed=False)
     for seed in range(30):
         debug: dict = {}
         d, _ = _parametric_trial(g, restricted, k, l, 0.4, _trial_rng(seed, 0), debug)
@@ -182,3 +187,36 @@ def test_mean_weight_tracks_bound_on_small_gnp():
     target = bound_rs(vec, vec, g.min_degree, g.n).absolute
     weights = [construct_rs(g, vec, vec, seed=s, max_trials=1).weight for s in range(200)]
     assert np.mean(weights) <= target * 1.05
+
+
+def _invalid_report(*args):
+    return VerifyReport(False, 0, ((0, 1, 0),))
+
+
+def test_invalid_trial_witness_raises_multidom_error(monkeypatch):
+    monkeypatch.setattr(multidom.construct, "verify_set", _invalid_report)
+    with pytest.raises(MultidomError, match="failed verification"):
+        construct_parametric(cycle(5), 1, 1, seed=0, max_trials=1)
+    monkeypatch.setattr(multidom.construct, "verify_function", _invalid_report)
+    with pytest.raises(MultidomError, match="failed verification"):
+        construct_rs(cycle(5), (1,) * 5, (1,) * 5, seed=0, max_trials=1)
+
+
+def test_invalid_trial_witness_is_caught_under_python_O():
+    # python -O strips assert statements; the witness check must survive it
+    # and the CLI must exit 1 with a message, not a traceback
+    script = (
+        "import sys, multidom.construct\n"
+        "from multidom.cli import main\n"
+        "from multidom.verify import VerifyReport\n"
+        "multidom.construct.verify_set = lambda *a: VerifyReport(False, 0, ((0, 1, 0),))\n"
+        "sys.exit(main(['construct', '--family', 'cycle', '--n', '5', '--spec', 'classical']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(multidom.__file__)))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "failed verification" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -1,14 +1,19 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import brute_function_number
+from helpers import coverage as brute_coverage
 from multidom import (
     Graph,
     GraphFamilySpec,
     GraphFormatError,
     complete,
     complete_bipartite,
+    coverage,
     cycle,
     generate,
     gnp,
@@ -23,7 +28,8 @@ from multidom import (
 def test_basic_invariants():
     g = cycle(4)
     assert g.n == 4 and g.m == 4
-    assert g.adjacency == ((1, 3), (0, 2), (1, 3), (0, 2))
+    assert [g.neighbors(v) for v in range(4)] == [(1, 3), (0, 2), (1, 3), (0, 2)]
+    assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert g.min_degree == g.max_degree == 2
     assert int(g.degrees.sum()) == 2 * g.m
 
@@ -37,6 +43,10 @@ def test_rejects_bad_edges():
         Graph(3, [(0, 5)])
     with pytest.raises(ValueError):
         Graph(0, [])
+    # the same three faults given as numpy edge arrays
+    for edges in ([[1, 1]], [[0, 2], [2, 0]], [[1, 3]]):
+        with pytest.raises(ValueError):
+            Graph(3, np.array(edges))
 
 
 def test_immutable():
@@ -166,3 +176,55 @@ def test_csr_views():
     assert indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2]
     cindptr, cindices = g.csr(closed=True)
     assert (np.diff(cindptr) == 3).all()
+
+
+@st.composite
+def small_graphs(draw, max_n: int = 7):
+    """Graphs on 1..max_n vertices from any subset of the possible edges,
+    so isolated vertices (empty CSR rows) come up often."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return Graph(n, chosen)
+
+
+@given(small_graphs(), st.sets(st.integers(0, 6)))
+@example(Graph(4, [(0, 1)]), {0, 2})  # trailing empty rows
+@example(Graph(3, [(1, 2)]), {1})  # leading empty row
+@settings(max_examples=80, deadline=None)
+def test_coverage_of_sets_matches_brute_force(g, raw):
+    members = {v for v in raw if v < g.n}
+    x = [1 if v in members else 0 for v in range(g.n)]
+    for closed in (True, False):
+        expected = [brute_coverage(g, members, v, closed) for v in range(g.n)]
+        assert coverage(g, x, closed).tolist() == expected
+
+
+def test_coverage_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        coverage(cycle(4), [1, 1, 1], closed=False)
+
+
+@given(small_graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_coverage_of_integer_vectors(g, data):
+    x = data.draw(st.lists(st.integers(0, 9), min_size=g.n, max_size=g.n))
+    for closed in (True, False):
+        expected = [
+            sum(x[u] for u in g.neighbors(v)) + (x[v] if closed else 0) for v in range(g.n)
+        ]
+        assert coverage(g, x, closed).tolist() == expected
+
+
+@given(small_graphs(max_n=5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_coverage_minimum_weight_matches_brute_force(g, data):
+    caps = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    demands = np.array(data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n)))
+    for closed in (True, False):
+        weights = [
+            sum(vals) for vals in product(*(range(c + 1) for c in caps))
+            if (coverage(g, vals, closed) >= demands).all()
+        ]
+        expected = brute_function_number(g, caps, demands.tolist(), open_nbhd=not closed)
+        assert (min(weights) if weights else None) == expected

@@ -1,10 +1,13 @@
 import pytest
 
+import multidom.oracle
 from helpers import brute_function_number, brute_set_number, small_graphs
 from multidom import (
     DominationSpec,
     InfeasibleSpecError,
+    MultidomError,
     ResourceLimitError,
+    VerifyReport,
     cycle,
     exact_function_number,
     exact_set_number,
@@ -157,3 +160,15 @@ def test_to_dict_shapes():
     assert set(d["witness"].keys()) == {"set"}
     d = exact_function_number(c4, DominationSpec.brace_k(2)).to_dict()
     assert set(d["witness"].keys()) == {"values"}
+
+
+def test_invalid_search_witness_raises_multidom_error(monkeypatch):
+    def invalid(*args):
+        return VerifyReport(False, 0, ((0, 1, 0),))
+
+    monkeypatch.setattr(multidom.oracle, "verify_set", invalid)
+    monkeypatch.setattr(multidom.oracle, "verify_function", invalid)
+    with pytest.raises(MultidomError, match="invalid witness"):
+        exact_set_number(cycle(5), DominationSpec.classical())
+    with pytest.raises(MultidomError, match="invalid witness"):
+        exact_function_number(cycle(5), DominationSpec.brace_k(2))

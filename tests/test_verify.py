@@ -241,3 +241,10 @@ def test_spec_validation():
         DominationSpec("nope")
     with pytest.raises(ValueError):
         verify_set(cycle(4), DominationSpec.classical(), [7])
+    # labels too large for int64 neighbourhood sums
+    with pytest.raises(ValueError):
+        DominationSpec.rs((2**62, 1), (1, 1))
+    with pytest.raises(ValueError):
+        DominationSpec.brace_k(2**62)
+    with pytest.raises(ValueError):
+        VertexFunction((2**62, 0), (2**62, 1))
