@@ -1,7 +1,6 @@
 """Multiple domination in graphs: verifiers, probabilistic upper bounds,
 randomized constructions, exact solvers and a threshold-constant tuner."""
 
-from ._kernels import USING_NUMBA
 from .bounds import (
     BoundReport,
     applicability_caro_yuster,
@@ -77,3 +76,6 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# The exact search has no JIT backend; the benchmark records this flag.
+USING_NUMBA = False

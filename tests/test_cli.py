@@ -103,6 +103,13 @@ def test_exact_param22_on_c4(capsys):
     assert payload["value"] == 3
 
 
+def test_exact_rejects_nonpositive_node_budget(capsys):
+    code, out, err = run_cli(capsys, "exact", "--family", "petersen", "--spec", "ktuple:2",
+                             "--node-budget", "-5")
+    assert code == 1 and out == ""
+    assert "node_budget must be >= 1" in err
+
+
 def test_construct_verify_pipeline(capsys, tmp_path):
     gfile = tmp_path / "g.edges"
     run_cli(capsys, "gen", "--family", "gnp", "--n", "25", "--p", "0.4",

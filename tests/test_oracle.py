@@ -120,6 +120,24 @@ def test_resource_guards():
     assert exc.value.partial is not None
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_node_budget_must_be_positive(budget):
+    g = petersen()
+    with pytest.raises(ValueError, match="node_budget must be >= 1"):
+        exact_set_number(g, DominationSpec.k_tuple(2), node_budget=budget)
+    with pytest.raises(ValueError, match="node_budget must be >= 1"):
+        exact_function_number(g, DominationSpec.brace_k(2), node_budget=budget)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_n_must_be_positive(limit):
+    g = petersen()
+    with pytest.raises(ValueError, match="limit_n must be >= 1"):
+        exact_set_number(g, DominationSpec.k_tuple(2), limit_n=limit)
+    with pytest.raises(ValueError, match="limit_n must be >= 1"):
+        exact_function_number(g, DominationSpec.brace_k(2), limit_n=limit)
+
+
 def test_exact_value_never_exceeds_construction_weight():
     from multidom import construct_parametric, construct_rs
 
