@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .verify import DominationSpec
 
@@ -73,14 +73,10 @@ class RSParams:
     log_b: float  # ln B_{s-1}
 
     @classmethod
-    def derive(
-        cls, r_vec: Sequence[int], s_vec: Sequence[int], delta: int, closed: bool = True
-    ) -> "RSParams":
+    def derive(cls, tau: int, s: int, delta: int, closed: bool = True) -> "RSParams":
         slots = delta + 1 if closed else delta
         if slots < 1:
             raise ValueError("total variant needs delta >= 1")
-        tau = min(r_vec)
-        s = max(s_vec)
         r = s // slots + 1
         theta = slots * r - s
         top = slots * r
@@ -236,8 +232,9 @@ def _rs_gate(p: RSParams) -> tuple[bool, str]:
 def _capped_report(
     name: str,
     coeff: Callable[[RSParams], float],
-    r_vec: Sequence[int],
-    s_vec: Sequence[int],
+    tau: int,
+    s: int,
+    cap_sum: int,
     delta: int,
     n: int,
     force: bool,
@@ -251,13 +248,13 @@ def _capped_report(
     if not closed and delta < 1:
         applicable, reason = False, "total variant needs delta >= 1"
     else:
-        p = RSParams.derive(r_vec, s_vec, delta, closed)
+        p = RSParams.derive(tau, s, delta, closed)
         applicable, reason = _rs_gate(p)
         r_key, theta_key = ("r", "theta") if closed else ("r_tilde", "theta_tilde")
         params.update({"tau": p.tau, "s": p.s, r_key: p.r, theta_key: p.theta,
                        "log_B_s1": p.log_b})
     return _report(
-        name, n, float(sum(r_vec)), params, applicable, reason,
+        name, n, float(cap_sum), params, applicable, reason,
         lambda: coeff(p) if p is not None and p.s >= 1 else None, force,
     )
 
@@ -266,27 +263,29 @@ def _rs_log_params_coeff(p: RSParams) -> float:
     return _rs_log_coeff(p.theta, p.log_b, p.r)
 
 
+# The capped-function bounds read three numbers of the caps r_i and demands
+# s_i: tau = min r_i, s = max s_i and cap_sum = sum r_i, the trivial bound.
+
+
 def bound_rs(
-    r_vec: Sequence[int], s_vec: Sequence[int], delta: int, n: int, force: bool = False
+    tau: int, s: int, cap_sum: int, delta: int, n: int, force: bool = False
 ) -> BoundReport:
     """Strong capped-function bound: (1 - (r rho)^rho / ((1+rho)^(1+rho) B_{s-1}^rho)) r n."""
-    return _capped_report("rs_strong", _rs_strong_coeff, r_vec, s_vec, delta, n, force, True)
+    return _capped_report("rs_strong", _rs_strong_coeff, tau, s, cap_sum, delta, n, force, True)
 
 
 def bound_rs_log(
-    r_vec: Sequence[int], s_vec: Sequence[int], delta: int, n: int, force: bool = False
+    tau: int, s: int, cap_sum: int, delta: int, n: int, force: bool = False
 ) -> BoundReport:
     """Weaker log-form bound: (ln(theta+1) + ln B_{s-1} - ln r + 1)/(theta+1) * r n."""
-    return _capped_report("rs_log", _rs_log_params_coeff, r_vec, s_vec, delta, n, force, True)
+    return _capped_report("rs_log", _rs_log_params_coeff, tau, s, cap_sum, delta, n, force, True)
 
 
 def bound_rs_log_optimized(
-    r_vec: Sequence[int], s_vec: Sequence[int], delta: int, n: int, force: bool = False
+    tau: int, s: int, cap_sum: int, delta: int, n: int, force: bool = False
 ) -> BoundReport:
     """Log-form bound minimized over every admissible integer r in [s/(delta+1), tau]."""
     delta = _check_delta(delta)
-    tau = min(r_vec)
-    s = max(s_vec)
     lo = max(1, -(-s // (delta + 1)))  # ceil(s/(delta+1))
     applicable = s >= 1 and lo <= tau
     if s < 1:
@@ -305,23 +304,27 @@ def bound_rs_log_optimized(
     params = {"delta": delta, "tau": tau, "s": s,
               "argmin_r": best[1] if best else None}
     return _report(
-        "rs_log_optimized", n, float(sum(r_vec)), params, applicable, reason,
+        "rs_log_optimized", n, float(cap_sum), params, applicable, reason,
         lambda: best[0] if best else None, force,
     )
 
 
 def bound_total_rs(
-    r_vec: Sequence[int], s_vec: Sequence[int], delta: int, n: int, force: bool = False
+    tau: int, s: int, cap_sum: int, delta: int, n: int, force: bool = False
 ) -> BoundReport:
     """Strong bound for the open-neighborhood (total) variant: bound_rs with r~, theta~."""
-    return _capped_report("total_rs_strong", _rs_strong_coeff, r_vec, s_vec, delta, n, force, False)
+    return _capped_report(
+        "total_rs_strong", _rs_strong_coeff, tau, s, cap_sum, delta, n, force, False
+    )
 
 
 def bound_total_rs_log(
-    r_vec: Sequence[int], s_vec: Sequence[int], delta: int, n: int, force: bool = False
+    tau: int, s: int, cap_sum: int, delta: int, n: int, force: bool = False
 ) -> BoundReport:
     """Log-form bound for the open-neighborhood (total) variant."""
-    return _capped_report("total_rs_log", _rs_log_params_coeff, r_vec, s_vec, delta, n, force, False)
+    return _capped_report(
+        "total_rs_log", _rs_log_params_coeff, tau, s, cap_sum, delta, n, force, False
+    )
 
 
 # -- (k,l) set bounds ------------------------------------------------------------
@@ -467,12 +470,10 @@ def bound_threshold_parametric(
 
 
 def bound_threshold_rs(
-    r_vec: Sequence[int], s_vec: Sequence[int], delta: int, n: int, c: float, force: bool = False
+    tau: int, s: int, cap_sum: int, delta: int, n: int, c: float, force: bool = False
 ) -> BoundReport:
     """Capped-function threshold bound with s = max demand under (delta+1)tau >= cs, c > 1."""
     delta = _check_delta(delta)
-    tau = min(r_vec)
-    s = max(s_vec)
     if c <= 1:
         applicable, reason = False, f"needs c > 1, got c={c}"
     elif s < 1:
@@ -482,7 +483,7 @@ def bound_threshold_rs(
     else:
         applicable, reason = True, ""
     return _report(
-        "rs_threshold", n, float(sum(r_vec)), {"delta": delta, "tau": tau, "s": s, "c": c},
+        "rs_threshold", n, float(cap_sum), {"delta": delta, "tau": tau, "s": s, "c": c},
         applicable, reason,
         lambda: _threshold_coeff(s, delta, c) if s >= 1 else None, force,
     )
@@ -527,15 +528,13 @@ def bound_ln_threshold_parametric(
 
 
 def bound_ln_threshold_rs(
-    r_vec: Sequence[int], s_vec: Sequence[int], delta: int, n: int, c: float, force: bool = False
+    tau: int, s: int, cap_sum: int, delta: int, n: int, c: float, force: bool = False
 ) -> BoundReport:
     """Capped-function version with s = max demand; s <= (1-c) ln delta already
     implies the existence condition (delta+1)tau >= s when tau >= 1."""
     delta = _check_delta(delta)
-    tau = min(r_vec)
-    s = max(s_vec)
     gate = (tau >= 1, "needs min cap tau >= 1")
-    return _ln_threshold("rs_ln_threshold", s, delta, n, c, float(sum(r_vec)),
+    return _ln_threshold("rs_ln_threshold", s, delta, n, c, float(cap_sum),
                          {"delta": delta, "tau": tau, "s": s, "c": c}, force, gate)
 
 
@@ -553,105 +552,72 @@ def applicability_caro_yuster(k: int, delta: int) -> bool:
 def bounds_for_spec(
     spec: DominationSpec, delta: int, n: int, c: float | None = None, force: bool = False
 ) -> list[BoundReport]:
-    """Every bound in the catalogue that speaks about the given variant."""
+    """Every bound in the catalogue that speaks about the given variant.
+
+    A set variant is the (k,l) instance given by its requirements(), so it
+    gets the four (k,l) bounds; the classical, k-tuple and total variants
+    add their own specializations around them.
+    """
     v = spec.variant
-    ones = (1,) * n
-    out: list[BoundReport] = []
-    if v == "classical":
-        out += [
-            bound_classical(delta, n),
-            bound_caro_roditty(delta, n, force=force),
-            bound_rs(ones, ones, delta, n, force=force),
-            bound_rs_log(ones, ones, delta, n, force=force),
-            bound_parametric(1, 1, delta, n, force=force),
-            bound_parametric_log(1, 1, delta, n, force=force),
-            bound_parametric_alt(1, 1, delta, n, force=force),
-            bound_parametric_alt_log(1, 1, delta, n, force=force),
-        ]
-    elif v == "k_dominating":
-        k = spec.k
-        out += [
-            bound_parametric(k, 1, delta, n, force=force),
-            bound_parametric_log(k, 1, delta, n, force=force),
-            bound_parametric_alt(k, 1, delta, n, force=force),
-            bound_parametric_alt_log(k, 1, delta, n, force=force),
+    if spec.is_function_variant:
+        caps = spec.cap_summary(n)
+        if v == "total_rs":
+            return [
+                bound_total_rs(*caps, delta, n, force=force),
+                bound_total_rs_log(*caps, delta, n, force=force),
+            ]
+        out = [
+            bound_rs(*caps, delta, n, force=force),
+            bound_rs_log(*caps, delta, n, force=force),
+            bound_rs_log_optimized(*caps, delta, n, force=force),
         ]
         if c is not None:
             out += [
-                bound_threshold_parametric(k, 1, delta, n, c, force=force),
-                bound_ln_threshold_parametric(k, 1, delta, n, c, force=force),
+                bound_threshold_rs(*caps, delta, n, c, force=force),
+                bound_ln_threshold_rs(*caps, delta, n, c, force=force),
             ]
-    elif v == "k_tuple":
-        k = spec.k
-        kvec = (k,) * n
-        out += [
-            bound_rs(ones, kvec, delta, n, force=force),
-            bound_rs_log(ones, kvec, delta, n, force=force),
-            bound_rs_log_optimized(ones, kvec, delta, n, force=force),
-            bound_parametric(k, k, delta, n, force=force),
-            bound_parametric_log(k, k, delta, n, force=force),
-            bound_parametric_alt(k, k, delta, n, force=force),
-            bound_parametric_alt_log(k, k, delta, n, force=force),
-            bound_rv(k, delta, n, force=force),
-        ]
+        return out
+    k, l = spec.requirements()
+    out = [
+        bound_parametric(k, l, delta, n, force=force),
+        bound_parametric_log(k, l, delta, n, force=force),
+        bound_parametric_alt(k, l, delta, n, force=force),
+        bound_parametric_alt_log(k, l, delta, n, force=force),
+    ]
+    if v == "classical":
+        return [
+            bound_classical(delta, n),
+            bound_caro_roditty(delta, n, force=force),
+            bound_rs(1, 1, n, delta, n, force=force),
+            bound_rs_log(1, 1, n, delta, n, force=force),
+        ] + out
+    if v == "k_tuple":
+        out = [
+            bound_rs(1, k, n, delta, n, force=force),
+            bound_rs_log(1, k, n, delta, n, force=force),
+            bound_rs_log_optimized(1, k, n, delta, n, force=force),
+        ] + out + [bound_rv(k, delta, n, force=force)]
         if c is not None:
             out += [
                 bound_threshold_ktuple(k, delta, n, c, force=force),
                 bound_ln_threshold_ktuple(k, delta, n, c, force=force),
             ]
-    elif v == "total_k":
-        k = spec.k
-        kvec = (k,) * n
+        return out
+    if v == "total_k":
         out += [
-            bound_parametric(k, k + 1, delta, n, force=force),
-            bound_parametric_log(k, k + 1, delta, n, force=force),
-            bound_parametric_alt(k, k + 1, delta, n, force=force),
-            bound_parametric_alt_log(k, k + 1, delta, n, force=force),
-            bound_total_rs(ones, kvec, delta, n, force=force),
-            bound_total_rs_log(ones, kvec, delta, n, force=force),
+            bound_total_rs(1, k, n, delta, n, force=force),
+            bound_total_rs_log(1, k, n, delta, n, force=force),
         ]
-        if c is not None:
-            out += [
-                bound_threshold_parametric(k, k + 1, delta, n, c, force=force),
-                bound_ln_threshold_parametric(k, k + 1, delta, n, c, force=force),
-            ]
+    if c is not None:
+        out += [
+            bound_threshold_parametric(k, l, delta, n, c, force=force),
+            bound_ln_threshold_parametric(k, l, delta, n, c, force=force),
+        ]
+    if v == "total_k":
         out.append(_report(
             "caro_yuster", n, float(n), {"delta": delta, "k": k},
             applicability_caro_yuster(k, delta),
             "predicate only; the asymptotic bound is out of scope",
             lambda: None,
         ))
-    elif v == "parametric":
-        k, l = spec.k, spec.l
-        out += [
-            bound_parametric(k, l, delta, n, force=force),
-            bound_parametric_log(k, l, delta, n, force=force),
-            bound_parametric_alt(k, l, delta, n, force=force),
-            bound_parametric_alt_log(k, l, delta, n, force=force),
-        ]
-        if c is not None:
-            out += [
-                bound_threshold_parametric(k, l, delta, n, c, force=force),
-                bound_ln_threshold_parametric(k, l, delta, n, c, force=force),
-            ]
-    elif v in ("brace_k", "rs"):
-        r_vec, s_vec = spec.vectors(n)
-        out += [
-            bound_rs(r_vec, s_vec, delta, n, force=force),
-            bound_rs_log(r_vec, s_vec, delta, n, force=force),
-            bound_rs_log_optimized(r_vec, s_vec, delta, n, force=force),
-        ]
-        if c is not None:
-            out += [
-                bound_threshold_rs(r_vec, s_vec, delta, n, c, force=force),
-                bound_ln_threshold_rs(r_vec, s_vec, delta, n, c, force=force),
-            ]
-    elif v == "total_rs":
-        r_vec, s_vec = spec.vectors(n)
-        out += [
-            bound_total_rs(r_vec, s_vec, delta, n, force=force),
-            bound_total_rs_log(r_vec, s_vec, delta, n, force=force),
-        ]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {v!r}")
     return out

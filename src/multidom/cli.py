@@ -158,8 +158,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _resolve_graph(args)
-    spec = parse_spec(args.spec)
-    spec.check_feasible(g)
+    spec = parse_spec(args.spec)  # every construct_* checks feasibility once
     kwargs = dict(collect_trace=args.trace)
     v = spec.variant
     if v == "rs":
@@ -205,13 +204,14 @@ def _cmd_verify(args) -> int:
     if spec.is_set_variant:
         if "set" not in witness:
             raise ValueError('set-type spec needs a witness of the form {"set": [ids]}')
-        report = verify_set(g, spec, witness["set"])
+        verify, w = verify_set, witness["set"]
     else:
         if "values" not in witness:
             raise ValueError('function-type spec needs a witness {"values": [ints]}')
-        caps, _ = spec.vectors(g.n)
-        f = VertexFunction(tuple(witness["values"]), caps)
-        report = verify_function(g, spec, f)
+        verify, w = verify_function, VertexFunction(witness["values"])
+    # verify_* report an infeasible spec as deficiencies; the CLI exits 2
+    spec.check_feasible(g)
+    report = verify(g, spec, w)
     payload = report.to_dict()
     payload["graph"] = _graph_summary(g)
     payload["spec"] = spec.label()

@@ -182,23 +182,22 @@ def _construct_capped(
     collect_trace: bool,
     total: bool,
 ) -> ConstructionResult:
-    r_vec = tuple(int(x) for x in r_vec)
-    s_vec = tuple(int(x) for x in s_vec)
     _check_seed(seed, max_trials)
     spec = DominationSpec.total_rs(r_vec, s_vec) if total else DominationSpec.rs(r_vec, s_vec)
-    spec.check_feasible(g)
+    spec.check_feasible(g)  # once; the trials verify without repeating it
     delta = g.min_degree
     notes: list[str] = []
     if total and delta < 1:
         raise InfeasibleSpecError("total construction needs delta >= 1")
-    params = RSParams.derive(r_vec, s_vec, delta, closed=not total)
-    target_report = (bound_total_rs if total else bound_rs)(r_vec, s_vec, delta, g.n)
+    tau, s, cap_sum = spec.cap_summary(g.n)
+    params = RSParams.derive(tau, s, delta, closed=not total)
+    target_report = (bound_total_rs if total else bound_rs)(tau, s, cap_sum, delta, g.n)
     if params.r > params.tau:
         raise InfeasibleSpecError(
             f"derived uniform cap r={params.r} exceeds min cap tau={params.tau}"
         )
     if params.s < 1:
-        zero = VertexFunction((0,) * g.n, r_vec)
+        zero = VertexFunction((0,) * g.n)
         return ConstructionResult(
             zero, 0, 1, 0, seed, 0.0, True,
             {"p": 0.0, "delta": delta}, ("all demands are zero",),
@@ -214,7 +213,7 @@ def _construct_capped(
 
     def trial(i: int, rng: np.random.Generator):
         vals = _capped_trial(restricted, g.n, params.r, params.s, params.theta, p, rng)
-        f = VertexFunction(tuple(vals.tolist()), r_vec)
+        f = VertexFunction(vals.tolist())
         report = verify_function(g, spec, f)
         if not report.valid:
             raise MultidomError(f"internal: repaired trial {i} failed verification")
@@ -346,6 +345,7 @@ def construct_parametric(
     """Randomized construction of a (k,l)-dominating set."""
     _check_seed(seed, max_trials)
     spec = DominationSpec.parametric(k, l)
+    spec.check_feasible(g)  # once; the trials verify without repeating it
     delta = g.min_degree
     phi = max(k, l - 1)
     if delta < phi:

@@ -23,16 +23,25 @@ FAMILIES = (
     "petersen",
 )
 
+# Largest vertex count a graph file may declare or imply. The readers reject
+# more before anything of size n is allocated: a header alone must not make
+# the library ask for memory. 10**7 vertices is 100x the largest graph the
+# benchmark ladder plans for (10**5), and at that size the graph's own
+# int64 arrays and the per-vertex arrays built from them already take
+# hundreds of megabytes.
+MAX_VERTICES = 10**7
+
 
 class Graph:
     """Simple undirected graph held as sorted CSR arrays.
 
     ``indices[indptr[v]:indptr[v+1]]`` lists the neighbours of v in
     ascending order. Instances and both arrays are read-only after
-    construction, so a Graph can be shared freely.
+    construction, so a Graph can be shared freely. ``degrees`` (read-only),
+    ``min_degree`` and ``max_degree`` are computed once here.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices")
+    __slots__ = ("n", "m", "indptr", "indices", "degrees", "min_degree", "max_degree")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if n < 1:
@@ -56,12 +65,16 @@ class Graph:
             raise ValueError(f"duplicate edge ({min(a, b)},{max(a, b)})")
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         indices = keys % n
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
+        degrees = np.diff(indptr)
+        for a in (indptr, indices, degrees):
+            a.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", len(e))
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "min_degree", int(degrees.min()))
+        object.__setattr__(self, "max_degree", int(degrees.max()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -81,35 +94,12 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._row(v))
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    @property
-    def min_degree(self) -> int:
-        return int(self.degrees.min())
-
-    @property
-    def max_degree(self) -> int:
-        return int(self.degrees.max())
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self._row(v).tolist())
 
     def closed_neighborhood(self, v: int) -> tuple[int, ...]:
         """N[v] = N(v) ∪ {v}, sorted ascending."""
         return tuple(sorted(self.neighbors(v) + (int(v),)))
-
-    def restricted_neighborhood(self, v: int, closed: bool = True) -> tuple[int, ...]:
-        """The fixed delta-subset N'(v) used by the probabilistic constructions.
-
-        Deterministic selection rule: the ``min_degree`` lowest-indexed
-        neighbors of v, plus v itself iff ``closed``.
-        """
-        picked = self.neighbors(v)[: self.min_degree]
-        if closed:
-            return tuple(sorted(picked + (int(v),)))
-        return picked
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self._row(u)
@@ -319,6 +309,11 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise GraphFormatError(f"expected integer {what}, got {token!r}", lineno) from None
 
 
+def _check_vertex_count(n: int, lineno: int | None = None) -> None:
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
+
+
 def _read_edge_list(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -351,6 +346,7 @@ def _read_edge_list(text: str) -> Graph:
     n = declared_n if declared_n is not None else max_seen + 1
     if n < 1:
         raise GraphFormatError("empty edge list and no '# n=' header")
+    _check_vertex_count(n)
     if max_seen >= n:
         raise GraphFormatError(f"vertex id {max_seen} exceeds declared n={n}")
     return Graph(n, edges)
@@ -372,6 +368,7 @@ def _read_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphFormatError(f"expected 'p edge n m', got {raw!r}", lineno)
             n = _parse_int(parts[2], lineno, "vertex count")
+            _check_vertex_count(n, lineno)
             m = _parse_int(parts[3], lineno, "edge count")
         elif parts[0] == "e":
             if n is None:

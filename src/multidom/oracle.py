@@ -92,7 +92,7 @@ def exact_set_number(
             if not verify_set(g, spec, witness).valid:
                 raise MultidomError("internal: search returned an invalid witness")
             return ExactResult(t, witness, nodes_total, spec)
-    raise MultidomError("internal: V(G) itself should satisfy any feasible set spec")
+    raise MultidomError("internal: the (l-1)-core of G should satisfy any feasible set spec")
 
 
 def exact_function_number(
@@ -130,7 +130,7 @@ def exact_function_number(
     values = [0] * g.n
     for i, v in enumerate(perm):
         values[v] = best_vals[i]
-    witness = VertexFunction(tuple(values), caps)
+    witness = VertexFunction(values)
     report = verify_function(g, spec, witness)
     if not report.valid or report.weight != best_w:
         raise MultidomError("internal: search returned an invalid witness")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_parametric_alt_log, bound_rv, bound_threshold_ktuple
+from .bounds import _threshold_coeff, bound_parametric_alt_log, bound_rv, bound_threshold_ktuple
 from .errors import NotApplicableError
 
 
@@ -104,10 +104,6 @@ def solve_cubic(k: int, delta: int) -> CubicSpec:
     return CubicSpec(k, delta, (a, b, c, d), (mb, mc, md), roots, residuals)
 
 
-def _threshold_value(k: int, delta: int, c: float) -> float:
-    return (c / (delta + 1) + math.exp(-0.5 * k * (c + 1.0 / c - 2.0))) * k
-
-
 def _grid_minimum(k: int, delta: int, step: float = 1e-3) -> tuple[float, float]:
     """(c, value) minimizing the threshold coefficient over feasible c."""
     hi = (delta + 1) / k
@@ -141,7 +137,7 @@ def tune_details(k: int, delta: int) -> dict:
     chosen = tune_c(k, delta)
     source = "cubic" if feasible else "grid"
     grid_c, grid_value = _grid_minimum(k, delta)
-    value = _threshold_value(k, delta, chosen)
+    value = _threshold_coeff(k, delta, chosen)
     out = {
         "k": k,
         "delta": delta,
@@ -154,7 +150,7 @@ def tune_details(k: int, delta: int) -> dict:
         "grid_value": grid_value,
     }
     if feasible:
-        by_value = min(feasible, key=lambda r: _threshold_value(k, delta, r))
+        by_value = min(feasible, key=lambda r: _threshold_coeff(k, delta, r))
         if by_value != chosen:
             out["discrepancy"] = (
                 f"root {by_value:.6f} gives a smaller coefficient than the "
@@ -253,7 +249,7 @@ def compare_bounds(k: int, delta: int, n: int) -> ComparisonReport:
         c3 = c3_rep.coefficient if c3_rep.applicable else None
         try:
             tuned_c = tune_c(kk, delta)
-            tuned_value = _threshold_value(kk, delta, tuned_c)
+            tuned_value = _threshold_coeff(kk, delta, tuned_c)
         except NotApplicableError:
             tuned_c = tuned_value = None
         ktl_rep = bound_parametric_alt_log(kk, kk, delta, n)

@@ -25,12 +25,32 @@ LABEL_LIMIT = 2**31
 
 
 def _as_vector(values: Sequence[int], what: str) -> tuple[int, ...]:
-    out = tuple(int(x) for x in values)
+    out = tuple(map(int, values))
     if out and min(out) < 0:
         raise ValueError(f"{what} entries must be nonnegative")
     if out and max(out) >= LABEL_LIMIT:
         raise ValueError(f"{what} entries must be below {LABEL_LIMIT}")
     return out
+
+
+def _core(g: Graph, d: int) -> np.ndarray:
+    """0/1 indicator of the d-core of g, peeled in O(n + m): vertices of
+    degree below d are deleted until every remaining one has d neighbours
+    among the remaining."""
+    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
+    deg = g.degrees.tolist()
+    stack = [v for v in range(g.n) if deg[v] < d]
+    inside = [1] * g.n
+    for v in stack:
+        inside[v] = 0
+    while stack:
+        v = stack.pop()
+        for u in nbrs[ptr[v]:ptr[v + 1]]:
+            deg[u] -= 1
+            if inside[u] and deg[u] < d:
+                inside[u] = 0
+                stack.append(u)
+    return np.array(inside, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -138,43 +158,46 @@ class DominationSpec:
             return self.r, self.s
         raise ValueError(f"{self.variant} is not a function variant")
 
+    def cap_summary(self, n: int) -> tuple[int, int, int]:
+        """(tau, s, cap_sum): min cap, max demand and sum of the caps over n
+        vertices, the three numbers the capped-function bounds read.
+        Function variants only."""
+        if self.variant == "brace_k":
+            return self.k, self.k, self.k * n
+        caps, demands = self.vectors(n)
+        return min(caps), max(demands), sum(caps)
+
     # -- feasibility ----------------------------------------------------------
 
     def feasibility(self, g: Graph) -> tuple[bool, str]:
         """Whether a witness exists on g, with a reason when it does not.
 
-        k_tuple needs delta >= k-1 and total_k needs delta >= k. A
-        (k,l)-dominating set exists iff delta >= l-1 (V(G) then qualifies);
-        k_dominating and classical sets always exist. Function variants use
-        the capacity condition: the (closed or open) neighborhood caps of
-        every vertex must sum to at least its demand.
+        Set variants, with (k, l) = requirements(): every member needs l-1
+        neighbours among the members, so every witness lies inside the
+        (l-1)-core C of g. A witness therefore exists iff every vertex
+        outside C has at least k neighbours in C, and C is then one.
+        Function variants: the (closed or open) neighbourhood caps of every
+        vertex must sum to at least its demand; the all-caps function is
+        then a witness.
         """
-        d = g.min_degree
-        v = self.variant
-        if v in ("classical", "k_dominating"):
-            return True, ""
-        if v == "k_tuple":
-            if d < self.k - 1:
-                return False, f"k-tuple domination needs min degree >= {self.k - 1}, got {d}"
-            return True, ""
-        if v == "total_k":
-            if d < self.k:
-                return False, f"total {self.k}-domination needs min degree >= {self.k}, got {d}"
-            return True, ""
-        if v == "parametric":
-            if d < self.l - 1:
-                return False, f"({self.k},{self.l})-domination needs min degree >= {self.l - 1}, got {d}"
-            return True, ""
-        caps, demands = self.vectors(g.n)
-        closed = not self.uses_open_neighborhoods
-        have = coverage(g, caps, closed)
-        short = np.flatnonzero(have < np.asarray(demands))
+        if self.is_set_variant:
+            k, l = self.requirements()
+            if g.min_degree >= l - 1:
+                return True, ""  # C = V
+            core = _core(g, l - 1)
+            have = coverage(g, core, closed=False)
+            need = np.where(core == 1, 0, k)
+            what = f"neighbours in the {l - 1}-core number"
+        else:
+            caps, demands = self.vectors(g.n)
+            closed = not self.uses_open_neighborhoods
+            have = coverage(g, caps, closed)
+            need = np.asarray(demands)
+            what = f"{'closed' if closed else 'open'} neighborhood caps sum to"
+        short = np.flatnonzero(have < need)
         if short.size:
             i = short[0]
-            kind = "closed" if closed else "open"
-            return False, (
-                f"vertex {i}: {kind} neighborhood caps sum to {have[i]} < demand {demands[i]}"
-            )
+            return False, f"vertex {i}: {what} {have[i]} < demand {need[i]}"
         return True, ""
 
     def check_feasible(self, g: Graph) -> None:
@@ -214,32 +237,29 @@ class DominationSpec:
 
 @dataclass(frozen=True)
 class VertexFunction:
-    """Integer label per vertex plus its per-vertex caps.
+    """Integer label per vertex.
 
-    Cap compliance is deliberately not enforced at construction; the
-    verifier reports violations as CapViolationError so that broken
-    witnesses can be represented and diagnosed.
+    The caps belong to the spec. Cap compliance is deliberately not
+    enforced at construction; the verifier reports violations as
+    CapViolationError so that broken witnesses can be represented and
+    diagnosed.
     """
 
     values: tuple[int, ...]
-    caps: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_vector(self.values, "values"))
-        object.__setattr__(self, "caps", _as_vector(self.caps, "caps"))
-        if len(self.values) != len(self.caps):
-            raise ValueError("values and caps must have equal length")
 
     @property
     def weight(self) -> int:
         return sum(self.values)
 
     @classmethod
-    def characteristic(cls, members: Iterable[int], n: int, cap: int = 1) -> "VertexFunction":
+    def characteristic(cls, members: Iterable[int], n: int) -> "VertexFunction":
         vals = [0] * n
         for v in members:
             vals[int(v)] = 1
-        return cls(tuple(vals), (cap,) * n)
+        return cls(tuple(vals))
 
     def to_dict(self) -> dict:
         return {"values": list(self.values)}
@@ -287,11 +307,12 @@ def verify_set(g: Graph, spec: DominationSpec, members: Iterable[int]) -> Verify
     """Check a vertex set against a set-type spec; deficiencies are exhaustive.
 
     The requirements are closed-neighborhood demands for every set variant
-    (see ``DominationSpec.requirements``), so the sums are closed too.
+    (see ``DominationSpec.requirements``), so the sums are closed too. On a
+    spec that is infeasible for g every witness is deficient, and the report
+    says so; ``DominationSpec.check_feasible`` is the existence check.
     """
     if not spec.is_set_variant:
         raise ValueError(f"verify_set needs a set variant, got {spec.variant}")
-    spec.check_feasible(g)
     x = _indicator(g, members)
     k_req, l_req = spec.requirements()
     required = np.where(x == 1, l_req, k_req)
@@ -302,17 +323,14 @@ def verify_set(g: Graph, spec: DominationSpec, members: Iterable[int]) -> Verify
 def verify_function(g: Graph, spec: DominationSpec, f: VertexFunction) -> VerifyReport:
     """Check a vertex function against brace_k / rs / total_rs.
 
-    Raises CapViolationError when f breaks its caps (distinct from a
-    domination failure, which is reported as data).
+    Raises CapViolationError when f breaks the spec's caps (distinct from a
+    domination failure, which is reported as data, as on an infeasible spec).
     """
     if not spec.is_function_variant:
         raise ValueError(f"verify_function needs a function variant, got {spec.variant}")
-    spec.check_feasible(g)
     caps, demands = spec.vectors(g.n)
     if len(f.values) != g.n:
         raise ValueError(f"function has {len(f.values)} values, graph has n={g.n}")
-    if f.caps != caps:
-        raise ValueError(f"function caps {f.caps} do not match spec caps {caps}")
     values = np.asarray(f.values, dtype=np.int64)
     over = np.flatnonzero(values > np.asarray(caps))
     if over.size:

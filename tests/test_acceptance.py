@@ -93,11 +93,10 @@ def test_criterion_2_applicability_table():
 def test_criterion_3_specialization_identities():
     t0 = time.perf_counter()
     n = 17
-    ones = (1,) * n
     checks = 0
     for delta in range(1, 101):
         # (a) unit-vector log form equals the classical bound
-        got = bound_rs_log(ones, ones, delta, n).coefficient
+        got = bound_rs_log(1, 1, n, delta, n).coefficient
         want = bound_classical(delta, n).coefficient
         assert got == pytest.approx(want, rel=REL)
         checks += 1
@@ -108,20 +107,19 @@ def test_criterion_3_specialization_identities():
             assert got == pytest.approx(want, rel=REL)
             checks += 1
         for k in range(1, min(delta, 10) + 1):
-            kvec = (k,) * n
             # (b) capped-function strong form at r=1, s=k is the k-tuple form
-            rs_rep = bound_rs(ones, kvec, delta, n)
+            rs_rep = bound_rs(1, k, n, delta, n)
             alt_rep = bound_parametric_alt(k, k, delta, n)
             if rs_rep.applicable and alt_rep.applicable:
                 assert rs_rep.coefficient == pytest.approx(alt_rep.coefficient, rel=REL)
                 checks += 1
             # (c) total capped-function form at r=1, s=k is the (k, k+1) form
             if k < delta:
-                tot = bound_total_rs(ones, kvec, delta, n)
+                tot = bound_total_rs(1, k, n, delta, n)
                 par = bound_parametric(k, k + 1, delta, n)
                 assert tot.applicable and par.applicable
                 assert tot.coefficient == pytest.approx(par.coefficient, rel=REL)
-                totl = bound_total_rs_log(ones, kvec, delta, n)
+                totl = bound_total_rs_log(1, k, n, delta, n)
                 parl = bound_parametric_log(k, k + 1, delta, n)
                 assert totl.coefficient == pytest.approx(parl.coefficient, rel=REL)
                 checks += 1
@@ -242,7 +240,7 @@ def test_criterion_6_construction_validity_and_mean_weight():
         res = construct_rs(g, vec2, vec2, seed=s, max_trials=1)
         assert verify_function(g, spec, res.witness).valid
         weights.append(res.weight)
-    bound = bound_rs(vec2, vec2, delta, n).absolute
+    bound = bound_rs(2, 2, 2 * n, delta, n).absolute
     details.append(("rs", float(np.mean(weights)), bound))
     assert np.mean(weights) <= bound * 1.05
 
@@ -264,7 +262,7 @@ def test_criterion_6_construction_validity_and_mean_weight():
         res = construct_total_rs(g, ones, ones, seed=s, max_trials=1)
         assert verify_function(g, spec, res.witness).valid
         weights.append(res.weight)
-    bound = bound_total_rs(ones, ones, delta, n).absolute
+    bound = bound_total_rs(1, 1, n, delta, n).absolute
     details.append(("total_rs", float(np.mean(weights)), bound))
     assert np.mean(weights) <= bound * 1.05
 
@@ -280,7 +278,6 @@ def test_criterion_7_dominance_properties():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240515)
     n = 12
-    ones = (1,) * n
     rs_checked = par_checked = alt_checked = opt_checked = 0
     violations = 0
     while min(rs_checked, par_checked, alt_checked, opt_checked) < 500:
@@ -289,13 +286,12 @@ def test_criterion_7_dominance_properties():
         s = int(rng.integers(1, 12))
         k = int(rng.integers(1, 9))
         l = int(rng.integers(1, 12))
-        rvec, svec = (tau,) * n, (s,) * n
-        strong, log = bound_rs(rvec, svec, delta, n), bound_rs_log(rvec, svec, delta, n)
+        strong, log = bound_rs(tau, s, tau * n, delta, n), bound_rs_log(tau, s, tau * n, delta, n)
         if strong.applicable and log.applicable:
             rs_checked += 1
             if strong.coefficient > log.coefficient + 1e-12:
                 violations += 1
-            opt = bound_rs_log_optimized(rvec, svec, delta, n)
+            opt = bound_rs_log_optimized(tau, s, tau * n, delta, n)
             opt_checked += 1
             if opt.coefficient > log.coefficient + 1e-12:
                 violations += 1

@@ -31,9 +31,6 @@ from multidom import (
 )
 from multidom.verify import DominationSpec
 
-ONES = lambda n: (1,) * n  # noqa: E731
-
-
 # -- log binomial --------------------------------------------------------------
 
 
@@ -105,7 +102,7 @@ def test_caro_roditty_stronger_than_classical_for_small_delta():
 def test_rs_log_unit_vectors_equal_classical():
     for delta in range(1, 101):
         n = 50
-        got = bound_rs_log(ONES(n), ONES(n), delta, n).coefficient
+        got = bound_rs_log(1, 1, n, delta, n).coefficient
         want = bound_classical(delta, n).coefficient
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -114,13 +111,13 @@ def test_rs_strong_unit_vectors_equal_caro_roditty():
     # with r=s=1: r=1, theta=delta, B_0=1, and the strong form collapses to
     # 1 - delta/(1+delta)^(1+1/delta)
     for delta in range(1, 60):
-        got = bound_rs(ONES(8), ONES(8), delta, 8).coefficient
+        got = bound_rs(1, 1, 8, delta, 8).coefficient
         want = bound_caro_roditty(delta, 8).coefficient
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_rs_strong_example_r1_s2_d5():
-    rep = bound_rs(ONES(6), (2,) * 6, 5, 6)
+    rep = bound_rs(1, 2, 6, 5, 6)
     assert rep.applicable
     assert rep.params["theta"] == 4 and rep.params["r"] == 1
     # frozen: 1 - (1/4)^(1/4) / ((5/4)^(5/4) * 6^(1/4))
@@ -131,13 +128,12 @@ def test_rs_ktuple_specialization_matches_alt_parametric():
     n = 12
     for delta in range(2, 40):
         for k in range(1, min(delta, 8) + 1):
-            kvec = (k,) * n
-            strong_rs = bound_rs(ONES(n), kvec, delta, n)
+            strong_rs = bound_rs(1, k, n, delta, n)
             strong_alt = bound_parametric_alt(k, k, delta, n)
             if strong_rs.applicable and strong_alt.applicable:
                 assert strong_rs.coefficient == pytest.approx(
                     strong_alt.coefficient, rel=1e-12)
-            log_rs = bound_rs_log(ONES(n), kvec, delta, n)
+            log_rs = bound_rs_log(1, k, n, delta, n)
             if log_rs.applicable:
                 # literal k-tuple log form with btilde = C(delta+1, k-1)
                 bt = math.log(math.comb(delta + 1, k - 1))
@@ -146,20 +142,19 @@ def test_rs_ktuple_specialization_matches_alt_parametric():
 
 
 def test_rs_not_applicable_when_r_exceeds_tau():
-    rep = bound_rs(ONES(5), (7,) * 5, 2, 5)  # r = floor(7/3)+1 = 3 > tau = 1
+    rep = bound_rs(1, 7, 5, 2, 5)  # r = floor(7/3)+1 = 3 > tau = 1
     assert not rep.applicable and "tau" in rep.reason
-    forced = bound_rs(ONES(5), (7,) * 5, 2, 5, force=True)
+    forced = bound_rs(1, 7, 5, 2, 5, force=True)
     assert forced.forced and forced.coefficient is not None
 
 
 def test_rs_log_optimized():
     n = 6
     # tau = 1 leaves a single candidate, so optimized == plain log form
-    kvec = (2,) * n
-    assert (bound_rs_log_optimized(ONES(n), kvec, 5, n).coefficient
-            == pytest.approx(bound_rs_log(ONES(n), kvec, 5, n).coefficient, rel=1e-14))
+    assert (bound_rs_log_optimized(1, 2, n, 5, n).coefficient
+            == pytest.approx(bound_rs_log(1, 2, n, 5, n).coefficient, rel=1e-14))
     # brace_k with k=3, delta=2: candidates r in {1, 2, 3}
-    rep = bound_rs_log_optimized((3,) * n, (3,) * n, 2, n)
+    rep = bound_rs_log_optimized(3, 3, 3 * n, 2, n)
     vals = []
     for r in (1, 2, 3):
         theta = 3 * r - 3
@@ -173,9 +168,8 @@ def test_rs_log_optimized():
 @settings(max_examples=200, deadline=None)
 def test_rs_optimized_never_worse_than_default(delta, tau, s):
     n = 10
-    rvec, svec = (tau,) * n, (s,) * n
-    default = bound_rs_log(rvec, svec, delta, n)
-    opt = bound_rs_log_optimized(rvec, svec, delta, n)
+    default = bound_rs_log(tau, s, tau * n, delta, n)
+    opt = bound_rs_log_optimized(tau, s, tau * n, delta, n)
     if default.applicable:
         assert opt.applicable
         assert opt.coefficient <= default.coefficient + 1e-12
@@ -188,22 +182,21 @@ def test_total_rs_specializations():
     n = 10
     for delta in range(2, 30):
         for k in range(1, delta):  # r~=1 needs k < delta
-            kvec = (k,) * n
-            strong = bound_total_rs(ONES(n), kvec, delta, n)
+            strong = bound_total_rs(1, k, n, delta, n)
             want = bound_parametric(k, k + 1, delta, n)
             assert strong.applicable and want.applicable
             assert strong.coefficient == pytest.approx(want.coefficient, rel=1e-12)
-            log = bound_total_rs_log(ONES(n), kvec, delta, n)
+            log = bound_total_rs_log(1, k, n, delta, n)
             wantl = bound_parametric_log(k, k + 1, delta, n)
             assert log.coefficient == pytest.approx(wantl.coefficient, rel=1e-12)
     # total domination: (ln(delta) + 1)/delta
     for delta in range(2, 40):
-        got = bound_total_rs_log(ONES(8), ONES(8), delta, 8).coefficient
+        got = bound_total_rs_log(1, 1, 8, delta, 8).coefficient
         assert got == pytest.approx((math.log(delta) + 1) / delta, rel=1e-12)
 
 
 def test_total_rs_rejects_delta_zero():
-    g_rep = bound_total_rs(ONES(3), ONES(3), 0, 3)
+    g_rep = bound_total_rs(1, 1, 3, 0, 3)
     assert not g_rep.applicable and "delta" in g_rep.reason
 
 
@@ -305,7 +298,7 @@ def test_threshold_parametric_and_rs_identities():
     # tau=1, s=k matches the k-tuple form, including the gate
     n = 9
     for k, delta, c in [(2, 10, 2.0), (3, 17, 3.0), (4, 11, 3.0)]:
-        a = bound_threshold_rs(ONES(n), (k,) * n, delta, n, c)
+        a = bound_threshold_rs(1, k, n, delta, n, c)
         b = bound_threshold_ktuple(k, delta, n, c)
         assert a.applicable == b.applicable
         if a.applicable:
@@ -333,7 +326,7 @@ def test_ln_threshold_rs_gate_implies_existence(s, c, tau):
     # s <= (1-c) ln delta forces (delta+1) tau >= s automatically
     n = 6
     for delta in (3, 8, 55, 400):
-        rep = bound_ln_threshold_rs((tau,) * n, (s,) * n, delta, n, c)
+        rep = bound_ln_threshold_rs(tau, s, tau * n, delta, n, c)
         if rep.applicable:
             assert (delta + 1) * tau >= s
 
@@ -356,9 +349,8 @@ def test_strong_forms_never_beat_log_forms():
         delta = int(rng.integers(1, 120))
         tau = int(rng.integers(1, 5))
         s = int(rng.integers(1, 10))
-        rvec, svec = (tau,) * n, (s,) * n
-        strong = bound_rs(rvec, svec, delta, n)
-        log = bound_rs_log(rvec, svec, delta, n)
+        strong = bound_rs(tau, s, tau * n, delta, n)
+        log = bound_rs_log(tau, s, tau * n, delta, n)
         if strong.applicable:
             assert strong.coefficient <= log.coefficient + 1e-12
             checked += 1
@@ -378,7 +370,7 @@ def test_vacuity_flagging():
     assert rep.applicable and rep.coefficient > 1.0 and rep.vacuous
     # the strong capped-function form never exceeds r*n <= sum of caps
     for delta in range(1, 30):
-        rep = bound_rs((2,) * 6, (2,) * 6, delta, 6)
+        rep = bound_rs(2, 2, 12, delta, 6)
         assert rep.applicable and not rep.vacuous
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from multidom import cycle, read_graph
+from multidom import DominationSpec, cycle, read_graph
 from multidom.cli import main, parse_spec
 
 
@@ -71,10 +71,16 @@ def test_bounds_ktuple_with_c_csv(capsys):
     assert {"rv", "ktuple_threshold", "rs_strong"} <= names
 
 
-def test_infeasible_spec_exits_2(capsys):
+def test_infeasible_spec_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bounds", "--family", "cycle", "--n", "4",
                            "--spec", "totalk:3")
     assert code == 2 and "infeasible" in err
+    # verify_set reports the spec as data; the CLI still exits 2
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"set": [0, 1, 2, 3]}')
+    code, out, err = run_cli(capsys, "verify", "--family", "cycle", "--n", "4",
+                             "--spec", "totalk:3", "--witness", str(wfile))
+    assert code == 2 and out == "" and "infeasible" in err
 
 
 def test_parse_error_exits_1(capsys, tmp_path):
@@ -195,3 +201,51 @@ def test_timestamp_present_by_default(capsys):
                            "--spec", "classical")
     assert code == 0
     assert "generated_at" in json.loads(out)
+
+
+def test_exact_param13_on_k4_with_pendant(capsys, tmp_path):
+    # delta = 1 < l-1, yet the 2-core K4 dominates the pendant vertex
+    gfile = tmp_path / "g.edges"
+    gfile.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n0 4\n")
+    code, out, err = run_cli(capsys, "exact", "--graph", str(gfile),
+                             "--spec", "param:1,3", "--no-timestamp")
+    assert code == 0, err
+    assert json.loads(out)["value"] == 3
+
+
+def test_feasibility_checked_at_most_once_per_subcommand(capsys, tmp_path, monkeypatch):
+    calls = []
+    feasibility = DominationSpec.feasibility
+
+    def counted(self, g):
+        calls.append(self.label())
+        return feasibility(self, g)
+
+    monkeypatch.setattr(DominationSpec, "feasibility", counted)
+    graph = ["--family", "gnp", "--n", "30", "--p", "0.3", "--seed", "4"]
+    for spec in ("ktuple:2", "bracek:2"):
+        cfile = tmp_path / "construct.json"
+        wfile = tmp_path / "w.json"
+        commands = [
+            ["bounds", *graph, "--spec", spec],
+            ["construct", *graph, "--spec", spec, "--trials", "20", "--out", str(cfile)],
+            ["verify", *graph, "--spec", spec, "--witness", str(wfile)],
+            ["exact", "--family", "cycle", "--n", "6", "--spec", spec],
+        ]
+        for argv in commands:
+            if argv[0] == "verify":
+                wfile.write_text(json.dumps(json.loads(cfile.read_text())["witness"]))
+            calls.clear()
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            assert len(calls) <= 1, (argv[0], spec, calls)
+
+
+@pytest.mark.parametrize("text", ["# n=1000000000\n", "0 1000000000\n",
+                                  "p edge 1000000000 0\n"])
+def test_huge_vertex_count_exits_1(capsys, tmp_path, text):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(text)
+    code, out, err = run_cli(capsys, "gen", "--graph", str(gfile))
+    assert code == 1 and out == ""
+    assert "exceeds the limit" in err

@@ -14,6 +14,7 @@ from multidom import (
     InfeasibleSpecError,
     MultidomError,
     VerifyReport,
+    VertexFunction,
     bound_rs,
     complete,
     construct_parametric,
@@ -22,6 +23,7 @@ from multidom import (
     cycle,
     gnp,
     path,
+    random_regular,
     verify_function,
     verify_set,
 )
@@ -115,10 +117,9 @@ def test_trace_and_met_target_semantics():
 def test_repair_accounting_invariant():
     # |c_m| <= (s - m) |C_m| on every trial
     g = gnp(25, 0.3, seed=8)
-    vec = (2,) * 25
     from multidom.bounds import RSParams
 
-    params = RSParams.derive(vec, vec, g.min_degree)
+    params = RSParams.derive(2, 2, g.min_degree)
     restricted = _restricted(g, closed=True)
     p = 1.0 - math.exp(
         (math.log(params.r) - math.log1p(params.theta) - params.log_b) / params.theta
@@ -184,7 +185,7 @@ def test_mean_weight_tracks_bound_on_small_gnp():
     # 5% of the strong bound
     g = gnp(60, 0.3, seed=12)
     vec = (2,) * 60
-    target = bound_rs(vec, vec, g.min_degree, g.n).absolute
+    target = bound_rs(2, 2, 2 * g.n, g.min_degree, g.n).absolute
     weights = [construct_rs(g, vec, vec, seed=s, max_trials=1).weight for s in range(200)]
     assert np.mean(weights) <= target * 1.05
 
@@ -220,3 +221,29 @@ def test_invalid_trial_witness_is_caught_under_python_O():
     assert done.returncode == 1, done.stderr
     assert "failed verification" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_feasibility_checked_once_per_construction(monkeypatch):
+    # one existence check per construct_* call, however many trials run,
+    # and none inside verify_*
+    calls = []
+    feasibility = DominationSpec.feasibility
+
+    def counted(self, g):
+        calls.append(self.label())
+        return feasibility(self, g)
+
+    monkeypatch.setattr(DominationSpec, "feasibility", counted)
+    g = random_regular(200, 4, 2)
+    res = construct_parametric(g, 2, 1, seed=8, max_trials=20)  # kdom:2, all 20 trials
+    assert res.trials == 20 and not res.met_target
+    assert len(calls) <= 1
+    vec = (3,) * g.n
+    for construct in (construct_rs, construct_total_rs):
+        calls.clear()
+        res = construct(g, vec, vec, seed=0, max_trials=20)
+        assert len(calls) <= 1
+    calls.clear()
+    assert verify_set(g, DominationSpec.k_dominating(2), range(g.n)).valid
+    assert verify_function(g, DominationSpec.brace_k(3), VertexFunction(vec)).valid
+    assert calls == []

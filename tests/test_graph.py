@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -23,6 +24,8 @@ from multidom import (
     read_graph,
     write_graph,
 )
+from multidom.construct import _restricted
+from multidom.graph import MAX_VERTICES
 
 
 def test_basic_invariants():
@@ -53,6 +56,11 @@ def test_immutable():
     g = path(3)
     with pytest.raises(AttributeError):
         g.n = 5
+    with pytest.raises(AttributeError):
+        g.min_degree = 0
+    with pytest.raises(ValueError):
+        g.degrees[0] = 3  # computed once, read-only like the CSR arrays
+    assert g.degrees.tolist() == [1, 2, 1] and (g.min_degree, g.max_degree) == (1, 2)
 
 
 def test_closed_neighborhood_examples():
@@ -63,13 +71,17 @@ def test_closed_neighborhood_examples():
         path(3).closed_neighborhood(3)
 
 
+def _restricted_row(g, v, closed):
+    return tuple(_restricted(g, closed)[v].tolist())
+
+
 def test_restricted_neighborhood_examples():
     star = complete_bipartite(1, 3)  # center 0, min degree 1
     assert star.min_degree == 1
-    assert star.restricted_neighborhood(0, closed=True) == (0, 1)
+    assert _restricted_row(star, 0, closed=True) == (0, 1)
     c4 = cycle(4)
-    assert c4.restricted_neighborhood(1, closed=True) == (0, 1, 2)
-    assert c4.restricted_neighborhood(1, closed=False) == (0, 2)
+    assert _restricted_row(c4, 1, closed=True) == (0, 1, 2)
+    assert _restricted_row(c4, 1, closed=False) == (0, 2)
 
 
 @given(st.integers(5, 16), st.integers(0, 10))
@@ -78,8 +90,8 @@ def test_restricted_is_neighborhood_subset(n, seed):
     g = gnp(n, 0.4, seed)
     d = g.min_degree
     for v in range(g.n):
-        open_r = g.restricted_neighborhood(v, closed=False)
-        closed_r = g.restricted_neighborhood(v, closed=True)
+        open_r = _restricted_row(g, v, closed=False)
+        closed_r = _restricted_row(g, v, closed=True)
         assert len(open_r) == d
         assert len(closed_r) == d + 1
         assert set(open_r) <= set(g.neighbors(v))
@@ -228,3 +240,17 @@ def test_coverage_minimum_weight_matches_brute_force(g, data):
         ]
         expected = brute_function_number(g, caps, demands.tolist(), open_nbhd=not closed)
         assert (min(weights) if weights else None) == expected
+
+
+@pytest.mark.parametrize("text", ["# n=1000000000\n", "0 1000000000\n",
+                                  "p edge 1000000000 0\n", f"0 {MAX_VERTICES}\n",
+                                  f"c header\np edge {MAX_VERTICES + 1} 0\n"])
+def test_vertex_count_is_bounded_before_allocating(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match="exceeds the limit"):
+            read_graph(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -10,7 +10,8 @@ from multidom import (
     tune_c,
     tune_details,
 )
-from multidom.tuner import _grid_minimum, _threshold_value
+from multidom.bounds import _threshold_coeff
+from multidom.tuner import _grid_minimum
 
 
 def test_worked_example_cubic():
@@ -47,16 +48,16 @@ def test_tune_c_feasible_and_near_grid_optimal():
         c = tune_c(k, delta)
         assert c > 1.0 and delta >= c * k - 1
         grid_c, grid_val = _grid_minimum(k, delta)
-        assert _threshold_value(k, delta, c) <= grid_val + 1e-4
+        assert _threshold_coeff(k, delta, c) <= grid_val + 1e-4
 
 
 def test_tuned_no_worse_than_fixed_constants():
     for k, delta in [(2, 30), (5, 1000), (4, 120)]:
         if delta >= 3 * k - 1:
-            assert (_threshold_value(k, delta, tune_c(k, delta))
-                    <= _threshold_value(k, delta, 3.0) + 1e-12)
+            assert (_threshold_coeff(k, delta, tune_c(k, delta))
+                    <= _threshold_coeff(k, delta, 3.0) + 1e-12)
     c1 = tune_c(1, 10)
-    assert _threshold_value(1, 10, c1) <= _threshold_value(1, 10, 2.0) + 1e-12
+    assert _threshold_coeff(1, 10, c1) <= _threshold_coeff(1, 10, 2.0) + 1e-12
 
 
 def test_tune_c_infeasible():
@@ -120,7 +121,7 @@ def test_tuned_consistent_with_rows():
         if r.tuned_c is not None:
             assert r.tuned_c > 1 and 200 >= r.tuned_c * r.k - 1
             assert r.tuned_value == pytest.approx(
-                _threshold_value(r.k, 200, r.tuned_c), rel=1e-12)
+                _threshold_coeff(r.k, 200, r.tuned_c), rel=1e-12)
 
 
 def test_validation():

@@ -4,20 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import coverage
+from helpers import brute_set_number, coverage
 from multidom import (
     CapViolationError,
     DominationSpec,
+    Graph,
     InfeasibleSpecError,
     VertexFunction,
     complete,
     cycle,
+    exact_set_number,
     gnp,
     path,
     verify_function,
     verify_set,
     weight,
 )
+from multidom.construct import _restricted
 
 
 def test_verify_set_examples():
@@ -46,11 +49,11 @@ def test_deficiency_reports_are_exhaustive():
 def test_verify_function_examples():
     c4 = cycle(4)
     brace2 = DominationSpec.brace_k(2)
-    f = VertexFunction((1, 1, 1, 0), (2, 2, 2, 2))
+    f = VertexFunction((1, 1, 1, 0))
     rep = verify_function(c4, brace2, f)
     assert rep.valid and rep.weight == 3
 
-    bad = VertexFunction((2, 0, 0, 0), (2, 2, 2, 2))
+    bad = VertexFunction((2, 0, 0, 0))
     rep = verify_function(c4, brace2, bad)
     assert not rep.valid
     assert (2, 2, 0) in rep.deficiencies  # vertex 2 not adjacent to 0
@@ -70,36 +73,71 @@ def test_brace2_c4_minimum_is_three():
 
 
 def test_weight():
-    assert weight(VertexFunction((0,) * 5, (1,) * 5)) == 0
-    assert weight(VertexFunction((1, 2, 0), (2, 2, 2))) == 3
+    assert weight(VertexFunction((0,) * 5)) == 0
+    assert weight(VertexFunction((1, 2, 0))) == 3
     chi = VertexFunction.characteristic([1, 3, 4], 6)
     assert weight(chi) == 3
 
 
 def test_cap_violation_distinct_from_domination_failure():
     c4 = cycle(4)
-    f = VertexFunction((3, 0, 0, 0), (2, 2, 2, 2))
+    f = VertexFunction((3, 0, 0, 0))
     with pytest.raises(CapViolationError):
         verify_function(c4, DominationSpec.brace_k(2), f)
-    # caps that disagree with the spec are a usage error, not a cap violation
-    g = VertexFunction((1, 1, 1, 1), (1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        verify_function(c4, DominationSpec.brace_k(2), g)
 
 
 def test_infeasible_spec_errors():
+    # check_feasible raises; verify_* report the same specs as data: on an
+    # infeasible spec even the largest witness is deficient
     c4 = cycle(4)
+    cases = [
+        (c4, DominationSpec.total_k(3), [0, 1, 2, 3]),
+        (c4, DominationSpec.k_tuple(4), [0, 1, 2, 3]),
+        # the 2-core of P3 is empty, and every vertex needs a neighbour in it
+        (path(3), DominationSpec.parametric(1, 3), [0, 1, 2]),
+    ]
+    for g, spec, members in cases:
+        with pytest.raises(InfeasibleSpecError):
+            spec.check_feasible(g)
+        rep = verify_set(g, spec, members)
+        assert not rep.valid and rep.deficiencies
+    # demand exceeds closed-neighborhood caps at every vertex
+    spec = DominationSpec.rs((1,) * 4, (4,) * 4)
     with pytest.raises(InfeasibleSpecError):
-        verify_set(c4, DominationSpec.total_k(3), [0, 1, 2, 3])
-    with pytest.raises(InfeasibleSpecError):
-        verify_set(c4, DominationSpec.k_tuple(4), [0, 1, 2, 3])
-    with pytest.raises(InfeasibleSpecError):
-        # demand exceeds closed-neighborhood caps at every vertex
-        verify_function(c4, DominationSpec.rs((1,) * 4, (4,) * 4),
-                        VertexFunction((1,) * 4, (1,) * 4))
-    # a (k,l)-dominating set exists iff delta >= l-1: V(G) then qualifies
-    with pytest.raises(InfeasibleSpecError):
-        verify_set(path(3), DominationSpec.parametric(1, 3), [0, 1, 2])
+        spec.check_feasible(c4)
+    rep = verify_function(c4, spec, VertexFunction((1,) * 4))
+    assert not rep.valid and rep.deficiencies == tuple((v, 4, 3) for v in range(4))
+
+
+def _k4_with_pendant():
+    # K4 on {0, 1, 2, 3} plus vertex 4 hanging off 0
+    return Graph(5, [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(0, 4)])
+
+
+def test_parametric_feasible_below_min_degree_l_minus_1():
+    # l >= k+2: delta = 1 < l-1 = 2, yet the 2-core {0, 1, 2, 3} dominates
+    # the pendant vertex, and {0, 1, 2} is a (1,3)-dominating set
+    g = _k4_with_pendant()
+    spec = DominationSpec.parametric(1, 3)
+    assert spec.feasibility(g) == (True, "")
+    assert verify_set(g, spec, [0, 1, 2]).valid
+    assert exact_set_number(g, spec).value == brute_set_number(g, 1, 3) == 3
+    # the pendant vertex has one neighbour in the 3-core, and (2, 4) needs two
+    ok, why = DominationSpec.parametric(2, 4).feasibility(g)
+    assert not ok and why == "vertex 4: neighbours in the 3-core number 1 < demand 2"
+
+
+@given(st.integers(2, 8), st.floats(0.0, 1.0), st.integers(0, 10**6), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_set_feasibility_matches_brute_force(n, p, seed, k):
+    g = gnp(n, p, seed)
+    specs = [DominationSpec.classical(), DominationSpec.k_dominating(k),
+             DominationSpec.k_tuple(k), DominationSpec.total_k(k)]
+    for spec in specs + [DominationSpec.parametric(k, l) for l in range(1, k + 4)]:
+        ok, why = spec.feasibility(g)
+        exists = brute_set_number(g, *spec.requirements()) is not None
+        assert ok == exists, (spec.label(), g.edges())
+        assert ok == (why == "")
 
 
 BRIDGE_GRAPHS = [cycle(4), cycle(5), complete(4), path(4), gnp(6, 0.5, seed=2)]
@@ -194,13 +232,13 @@ def test_monotone_raising_function_within_caps(n, seed, data):
         for v in range(n)
     )
     spec = DominationSpec.rs(caps, demands)
-    f = VertexFunction(caps, caps)  # all-caps labeling is valid
+    f = VertexFunction(caps)  # all-caps labeling is valid
     assert verify_function(g, spec, f).valid
     lowered = list(caps)
     v = data.draw(st.integers(0, n - 1))
     if lowered[v] > 0:
         lowered[v] -= 1
-    low = VertexFunction(tuple(lowered), caps)
+    low = VertexFunction(tuple(lowered))
     if verify_function(g, spec, low).valid:
         # raising back within caps keeps validity
         assert verify_function(g, spec, f).valid
@@ -215,14 +253,13 @@ def test_restricted_domination_implies_full(n, seed, data):
     vals = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
     s = data.draw(st.integers(1, 3))
     restricted_ok = all(
-        sum(vals[u] for u in g.restricted_neighborhood(v, closed=True)) >= s
-        for v in range(n)
+        sum(vals[u] for u in row) >= s for row in _restricted(g, closed=True).tolist()
     )
     if restricted_ok:
         spec = DominationSpec.rs((2,) * n, (s,) * n)
         ok, _ = spec.feasibility(g)
         if ok:
-            assert verify_function(g, spec, VertexFunction(vals, (2,) * n)).valid
+            assert verify_function(g, spec, VertexFunction(vals)).valid
 
 
 def test_spec_labels_and_dicts():
@@ -247,4 +284,4 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         DominationSpec.brace_k(2**62)
     with pytest.raises(ValueError):
-        VertexFunction((2**62, 0), (2**62, 1))
+        VertexFunction((2**62, 0))
