@@ -175,16 +175,29 @@ def _check_delta(delta: int) -> int:
     return delta
 
 
+def _strong_coeff(d: int, log_b: float) -> float | None:
+    """1 - d/((1+d)^(1+1/d) b^(1/d)) with ln b = log_b; None when d < 1 or b = 0."""
+    if d < 1 or not math.isfinite(log_b):
+        return None
+    return 1.0 - math.exp(math.log(d) - (1.0 + 1.0 / d) * math.log1p(d) - log_b / d)
+
+
+def _log_coeff(d1: int, log_b: float) -> float | None:
+    """(ln d1 + ln b + 1)/d1 with ln b = log_b; None when d1 < 1 or b = 0."""
+    if d1 < 1 or not math.isfinite(log_b):
+        return None
+    return (math.log(d1) + log_b + 1.0) / d1
+
+
 # -- classical bounds ----------------------------------------------------------
 
 
 def bound_classical(delta: int, n: int) -> BoundReport:
     """gamma(G) <= (ln(delta+1) + 1)/(delta+1) * n."""
     delta = _check_delta(delta)
-    coeff = (math.log(delta + 1) + 1.0) / (delta + 1)
     return _report(
         "classical", n, float(n), {"delta": delta},
-        True, "", lambda: coeff,
+        True, "", lambda: _log_coeff(delta + 1, 0.0),
     )
 
 
@@ -193,14 +206,9 @@ def bound_caro_roditty(delta: int, n: int, force: bool = False) -> BoundReport:
     delta = _check_delta(delta)
     applicable = delta >= 1
     reason = "" if applicable else "needs delta >= 1"
-
-    def coeff() -> float | None:
-        if delta < 1:
-            return None
-        return 1.0 - math.exp(math.log(delta) - (1.0 + 1.0 / delta) * math.log1p(delta))
-
     return _report(
-        "caro_roditty", n, float(n), {"delta": delta}, applicable, reason, coeff, force,
+        "caro_roditty", n, float(n), {"delta": delta}, applicable, reason,
+        lambda: _strong_coeff(delta, 0.0), force,
     )
 
 
@@ -338,16 +346,8 @@ def bound_parametric(k: int, l: int, delta: int, n: int, force: bool = False) ->
     reason = "" if applicable else f"needs delta - max(k, l-1) > 0, got {p.delta_bar}"
     params = {"delta": delta, "k": k, "l": l, "phi": p.phi, "delta_bar": p.delta_bar,
               "log_b_phi1": p.log_b_phi}
-
-    def coeff() -> float | None:
-        d = p.delta_bar
-        if d < 1 or not math.isfinite(p.log_b_phi):
-            return None
-        return 1.0 - math.exp(
-            math.log(d) - (1.0 + 1.0 / d) * math.log1p(d) - p.log_b_phi / d
-        )
-
-    return _report("parametric_strong", n, float(n), params, applicable, reason, coeff, force)
+    return _report("parametric_strong", n, float(n), params, applicable, reason,
+                   lambda: _strong_coeff(p.delta_bar, p.log_b_phi), force)
 
 
 def bound_parametric_log(k: int, l: int, delta: int, n: int, force: bool = False) -> BoundReport:
@@ -358,16 +358,8 @@ def bound_parametric_log(k: int, l: int, delta: int, n: int, force: bool = False
     reason = "" if applicable else f"needs delta >= max(k, l-1) = {p.phi}"
     params = {"delta": delta, "k": k, "l": l, "phi": p.phi,
               "log_b_phi1": p.log_b_phi}
-
-    def coeff() -> float | None:
-        if not math.isfinite(p.log_b_phi):
-            return None
-        d1 = delta - p.phi + 1
-        if d1 < 1:
-            return None
-        return (math.log(d1) + p.log_b_phi + 1.0) / d1
-
-    return _report("parametric_log", n, float(n), params, applicable, reason, coeff, force)
+    return _report("parametric_log", n, float(n), params, applicable, reason,
+                   lambda: _log_coeff(p.delta_bar + 1, p.log_b_phi), force)
 
 
 def bound_parametric_alt(k: int, l: int, delta: int, n: int, force: bool = False) -> BoundReport:
@@ -382,16 +374,8 @@ def bound_parametric_alt(k: int, l: int, delta: int, n: int, force: bool = False
     reason = "" if applicable else f"needs delta - max(k, l) + 1 > 0, got {p.delta_hat}"
     params = {"delta": delta, "k": k, "l": l, "delta_hat": p.delta_hat,
               "log_b_pair": p.log_b_pair}
-
-    def coeff() -> float | None:
-        d = p.delta_hat
-        if d < 1 or not math.isfinite(p.log_b_pair):
-            return None
-        return 1.0 - math.exp(
-            math.log(d) - (1.0 + 1.0 / d) * math.log1p(d) - p.log_b_pair / d
-        )
-
-    return _report("parametric_alt_strong", n, float(n), params, applicable, reason, coeff, force)
+    return _report("parametric_alt_strong", n, float(n), params, applicable, reason,
+                   lambda: _strong_coeff(p.delta_hat, p.log_b_pair), force)
 
 
 def bound_parametric_alt_log(k: int, l: int, delta: int, n: int, force: bool = False) -> BoundReport:
@@ -402,16 +386,8 @@ def bound_parametric_alt_log(k: int, l: int, delta: int, n: int, force: bool = F
     reason = "" if applicable else f"needs delta >= max(k, l-1) = {p.phi}"
     params = {"delta": delta, "k": k, "l": l, "delta_hat": p.delta_hat,
               "log_b_pair": p.log_b_pair}
-
-    def coeff() -> float | None:
-        if not math.isfinite(p.log_b_pair):
-            return None
-        d1 = p.delta_hat + 1
-        if d1 < 1:
-            return None
-        return (math.log(d1) + p.log_b_pair + 1.0) / d1
-
-    return _report("parametric_alt_log", n, float(n), params, applicable, reason, coeff, force)
+    return _report("parametric_alt_log", n, float(n), params, applicable, reason,
+                   lambda: _log_coeff(p.delta_hat + 1, p.log_b_pair), force)
 
 
 # -- threshold-function bounds ----------------------------------------------------

@@ -2,7 +2,7 @@
 
 All randomness is seeded explicitly; with fixed seeds (and --no-timestamp
 for reports) outputs are byte-identical across runs. Exit codes: 0 success,
-2 infeasible spec, 1 I/O or parse errors.
+2 infeasible spec (no witness exists on the graph), 1 I/O or parse errors.
 """
 
 from __future__ import annotations
@@ -159,18 +159,13 @@ def _cmd_bounds(args) -> int:
 def _cmd_construct(args) -> int:
     g = _resolve_graph(args)
     spec = parse_spec(args.spec)  # every construct_* checks feasibility once
-    kwargs = dict(collect_trace=args.trace)
-    v = spec.variant
-    if v == "rs":
-        result = construct_rs(g, spec.r, spec.s, args.seed, args.trials, **kwargs)
-    elif v == "total_rs":
-        result = construct_total_rs(g, spec.r, spec.s, args.seed, args.trials, **kwargs)
-    elif v == "brace_k":
-        vec = (spec.k,) * g.n
-        result = construct_rs(g, vec, vec, args.seed, args.trials, **kwargs)
-    else:
-        k, l = spec.requirements()  # closed-neighborhood (k,l) equivalent
-        result = construct_parametric(g, k, l, args.seed, args.trials, **kwargs)
+    if spec.is_function_variant:
+        construct = construct_total_rs if spec.uses_open_neighborhoods else construct_rs
+        result = construct(g, *spec.vectors(g.n), args.seed, args.trials,
+                           collect_trace=args.trace)
+    else:  # the closed-neighborhood (k,l) equivalent of the set variant
+        result = construct_parametric(g, *spec.requirements(), args.seed, args.trials,
+                                      collect_trace=args.trace)
     payload = result.to_dict()
     payload["graph"] = _graph_summary(g)
     payload["spec"] = spec.label()

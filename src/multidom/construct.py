@@ -8,6 +8,10 @@ Every trial yields a valid witness; trials stop early once one meets the
 ceiling of the applicable bound, otherwise the best valid witness is
 returned with met_target=False (the bound only holds in expectation).
 
+Where the paper's construction does not apply, the witness that feasibility
+guarantees is returned against the trivial bound, with a note naming the
+failed condition.
+
 Trials are independent given per-trial seeds derived from (seed, index);
 they run in index order and the winner is the lowest index meeting the
 target.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +33,9 @@ from .bounds import (
     bound_rs,
     bound_total_rs,
 )
-from .errors import InfeasibleSpecError, MultidomError
+from .errors import MultidomError
 from .graph import Graph, coverage
-from .verify import DominationSpec, VertexFunction, verify_function, verify_set
+from .verify import DominationSpec, VertexFunction, _core, _witness_dict, verify_function, verify_set
 
 
 @dataclass(frozen=True)
@@ -48,13 +52,8 @@ class ConstructionResult:
     weight_trace: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        w = (
-            {"set": list(self.witness)}
-            if isinstance(self.witness, tuple)
-            else {"values": list(self.witness.values)}
-        )
         out = {
-            "witness": w,
+            "witness": _witness_dict(self.witness),
             "weight": self.weight,
             "trials": self.trials,
             "trial_index": self.trial_index,
@@ -73,32 +72,61 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-def _check_seed(seed: int, max_trials: int) -> None:
+def _construct(
+    g: Graph, spec: DominationSpec, seed: int, max_trials: int, collect_trace: bool
+) -> ConstructionResult:
+    """Run the spec's plan: draw trials in index order, verify each, stop at
+    the first whose weight meets ceil(target) and keep the lightest."""
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     if max_trials < 1:
         raise ValueError("max_trials must be >= 1")
-
-
-def _run_trials(
-    trial_fn: Callable[[int, np.random.Generator], tuple[object, int, tuple[str, ...]]],
-    seed: int,
-    max_trials: int,
-    threshold: int,
-):
-    """Evaluate trials in index order; stop at the first one meeting threshold."""
+    spec.check_feasible(g)  # once; the trials verify without repeating it
+    plan = _parametric_plan if spec.is_set_variant else _capped_plan
+    params, notes, target, draw = plan(g, spec)
+    verify = verify_set if spec.is_set_variant else verify_function
+    threshold = math.ceil(target)
     trace: list[int] = []
     best = None  # (weight, index, witness, notes)
-    met_index = None
     for i in range(max_trials):
-        witness, wt, notes = trial_fn(i, _trial_rng(seed, i))
-        trace.append(wt)
-        if best is None or wt < best[0]:
-            best = (wt, i, witness, notes)
-        if wt <= threshold:
-            met_index = i
+        witness, trial_notes = draw(_trial_rng(seed, i))
+        report = verify(g, spec, witness)
+        if not report.valid:
+            raise MultidomError(f"internal: trial {i} failed verification")
+        trace.append(report.weight)
+        if best is None or report.weight < best[0]:
+            best = (report.weight, i, witness, trial_notes)
+        if report.weight <= threshold:
             break
-    return best, met_index, trace
+    weight, index, witness, trial_notes = best
+    return ConstructionResult(
+        witness=witness,
+        weight=weight,
+        trials=len(trace),
+        trial_index=index,
+        seed=seed,
+        target=target,
+        met_target=weight <= threshold,
+        params=params,
+        notes=tuple(notes) + trial_notes,
+        weight_trace=tuple(trace) if collect_trace else None,
+    )
+
+
+def _witness_plan(g: Graph, spec: DominationSpec, why: str):
+    """The plan for a spec the paper's construction does not cover: the
+    witness feasibility guarantees, the (l-1)-core of a set variant or the
+    all-caps function, against the trivial bound it always meets."""
+    if spec.is_set_variant:
+        l = spec.requirements()[1]
+        witness = tuple(np.flatnonzero(_core(g, l - 1)).tolist())
+        target, what = float(g.n), f"the {l - 1}-core"
+    else:
+        caps = spec.vectors(g.n)[0]
+        witness = VertexFunction(caps)
+        target, what = float(sum(caps)), "the all-caps function"
+    notes = [f"{why}; returned {what}, the witness feasibility guarantees"]
+    return {"delta": g.min_degree}, notes, target, lambda rng: (witness, ())
 
 
 def _restricted(g: Graph, closed: bool) -> np.ndarray:
@@ -173,69 +201,35 @@ def _capped_trial(
     return a + (repairs.max(axis=0) if s > 0 else 0)
 
 
-def _construct_capped(
-    g: Graph,
-    r_vec: Sequence[int],
-    s_vec: Sequence[int],
-    seed: int,
-    max_trials: int,
-    collect_trace: bool,
-    total: bool,
-) -> ConstructionResult:
-    _check_seed(seed, max_trials)
-    spec = DominationSpec.total_rs(r_vec, s_vec) if total else DominationSpec.rs(r_vec, s_vec)
-    spec.check_feasible(g)  # once; the trials verify without repeating it
+def _capped_plan(g: Graph, spec: DominationSpec):
+    """(params, notes, target, draw) of the capped-function construction."""
     delta = g.min_degree
-    notes: list[str] = []
-    if total and delta < 1:
-        raise InfeasibleSpecError("total construction needs delta >= 1")
+    closed = not spec.uses_open_neighborhoods
     tau, s, cap_sum = spec.cap_summary(g.n)
-    params = RSParams.derive(tau, s, delta, closed=not total)
-    target_report = (bound_total_rs if total else bound_rs)(tau, s, cap_sum, delta, g.n)
-    if params.r > params.tau:
-        raise InfeasibleSpecError(
-            f"derived uniform cap r={params.r} exceeds min cap tau={params.tau}"
-        )
-    if params.s < 1:
+    if s < 1:
         zero = VertexFunction((0,) * g.n)
-        return ConstructionResult(
-            zero, 0, 1, 0, seed, 0.0, True,
-            {"p": 0.0, "delta": delta}, ("all demands are zero",),
-            (0,) if collect_trace else None,
+        return {"p": 0.0, "delta": delta}, ["all demands are zero"], 0.0, lambda rng: (zero, ())
+    if not closed and delta < 1:
+        return _witness_plan(g, spec, "total construction needs delta >= 1")
+    params = RSParams.derive(tau, s, delta, closed)
+    if params.r > params.tau:
+        return _witness_plan(
+            g, spec, f"derived uniform cap r={params.r} exceeds min cap tau={params.tau}"
         )
+    notes: list[str] = []
     log_inner = math.log(params.r) - math.log1p(params.theta) - params.log_b
     p, clamped = _clamped_p(log_inner, params.theta)
     if clamped:
         notes.append("selection probability clamped to 0; the repair step does all the work")
-    target = target_report.absolute
-    threshold = math.ceil(target)
-    restricted = _restricted(g, closed=not total)
+    target = (bound_rs if closed else bound_total_rs)(tau, s, cap_sum, delta, g.n).absolute
+    restricted = _restricted(g, closed)
 
-    def trial(i: int, rng: np.random.Generator):
+    def draw(rng: np.random.Generator):
         vals = _capped_trial(restricted, g.n, params.r, params.s, params.theta, p, rng)
-        f = VertexFunction(vals.tolist())
-        report = verify_function(g, spec, f)
-        if not report.valid:
-            raise MultidomError(f"internal: repaired trial {i} failed verification")
-        return f, report.weight, ()
+        return VertexFunction(vals.tolist()), ()
 
-    best, met_index, trace = _run_trials(trial, seed, max_trials, threshold)
-    weight, index, witness, trial_notes = best
-    return ConstructionResult(
-        witness=witness,
-        weight=weight,
-        trials=len(trace),
-        trial_index=index,
-        seed=seed,
-        target=target,
-        met_target=met_index is not None,
-        params={
-            "delta": delta, "r": params.r, "s": params.s, "theta": params.theta,
-            "p": p, "p_clamped": clamped,
-        },
-        notes=tuple(notes) + tuple(trial_notes),
-        weight_trace=tuple(trace) if collect_trace else None,
-    )
+    return ({"delta": delta, "r": params.r, "s": params.s, "theta": params.theta,
+             "p": p, "p_clamped": clamped}, notes, target, draw)
 
 
 def construct_rs(
@@ -248,7 +242,7 @@ def construct_rs(
     collect_trace: bool = False,
 ) -> ConstructionResult:
     """Randomized construction of a demand-dominating capped function."""
-    return _construct_capped(g, r_vec, s_vec, seed, max_trials, collect_trace, False)
+    return _construct(g, DominationSpec.rs(r_vec, s_vec), seed, max_trials, collect_trace)
 
 
 def construct_total_rs(
@@ -261,7 +255,7 @@ def construct_total_rs(
     collect_trace: bool = False,
 ) -> ConstructionResult:
     """Open-neighborhood (total) variant of construct_rs."""
-    return _construct_capped(g, r_vec, s_vec, seed, max_trials, collect_trace, True)
+    return _construct(g, DominationSpec.total_rs(r_vec, s_vec), seed, max_trials, collect_trace)
 
 
 # -- (k,l) set construction ------------------------------------------------------
@@ -333,24 +327,14 @@ def _parametric_trial(
     return tuple(np.flatnonzero(x).tolist()), notes
 
 
-def construct_parametric(
-    g: Graph,
-    k: int,
-    l: int,
-    seed: int,
-    max_trials: int = 100,
-    *,
-    collect_trace: bool = False,
-) -> ConstructionResult:
-    """Randomized construction of a (k,l)-dominating set."""
-    _check_seed(seed, max_trials)
-    spec = DominationSpec.parametric(k, l)
-    spec.check_feasible(g)  # once; the trials verify without repeating it
+def _parametric_plan(g: Graph, spec: DominationSpec):
+    """(params, notes, target, draw) of the (k,l) set construction."""
+    k, l = spec.requirements()
     delta = g.min_degree
     phi = max(k, l - 1)
     if delta < phi:
-        raise InfeasibleSpecError(
-            f"construction needs min degree >= max(k, l-1) = {phi}, got {delta}"
+        return _witness_plan(
+            g, spec, f"construction needs min degree >= max(k, l-1) = {phi}, got {delta}"
         )
     params = ParametricParams.derive(k, l, delta)
     notes: list[str] = []
@@ -378,27 +362,21 @@ def construct_parametric(
     else:
         target = float(g.n)
         notes.append("no strong bound applicable; target set to the trivial bound n")
-    threshold = math.ceil(target)
     restricted = _restricted(g, closed=False)
-
-    def trial(i: int, rng: np.random.Generator):
-        members, trial_notes = _parametric_trial(g, restricted, k, l, p, rng)
-        report = verify_set(g, spec, members)
-        if not report.valid:
-            raise MultidomError(f"internal: patched trial {i} failed verification")
-        return members, report.weight, trial_notes
-
-    best, met_index, trace = _run_trials(trial, seed, max_trials, threshold)
-    weight, index, witness, trial_notes = best
-    return ConstructionResult(
-        witness=witness,
-        weight=weight,
-        trials=len(trace),
-        trial_index=index,
-        seed=seed,
-        target=target,
-        met_target=met_index is not None,
-        params={"delta": delta, "k": k, "l": l, "phi": phi, "p": p},
-        notes=tuple(notes) + tuple(trial_notes),
-        weight_trace=tuple(trace) if collect_trace else None,
+    return (
+        {"delta": delta, "k": k, "l": l, "phi": phi, "p": p}, notes, target,
+        lambda rng: _parametric_trial(g, restricted, k, l, p, rng),
     )
+
+
+def construct_parametric(
+    g: Graph,
+    k: int,
+    l: int,
+    seed: int,
+    max_trials: int = 100,
+    *,
+    collect_trace: bool = False,
+) -> ConstructionResult:
+    """Randomized construction of a (k,l)-dominating set."""
+    return _construct(g, DominationSpec.parametric(k, l), seed, max_trials, collect_trace)

@@ -196,6 +196,13 @@ def petersen() -> Graph:
     return Graph(10, edges)
 
 
+# gnp draws its n(n-1)/2 uniforms in blocks of whole rows holding about this
+# many pairs (8 MB of doubles), so peak memory is O(block + m) rather than
+# O(n^2). A Generator yields the same doubles drawn at once or in chunks, so
+# the block size does not change any seeded graph.
+GNP_BLOCK_PAIRS = 2**20
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p); identical (n, p, seed) gives an identical graph."""
     if n < 1:
@@ -203,10 +210,17 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    draws = rng.random(n * (n - 1) // 2)
-    rows, cols = np.triu_indices(n, k=1)
-    mask = draws < p
-    return Graph(n, np.column_stack((rows[mask], cols[mask])))
+    # pair (i, j), i < j, takes draw number start[i] + j - i - 1 of one stream
+    start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    i = 0
+    while i < n - 1:
+        j = max(i + 1, int(np.searchsorted(start, start[i] + GNP_BLOCK_PAIRS, "right")) - 1)
+        hits = np.flatnonzero(rng.random(start[j] - start[i]) < p) + start[i]
+        rows = np.searchsorted(start, hits, "right") - 1
+        blocks.append(np.column_stack((rows, hits - start[rows] + rows + 1)))
+        i = j
+    return Graph(n, np.concatenate(blocks))
 
 
 def random_regular(n: int, d: int, seed: int, max_attempts: int = 100_000) -> Graph:

@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from .errors import MultidomError, ResourceLimitError
 from .graph import Graph
-from .verify import DominationSpec, VertexFunction, verify_function, verify_set
+from .verify import DominationSpec, VertexFunction, _witness_dict, verify_function, verify_set
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,9 @@ class ExactResult:
     spec: DominationSpec
 
     def to_dict(self) -> dict:
-        w = (
-            {"set": list(self.witness)}
-            if isinstance(self.witness, tuple)
-            else {"values": list(self.witness.values)}
-        )
         return {
             "value": self.value,
-            "witness": w,
+            "witness": _witness_dict(self.witness),
             "nodes_explored": self.nodes_explored,
             "spec": self.spec.to_dict(),
         }

@@ -265,6 +265,11 @@ class VertexFunction:
         return {"values": list(self.values)}
 
 
+def _witness_dict(witness: VertexFunction | tuple[int, ...]) -> dict:
+    """JSON form of a witness: {"set": ids} for a set, {"values": labels}."""
+    return {"set": list(witness)} if isinstance(witness, tuple) else witness.to_dict()
+
+
 def weight(f: VertexFunction) -> int:
     """|f| = sum of the labels."""
     return f.weight

@@ -7,6 +7,8 @@ so they can serve as ground truth.
 
 from itertools import combinations, product
 
+import numpy as np
+
 from multidom import Graph, cycle, complete, gnp, path, petersen
 
 
@@ -49,6 +51,14 @@ def brute_function_number(g: Graph, caps, demands, open_nbhd: bool = False):
             if best is None or w < best:
                 best = w
     return best
+
+
+def dense_gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) from all n(n-1)/2 draws at once, pairs in np.triu_indices order."""
+    draws = np.random.default_rng(seed).random(n * (n - 1) // 2)
+    rows, cols = np.triu_indices(n, k=1)
+    mask = draws < p
+    return Graph(n, np.column_stack((rows[mask], cols[mask])))
 
 
 def coverage(g: Graph, members: set[int], v: int, closed: bool = True) -> int:

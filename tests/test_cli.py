@@ -213,6 +213,20 @@ def test_exact_param13_on_k4_with_pendant(capsys, tmp_path):
     assert json.loads(out)["value"] == 3
 
 
+def test_construct_below_min_degree_returns_the_core(capsys, tmp_path):
+    # kdom:2 on P4 (delta = 1 < k) and param:1,3 on K4 plus a pendant vertex
+    # (delta = 1 < l-1) are feasible; the construction falls back to the core
+    gfile = tmp_path / "g.edges"
+    gfile.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n0 4\n")
+    for graph, spec in ((["--family", "path", "--n", "4"], "kdom:2"),
+                        (["--graph", str(gfile)], "param:1,3")):
+        code, out, err = run_cli(capsys, "construct", *graph, "--spec", spec, "--no-timestamp")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["witness"] == {"set": [0, 1, 2, 3]} and payload["met_target"]
+        assert "returned the" in payload["notes"][0]
+
+
 def test_feasibility_checked_at_most_once_per_subcommand(capsys, tmp_path, monkeypatch):
     calls = []
     feasibility = DominationSpec.feasibility

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multidom
 import multidom.construct
@@ -21,6 +23,8 @@ from multidom import (
     construct_rs,
     construct_total_rs,
     cycle,
+    exact_function_number,
+    exact_set_number,
     gnp,
     path,
     random_regular,
@@ -86,8 +90,56 @@ def test_parametric_small_graphs():
 
 
 def test_parametric_precondition():
-    with pytest.raises(InfeasibleSpecError):
-        construct_parametric(path(4), 2, 2, seed=0)  # delta = 1 < k
+    # delta = 1 < k, so the patching does not apply; the 1-core, all of P4,
+    # is returned against the trivial bound n
+    res = construct_parametric(path(4), 2, 2, seed=0)
+    assert verify_set(path(4), DominationSpec.parametric(2, 2), res.witness).valid
+    assert res.witness == (0, 1, 2, 3) and res.target == 4.0 and res.met_target
+    assert any("min degree >= max(k, l-1) = 2, got 1" in note for note in res.notes)
+
+
+def test_capped_preconditions_fall_back_to_all_caps():
+    # C6 with caps 1 and demands 3 derives r = 2 > tau = 1; the open variant
+    # on an isolated vertex of demand 0 has delta = 0
+    for construct, g, caps, demands, why in (
+        (construct_rs, cycle(6), [1] * 6, [3] * 6, "r=2 exceeds min cap tau=1"),
+        (construct_total_rs, Graph(3, [(0, 1)]), [1, 2, 1], [1, 1, 0], "needs delta >= 1"),
+    ):
+        res = construct(g, caps, demands, seed=1)
+        spec = (DominationSpec.rs if construct is construct_rs else DominationSpec.total_rs)(
+            caps, demands)
+        assert verify_function(g, spec, res.witness).valid
+        assert res.witness.values == tuple(caps) and res.met_target
+        assert res.target == float(sum(caps)) and res.trials == 1
+        assert any(why in note for note in res.notes)
+
+
+@given(st.integers(1, 9), st.sampled_from([0.2, 0.4, 0.6, 0.8]), st.integers(0, 999), st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_feasible_spec_constructs(n, p, seed, data):
+    # no feasible spec is reported infeasible: each construction returns a
+    # verified witness no lighter than the exact value
+    g = gnp(n, p, seed)
+    k = data.draw(st.integers(1, 3))
+    l = data.draw(st.integers(1, k + 3))
+    caps = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    demands = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    S = DominationSpec
+    for spec in (S.classical(), S.k_dominating(k), S.k_tuple(k), S.total_k(k),
+                 S.parametric(k, l), S.brace_k(k), S.rs(caps, demands),
+                 S.total_rs(caps, demands)):
+        if not spec.feasibility(g)[0]:
+            continue
+        if spec.is_set_variant:
+            res = construct_parametric(g, *spec.requirements(), seed=seed, max_trials=3)
+            assert verify_set(g, spec, res.witness).valid
+            exact = exact_set_number(g, spec).value
+        else:
+            construct = construct_total_rs if spec.uses_open_neighborhoods else construct_rs
+            res = construct(g, *spec.vectors(n), seed=seed, max_trials=3)
+            assert verify_function(g, spec, res.witness).valid
+            exact = exact_function_number(g, spec).value
+        assert res.weight >= exact, spec.label()
 
 
 def test_determinism():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_function_number
+import multidom.graph
+from helpers import brute_function_number, dense_gnp
 from helpers import coverage as brute_coverage
 from multidom import (
     Graph,
@@ -133,6 +134,29 @@ def test_random_regular():
 def test_gnp_validates_p():
     with pytest.raises(ValueError):
         gnp(5, 1.5, seed=0)
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**20])
+def test_gnp_row_blocks_match_dense_draws(block, monkeypatch):
+    # blocks of 1 and 7 pairs split the small cases into several blocks;
+    # n = 1500 has 1 124 250 pairs, so 2**20 splits it in two
+    monkeypatch.setattr(multidom.graph, "GNP_BLOCK_PAIRS", block)
+    cases = [(1, 0.5, 0), (2, 1.0, 1), (3, 0.0, 2), (3, 1.0, 3), (6, 0.5, 4),
+             (9, 0.3, 5), (40, 0.2, 6), (1500, 0.01, 7)]
+    for n, p, seed in cases:
+        if block == 1 and n > 40:
+            continue
+        assert gnp(n, p, seed) == dense_gnp(n, p, seed), (n, p, seed)
+
+
+def test_gnp_memory_is_not_quadratic():
+    tracemalloc.start()
+    try:
+        gnp(4000, 0.001, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20  # all 8 M draws at once take about 200 MiB
 
 
 def test_edge_list_round_trip():
