@@ -13,12 +13,27 @@ caps for functions) is still reported but flagged vacuous.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 from .verify import DominationSpec
 
 NEG_INF = float("-inf")
+
+
+# log_binomial sums t terms, and compare_bounds asks for C(delta, t) at every
+# t up to delta/3. So each top keeps its running prefix sums: prefix[t] is the
+# sum after t terms, accumulated in the loop's order, and a call extends the
+# list instead of repeating it. Memory stays bounded: only the last
+# LOG_BINOMIAL_TOPS tops to be added are kept, each with at most
+# LOG_BINOMIAL_TERMS terms; a longer sum carries on from the last stored one
+# without storing. The lock keeps two threads from extending one list at
+# once; reading needs none, because a list only ever grows.
+LOG_BINOMIAL_TOPS = 4
+LOG_BINOMIAL_TERMS = 4096
+_log_binomial_prefixes: dict[int, list[float]] = {}
+_log_binomial_lock = threading.Lock()
 
 
 def log_binomial(top: int, t: int) -> float:
@@ -28,8 +43,23 @@ def log_binomial(top: int, t: int) -> float:
     if t < 0 or t > top:
         return NEG_INF
     t = min(t, top - t)
-    acc = 0.0
-    for i in range(t):
+    prefix = _log_binomial_prefixes.get(top)
+    if prefix is not None and t < len(prefix):
+        return prefix[t]
+    with _log_binomial_lock:
+        prefix = _log_binomial_prefixes.get(top)
+        if prefix is None:
+            if len(_log_binomial_prefixes) >= LOG_BINOMIAL_TOPS:
+                del _log_binomial_prefixes[next(iter(_log_binomial_prefixes))]  # the oldest
+            prefix = _log_binomial_prefixes[top] = [0.0]
+        acc = prefix[-1]
+        for i in range(len(prefix) - 1, min(t, LOG_BINOMIAL_TERMS)):
+            acc += math.log(top - i) - math.log(i + 1)
+            prefix.append(acc)
+        if t < len(prefix):
+            return prefix[t]
+        stored = len(prefix) - 1
+    for i in range(stored, t):
         acc += math.log(top - i) - math.log(i + 1)
     return acc
 

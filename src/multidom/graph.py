@@ -7,7 +7,8 @@ Vertices are 0-based everywhere inside the library; the DIMACS format is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain, compress
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -109,9 +110,14 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge once as (u, v) with u < v, in ascending order."""
+        u, v = self._upper()
+        return list(zip(u.tolist(), v.tolist()))
+
+    def _upper(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays u and v of edges(): the upper triangle of the CSR rows."""
         rows = np.repeat(np.arange(self.n), self.degrees)
         upper = rows < self.indices
-        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+        return rows[upper], self.indices[upper]
 
     # -- array views for kernels -------------------------------------------
 
@@ -233,18 +239,11 @@ def random_regular(n: int, d: int, seed: int, max_attempts: int = 100_000) -> Gr
     stubs = np.repeat(np.arange(n), d)
     for _ in range(max_attempts):
         rng.shuffle(stubs)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = int(stubs[i]), int(stubs[i + 1])
-            if u > v:
-                u, v = v, u
-            if u == v or (u, v) in edges:
-                ok = False
-                break
-            edges.add((u, v))
-        if ok:
-            return Graph(n, edges)
+        pairs = stubs.reshape(-1, 2)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        keys = np.sort(lo * n + hi)
+        if not (lo == hi).any() and not (keys[1:] == keys[:-1]).any():
+            return Graph(n, pairs)
     raise ResourceLimitError(
         f"pairing model failed to produce a simple {d}-regular graph "
         f"on {n} vertices in {max_attempts} attempts"
@@ -300,20 +299,27 @@ def generate(spec: GraphFamilySpec) -> Graph:
 #            The writer emits a "# n=<N>" comment so isolated trailing
 #            vertices survive a round trip; the reader honors it.
 # dimacs:    "p edge <n> <m>" header plus "e <u> <v>" lines, 1-based.
+#
+# Both readers split the text into lines once. Lines in the form the writer
+# emits ("u v" or "e u v" in plain digits) are joined and parsed by numpy in
+# one call (_plain_pairs). Any other file goes the general way: its data
+# lines are joined and split into tokens once, and numpy converts all tokens
+# by int()'s rules in one call. Either way each check then runs over all
+# lines at once, and a line is looked up only when a check fails: a file
+# reports its earliest bad line, and on that line the first check it fails
+# in the order each reader lists them.
 
 GRAPH_FORMATS = ("edge_list", "dimacs")
 
 
 def write_graph(g: Graph, fmt: str = "edge_list") -> str:
     if fmt == "edge_list":
-        lines = [f"# n={g.n}"]
-        lines += [f"{u} {v}" for u, v in g.edges()]
-        return "\n".join(lines) + "\n"
-    if fmt == "dimacs":
-        lines = [f"p edge {g.n} {g.m}"]
-        lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown graph format {fmt!r}")
+        header, line, base = f"# n={g.n}\n", "%d %d\n", 0
+    elif fmt == "dimacs":
+        header, line, base = f"p edge {g.n} {g.m}\n", "e %d %d\n", 1
+    else:
+        raise ValueError(f"unknown graph format {fmt!r}")
+    return header + line * g.m % tuple((np.column_stack(g._upper()) + base).ravel().tolist())
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -328,91 +334,236 @@ def _check_vertex_count(n: int, lineno: int | None = None) -> None:
         raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
 
 
-def _read_edge_list(text: str) -> Graph:
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    declared_n: int | None = None
-    max_seen = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("n=") and declared_n is None:
-                declared_n = _parse_int(body[2:].strip(), lineno, "vertex count")
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"expected 'u v', got {raw!r}", lineno)
-        u = _parse_int(parts[0], lineno, "vertex id")
-        v = _parse_int(parts[1], lineno, "vertex id")
-        if u < 0 or v < 0:
-            raise GraphFormatError("vertex ids must be nonnegative", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge ({key[0]},{key[1]})", lineno)
-        seen.add(key)
-        edges.append(key)
-        max_seen = max(max_seen, u, v)
+def _first_data_line(lines: list[str], comment: str) -> int:
+    """Index of the first line that is neither blank nor starts with ``comment``."""
+    return next((i for i, raw in enumerate(lines) if raw.strip()[:1] not in comment), len(lines))
+
+
+def _plain_pairs(lines: list[str], kind: str) -> np.ndarray | None:
+    """The (u, v) pairs of lines that all read ``kind`` + "u v", where u and v
+    are unsigned ASCII integers below 10**18 and spaces or tabs separate
+    the tokens; None if some line does not.
+
+    This is the form the writer emits. It needs no per-line work: the lines
+    are joined with " -1 " separators, which cannot be mistaken for data since
+    no line holds a '-', and numpy parses the whole text in one call.
+    """
+    if not lines:
+        return None
+    text = " -1 ".join(lines)
+    if kind:
+        prefix = kind + " "
+        if not (text.startswith(prefix) and text.count(" -1 " + prefix) == len(lines) - 1
+                and text.count(kind) == len(lines)):
+            return None
+        text = text.replace(prefix, "")
+    if (not text.isascii() or text.encode("ascii").translate(None, b"0123456789 \t-")
+            or text.count("-") != len(lines) - 1):
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    # numpy clamps a number beyond int64 to its maximum
+    if len(values) != 3 * len(lines) - 1 or (values[2::3] != -1).any() or values.max() >= 10**18:
+        return None
+    return np.append(values, -1).reshape(-1, 3)[:, :2]
+
+
+def _data_lines(lines: list[str], comment: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The stripped data lines (neither blank nor starting with ``comment``),
+    their 1-based line numbers and the 0-based indices of the other lines."""
+    stripped = list(map(str.strip, lines))
+    keep = [s[:1] not in comment for s in stripped]  # "" is in every string
+    mask = np.array(keep, dtype=bool)
+    return list(compress(stripped, keep)), np.flatnonzero(mask) + 1, np.flatnonzero(~mask)
+
+
+def _tokens(data: list[str], width: int) -> tuple[list[str], np.ndarray]:
+    """The first ``width`` tokens of every data line in order, padded with ""
+    where a line has fewer, and the number of tokens on each line."""
+    # the lines are joined with "|" separators and split once; if every line
+    # holds ``width`` tokens and none holds a "|", the separators sit exactly
+    # every width + 1 tokens
+    tokens = " | ".join(data).split()
+    if (len(tokens) == len(data) * (width + 1) - 1
+            and tokens.count("|") == len(data) - 1 == tokens[width::width + 1].count("|")):
+        del tokens[width::width + 1]
+        return tokens, np.full(len(data), width)
+    parts = [s.split() for s in data]  # some line has another token count
+    padded = chain.from_iterable((p + [""] * width)[:width] for p in parts)
+    return list(padded), np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+
+
+def _integers(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The tokens as integers, as int() reads them, and the mask of tokens
+    int() rejects, which read as 0.
+
+    The values are int64 unless a token lies beyond it; then they are Python
+    ints in an object array, so every check and message sees the file's number.
+    """
+    try:
+        return np.array(tokens, dtype=np.int64), np.zeros(len(tokens), dtype=bool)
+    except (ValueError, OverflowError):
+        pass
+    values, bad = [], []
+    for token in tokens:
+        try:
+            values.append(int(token))
+            bad.append(False)
+        except ValueError:
+            values.append(0)
+            bad.append(True)
+    try:
+        return np.array(values, dtype=np.int64), np.array(bad)
+    except OverflowError:
+        return np.array(values, dtype=object), np.array(bad)
+
+
+class _Table(NamedTuple):
+    """The data lines of a graph file from some line on, as arrays."""
+
+    numbers: np.ndarray  # 1-based line number of each
+    kinds: np.ndarray | None  # first token of each (DIMACS)
+    counts: np.ndarray   # number of tokens on each
+    u: np.ndarray        # the two vertex tokens as integers ...
+    v: np.ndarray
+    bad: np.ndarray      # ... and which of them int() rejects, (lines, 2)
+    tokens: list[str]    # the vertex tokens as text, two per line
+    comments: Iterable[int]  # 0-based indices of the other lines, in order
+
+
+def _table(lines: list[str], start: int, comment: str, kind: str) -> _Table:
+    """The data lines from line index ``start`` on; each should read
+    ``kind`` (if any) and then two vertex ids."""
+    pairs = _plain_pairs(lines[start:], kind)
+    if pairs is not None:
+        k = len(pairs)
+        return _Table(np.arange(start + 1, start + k + 1), np.full(k, kind) if kind else None,
+                      np.full(k, 3 if kind else 2), pairs[:, 0], pairs[:, 1],
+                      np.zeros((k, 2), dtype=bool), [], range(start))
+    data, numbers, comments = _data_lines(lines, comment)
+    skip = int(np.searchsorted(numbers, start + 1))  # the DIMACS problem line
+    data, numbers = data[skip:], numbers[skip:]
+    tokens, counts = _tokens(data, 3 if kind else 2)
+    kinds = None
+    if kind:
+        kinds = np.array(tokens[0::3], dtype=object)
+        del tokens[0::3]
+    values, bad = _integers(tokens)
+    return _Table(numbers, kinds, counts, values[0::2], values[1::2], bad.reshape(-1, 2),
+                  tokens, comments)
+
+
+def _repeats(lo: np.ndarray, hi: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """True on each line in ``ok`` whose pair (lo, hi), 0 <= lo <= hi, equals
+    that of an earlier line in ``ok``."""
+    rows = np.flatnonzero(ok)
+    lo, hi = lo[rows], hi[rows]
+    if len(rows) and hi.max() >= 2**31:  # lo * 2**31 + hi would overflow
+        ranks = np.unique(np.concatenate((lo, hi)), return_inverse=True)[1]
+        lo, hi = ranks[:len(rows)], ranks[len(rows):]
+    keys = lo * 2**31 + hi
+    repeats = np.zeros(len(ok), dtype=bool)
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return repeats
+    order = np.argsort(keys, kind="stable")  # equal keys keep file order
+    ordered = keys[order]
+    repeats[rows[order[1:]]] = ordered[1:] == ordered[:-1]
+    return repeats
+
+
+def _passing(checks) -> np.ndarray:
+    return ~np.logical_or.reduce([failed for failed, _ in checks])
+
+
+def _first_error(checks, numbers: np.ndarray) -> GraphFormatError | None:
+    """The error of the earliest line that fails one of ``checks``, a list of
+    (mask over the lines, message of line i), for the first check it fails."""
+    failing = ~_passing(checks)
+    if not failing.any():
+        return None
+    i = int(np.argmax(failing))
+    message = next(message for failed, message in checks if failed[i])
+    return GraphFormatError(message(i), int(numbers[i]))
+
+
+def _vertex_checks(lines: list[str], t: _Table, what: str) -> list:
+    """The checks every data line shares, in order: its token count and
+    whether each vertex token is an integer."""
+    return [
+        (t.counts != len(what.split()), lambda i: f"expected '{what}', got {lines[t.numbers[i] - 1]!r}"),
+        (t.bad[:, 0], lambda i: f"expected integer vertex id, got {t.tokens[2 * i]!r}"),
+        (t.bad[:, 1], lambda i: f"expected integer vertex id, got {t.tokens[2 * i + 1]!r}"),
+    ]
+
+
+def _read_edge_list(lines: list[str]) -> Graph:
+    t = _table(lines, _first_data_line(lines, "#"), "#", "")
+    u, v = t.u, t.v
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    checks = _vertex_checks(lines, t, "u v") + [
+        ((u < 0) | (v < 0), lambda i: "vertex ids must be nonnegative"),
+        (u == v, lambda i: f"self-loop at vertex {u[i]}"),
+    ]
+    checks.append((_repeats(lo, hi, _passing(checks)), lambda i: f"duplicate edge ({lo[i]},{hi[i]})"))
+    error = _first_error(checks, t.numbers)
+    declared_n = None
+    for i in t.comments:  # the first "# n=" comment declares n
+        line = lines[i].strip()
+        body = line[1:].strip()
+        if line.startswith("#") and body.startswith("n="):
+            if error is None or i + 1 < error.line:  # else the data line fails first
+                declared_n = _parse_int(body[2:].strip(), int(i) + 1, "vertex count")
+            break
+    if error is not None:
+        raise error
+    max_seen = int(hi.max()) if len(hi) else -1
     n = declared_n if declared_n is not None else max_seen + 1
     if n < 1:
         raise GraphFormatError("empty edge list and no '# n=' header")
     _check_vertex_count(n)
     if max_seen >= n:
         raise GraphFormatError(f"vertex id {max_seen} exceeds declared n={n}")
-    return Graph(n, edges)
+    return Graph(n, np.column_stack((u, v)))
 
 
-def _read_dimacs(text: str) -> Graph:
-    n = None
-    m = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise GraphFormatError("duplicate problem line", lineno)
-            if len(parts) != 4 or parts[1] != "edge":
-                raise GraphFormatError(f"expected 'p edge n m', got {raw!r}", lineno)
-            n = _parse_int(parts[2], lineno, "vertex count")
-            _check_vertex_count(n, lineno)
-            m = _parse_int(parts[3], lineno, "edge count")
-        elif parts[0] == "e":
-            if n is None:
-                raise GraphFormatError("edge before problem line", lineno)
-            if len(parts) != 3:
-                raise GraphFormatError(f"expected 'e u v', got {raw!r}", lineno)
-            u = _parse_int(parts[1], lineno, "vertex id")
-            v = _parse_int(parts[2], lineno, "vertex id")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"vertex id out of range 1..{n}", lineno)
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({u},{v})", lineno)
-            seen.add(key)
-            edges.append(key)
-        else:
-            raise GraphFormatError(f"unknown line type {parts[0]!r}", lineno)
-    if n is None:
+def _read_dimacs(lines: list[str]) -> Graph:
+    # every line before the first problem line fails, so it must come first
+    start = _first_data_line(lines, "c")
+    if start == len(lines):
         raise GraphFormatError("missing problem line")
-    if m is not None and m != len(edges):
-        raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    head, line = lines[start].split(), start + 1
+    if head[0] != "p":
+        message = "edge before problem line" if head[0] == "e" else f"unknown line type {head[0]!r}"
+        raise GraphFormatError(message, line)
+    if len(head) != 4 or head[1] != "edge":
+        raise GraphFormatError(f"expected 'p edge n m', got {lines[start]!r}", line)
+    n = _parse_int(head[2], line, "vertex count")
+    _check_vertex_count(n, line)
+    m = _parse_int(head[3], line, "edge count")
+    t = _table(lines, line, "c", "e")
+    u, v, top = t.u, t.v, max(n, 0)
+    checks = [
+        (t.kinds == "p", lambda i: "duplicate problem line"),
+        (t.kinds != "e", lambda i: f"unknown line type {t.kinds[i]!r}"),
+    ] + _vertex_checks(lines, t, "e u v") + [
+        ((u < 1) | (u > top) | (v < 1) | (v > top), lambda i: f"vertex id out of range 1..{n}"),
+        (u == v, lambda i: f"self-loop at vertex {u[i]}"),
+    ]
+    repeats = _repeats(np.minimum(u, v), np.maximum(u, v), _passing(checks))
+    checks.append((repeats, lambda i: f"duplicate edge ({u[i]},{v[i]})"))
+    error = _first_error(checks, t.numbers)
+    if error is not None:
+        raise error
+    if m != len(u):
+        raise GraphFormatError(f"header declares {m} edges, found {len(u)}")
+    return Graph(n, np.column_stack((u, v)) - 1)
 
 
 def read_graph(text: str, fmt: str | None = None) -> Graph:
     """Parse a graph; when fmt is None it is sniffed from the content."""
+    lines = text.splitlines()
     if fmt is None:
-        for raw in text.splitlines():
+        for raw in lines:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -421,9 +572,9 @@ def read_graph(text: str, fmt: str | None = None) -> Graph:
         else:
             fmt = "edge_list"
     if fmt == "edge_list":
-        return _read_edge_list(text)
+        return _read_edge_list(lines)
     if fmt == "dimacs":
-        return _read_dimacs(text)
+        return _read_dimacs(lines)
     raise ValueError(f"unknown graph format {fmt!r}")
 
 

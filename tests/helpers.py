@@ -10,6 +10,8 @@ from itertools import combinations, product
 import numpy as np
 
 from multidom import Graph, cycle, complete, gnp, path, petersen
+from multidom.errors import GraphFormatError, ResourceLimitError
+from multidom.graph import MAX_VERTICES
 
 
 def adjacency(g: Graph) -> list[tuple[int, ...]]:
@@ -88,3 +90,127 @@ def acceptance_graphs():
 
 def small_graphs(max_n: int = 8):
     return [(name, g) for name, g in acceptance_graphs() if g.n <= max_n]
+
+
+# -- reference implementations kept from before the vectorised versions ------
+#
+# The graph readers and random_regular's simplicity check as they were written
+# line by line in Python. The vectorised code must give the same graph, or the
+# same error with the same message and line, on every input.
+
+
+def _parse_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphFormatError(f"expected integer {what}, got {token!r}", lineno) from None
+
+
+def _check_vertex_count(n: int, lineno: int | None = None) -> None:
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
+
+
+def reference_read_edge_list(text: str) -> Graph:
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    declared_n: int | None = None
+    max_seen = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("n=") and declared_n is None:
+                declared_n = _parse_int(body[2:].strip(), lineno, "vertex count")
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"expected 'u v', got {raw!r}", lineno)
+        u = _parse_int(parts[0], lineno, "vertex id")
+        v = _parse_int(parts[1], lineno, "vertex id")
+        if u < 0 or v < 0:
+            raise GraphFormatError("vertex ids must be nonnegative", lineno)
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge ({key[0]},{key[1]})", lineno)
+        seen.add(key)
+        edges.append(key)
+        max_seen = max(max_seen, u, v)
+    n = declared_n if declared_n is not None else max_seen + 1
+    if n < 1:
+        raise GraphFormatError("empty edge list and no '# n=' header")
+    _check_vertex_count(n)
+    if max_seen >= n:
+        raise GraphFormatError(f"vertex id {max_seen} exceeds declared n={n}")
+    return Graph(n, edges)
+
+
+def reference_read_dimacs(text: str) -> Graph:
+    n = None
+    m = None
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise GraphFormatError("duplicate problem line", lineno)
+            if len(parts) != 4 or parts[1] != "edge":
+                raise GraphFormatError(f"expected 'p edge n m', got {raw!r}", lineno)
+            n = _parse_int(parts[2], lineno, "vertex count")
+            _check_vertex_count(n, lineno)
+            m = _parse_int(parts[3], lineno, "edge count")
+        elif parts[0] == "e":
+            if n is None:
+                raise GraphFormatError("edge before problem line", lineno)
+            if len(parts) != 3:
+                raise GraphFormatError(f"expected 'e u v', got {raw!r}", lineno)
+            u = _parse_int(parts[1], lineno, "vertex id")
+            v = _parse_int(parts[2], lineno, "vertex id")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphFormatError(f"vertex id out of range 1..{n}", lineno)
+            if u == v:
+                raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+            key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+            if key in seen:
+                raise GraphFormatError(f"duplicate edge ({u},{v})", lineno)
+            seen.add(key)
+            edges.append(key)
+        else:
+            raise GraphFormatError(f"unknown line type {parts[0]!r}", lineno)
+    if n is None:
+        raise GraphFormatError("missing problem line")
+    if m is not None and m != len(edges):
+        raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
+    return Graph(n, edges)
+
+
+def reference_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_000) -> Graph:
+    """random_regular with the per-pair Python set check of each attempt."""
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n), d)
+    for _ in range(max_attempts):
+        rng.shuffle(stubs)
+        edges: set[tuple[int, int]] = set()
+        ok = True
+        for i in range(0, len(stubs), 2):
+            u, v = int(stubs[i]), int(stubs[i + 1])
+            if u > v:
+                u, v = v, u
+            if u == v or (u, v) in edges:
+                ok = False
+                break
+            edges.add((u, v))
+        if ok:
+            return Graph(n, edges)
+    raise ResourceLimitError(
+        f"pairing model failed to produce a simple {d}-regular graph "
+        f"on {n} vertices in {max_attempts} attempts"
+    )

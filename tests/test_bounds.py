@@ -1,4 +1,8 @@
 import math
+import random
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from multidom import (
     bounds_for_spec,
     log_binomial,
 )
+from multidom import bounds
 from multidom.verify import DominationSpec
 
 # -- log binomial --------------------------------------------------------------
@@ -58,6 +63,68 @@ def test_log_binomial_matches_comb(top, t):
     else:
         assert got == pytest.approx(math.log(math.comb(top, t)), rel=1e-12, abs=1e-12)
         assert binomial_exact(top, t) == math.comb(top, t)
+
+
+def _plain_log_binomial(top: int, t: int) -> float:
+    """log_binomial's sum without the stored prefixes."""
+    if t < 0 or t > top:
+        return float("-inf")
+    acc = 0.0
+    for i in range(min(t, top - t)):
+        acc += math.log(top - i) - math.log(i + 1)
+    return acc
+
+
+def test_log_binomial_prefixes_are_bit_identical():
+    """Stored prefixes, evicted tops and sums past the stored terms all give
+    the plain loop's float, whatever order the calls come in."""
+    rnd = random.Random(3)
+    cap = bounds.LOG_BINOMIAL_TERMS
+    calls = [(1000, t) for t in range(-1, 1003)] + [(10_000, t) for t in (cap - 1, cap, cap + 1, 5000)]
+    calls += [(rnd.randrange(12_000), rnd.randrange(6_000)) for _ in range(400)]
+    for order in (calls, calls[::-1], rnd.sample(calls, len(calls))):
+        for top, t in order:
+            assert log_binomial(top, t).hex() == _plain_log_binomial(top, t).hex(), (top, t)
+    assert len(bounds._log_binomial_prefixes) <= bounds.LOG_BINOMIAL_TOPS
+    assert all(len(p) <= cap + 1 for p in bounds._log_binomial_prefixes.values())
+
+
+def test_log_binomial_prefixes_survive_threads():
+    """Threads extending and evicting the same prefix lists still get the
+    plain loop's floats."""
+    calls = [(top, t) for top in (900, 901, 902, 903, 904, 905) for t in range(0, 450, 7)]
+    expected = {call: _plain_log_binomial(*call).hex() for call in calls}
+    wrong = []
+
+    def work(seed):
+        for top, t in random.Random(seed).sample(calls, len(calls)):
+            if log_binomial(top, t).hex() != expected[top, t]:
+                wrong.append((top, t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+def test_log_binomial_memory_is_bounded():
+    """A sum of 10**5 terms stores at most LOG_BINOMIAL_TERMS of them (about
+    130 KB); storing every term would take about 3 MiB."""
+    tracemalloc.start()
+    try:
+        log_binomial(2 * 10**5, 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pascal_identity_exact():

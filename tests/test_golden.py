@@ -17,6 +17,32 @@ REGULAR = ["--family", "random_regular", "--n", "200", "--d", "4", "--seed", "2"
 PETERSEN = ["--family", "petersen"]
 SPECS = ("classical", "kdom:2", "ktuple:2", "totalk:2", "bracek:2", "param:1,3", "rs", "totalrs")
 
+# Fixed graph files with comments, blank lines, tabs and CRLF line ends.
+# The edge list is the circulant C12(1, 5) plus the chords 0-6 and 3-9; the
+# DIMACS file is the generalized Petersen graph GP(8, 3).
+EDGE_LIST_FILE = (
+    "# C12(1, 5) plus two chords\r\n"
+    "# n=12\r\n"
+    "\r\n"
+    "0 1\r\n0 5\r\n6 0\r\n0 7\r\n0 11\r\n1 2\r\n1\t6\r\n1 8\r\n"
+    "# the chord 3-9 comes in the middle\r\n"
+    "2 3\r\n2 7\r\n2 9\r\n3 4\r\n3 8\r\n9 3\r\n3 10\r\n4 5\r\n"
+    "\r\n"
+    "  4 9\r\n4 11\r\n5 6\r\n5 10\r\n6 7\r\n6 11\r\n7 8\r\n8 9\r\n9 10\r\n10 11\r\n"
+    "\r\n"
+)
+DIMACS_FILE = (
+    "c generalized Petersen graph GP(8, 3)\r\n"
+    "c outer cycle, spokes, inner star\r\n"
+    "\r\n"
+    "p edge 16 24\r\n"
+    "e 1 2\r\ne 2 3\r\ne 3 4\r\ne 4 5\r\ne 5 6\r\ne 6 7\r\ne 7 8\r\ne 8 1\r\n"
+    "c spokes\r\n"
+    "e 1 9\r\ne 2 10\r\ne 3 11\r\ne 4 12\r\ne 5 13\r\ne 6 14\r\ne 7 15\r\ne 8 16\r\n"
+    "\r\n"
+    "e 9 12\r\ne 9 14\r\ne 10 13\r\ne 10 15\r\ne 11 14\r\ne 11 16\r\ne 12 15\r\ne 13 16\r\n"
+)
+
 
 def _vector_specs(tmp_path, n: int) -> dict[str, str]:
     """rs and totalrs specs over fixed cap (2..3) and demand (1..3) files."""
@@ -54,6 +80,18 @@ def _commands(tmp_path) -> dict[str, list[str]]:
         commands[f"exact {label}"] = [
             "exact", *PETERSEN, "--spec", petersen_vectors.get(label, label), "--no-timestamp",
         ]
+    # graphs read from files rather than generated
+    for fmt, text in (("edge_list", EDGE_LIST_FILE), ("dimacs", DIMACS_FILE)):
+        path = tmp_path / f"fixed.{fmt}"
+        path.write_bytes(text.encode("ascii"))
+        for label in ("ktuple:2", "bracek:2"):
+            commands[f"bounds {fmt} file {label}"] = [
+                "bounds", "--graph", str(path), "--spec", label, "--no-timestamp",
+            ]
+            commands[f"construct {fmt} file {label}"] = [
+                "construct", "--graph", str(path), "--spec", label, "--trials", "20", "--trace",
+                "--no-timestamp",
+            ]
     # on the 4-regular graph kdom and ktuple miss the target at first
     # (multi-trial traces) and param:1,3 runs the member completion pass
     for label in ("kdom:2", "ktuple:3", "param:1,3"):
@@ -103,6 +141,14 @@ GOLDEN = {
     "construct regular kdom:2": "fe41c2e62c920634fa55fdea01a357208df1cd367b51a3388bb2c30218366a5c",
     "construct regular ktuple:3": "a61ff12e0733ca1c9da7cc6bc382699a738bf78c5538a584b4905b0f16f82ebf",
     "construct regular param:1,3": "7d8f8b7582b895e96c1b58437557c66a1624caa62c462c16ffb89349551ae43e",
+    "bounds edge_list file ktuple:2": "4415eac2e940e1672f77d801d87dbfb07a5f1d7ae4bdf10e32ae47ab6447acfe",
+    "construct edge_list file ktuple:2": "f3763854f7f1a11f4b275ed9f4c8b856726b1b0ad335fdb5830b85e545c6028e",
+    "bounds edge_list file bracek:2": "8ee1a668976e42a2e8433f9361c73f2f3c215195a03ce43e8bce9066e61cd22b",
+    "construct edge_list file bracek:2": "036c4c266e5a5501133e06cb0c261b472b31e26f9e1070d4425bfc90058ac948",
+    "bounds dimacs file ktuple:2": "fcf285192df92047d372ec5176ddd39d512d098baba391a90cbc4cb3ef10532c",
+    "construct dimacs file ktuple:2": "b71939c3d5d737141a4511bd1d9122d4831e752bb3c73c77993a9c7f4fe11184",
+    "bounds dimacs file bracek:2": "d33b9e0dae9ba27f3aa9f4d1a8b2e24256212c2d13a701cca222ff416de3dbaf",
+    "construct dimacs file bracek:2": "7e997e9bb6aa261198cc5f96800ab957d34ef5dbf71297822996b0203dc257c2",
 }
 
 
