@@ -7,7 +7,7 @@ Vertices are 0-based everywhere inside the library; the DIMACS format is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -300,14 +300,13 @@ def generate(spec: GraphFamilySpec) -> Graph:
 #            vertices survive a round trip; the reader honors it.
 # dimacs:    "p edge <n> <m>" header plus "e <u> <v>" lines, 1-based.
 #
-# Both readers split the text into lines once. Lines in the form the writer
-# emits ("u v" or "e u v" in plain digits) are joined and parsed by numpy in
-# one call (_plain_pairs). Any other file goes the general way: its data
-# lines are joined and split into tokens once, and numpy converts all tokens
-# by int()'s rules in one call. Either way each check then runs over all
-# lines at once, and a line is looked up only when a check fails: a file
-# reports its earliest bad line, and on that line the first check it fails
-# in the order each reader lists them.
+# Both readers split the text into lines once, split the joined data lines
+# into tokens once, and let numpy convert all tokens by int()'s rules in one
+# call. Each check then runs over all lines at once, and a line is looked up
+# only when a check fails: a file reports its earliest bad line, and on that
+# line the first check it fails in the order each reader lists them. Graph()
+# rejects a repeated pair itself, so the line that repeats one is looked for
+# only after some check or Graph() has failed.
 
 GRAPH_FORMATS = ("edge_list", "dimacs")
 
@@ -334,39 +333,6 @@ def _check_vertex_count(n: int, lineno: int | None = None) -> None:
         raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
 
 
-def _first_data_line(lines: list[str], comment: str) -> int:
-    """Index of the first line that is neither blank nor starts with ``comment``."""
-    return next((i for i, raw in enumerate(lines) if raw.strip()[:1] not in comment), len(lines))
-
-
-def _plain_pairs(lines: list[str], kind: str) -> np.ndarray | None:
-    """The (u, v) pairs of lines that all read ``kind`` + "u v", where u and v
-    are unsigned ASCII integers below 10**18 and spaces or tabs separate
-    the tokens; None if some line does not.
-
-    This is the form the writer emits. It needs no per-line work: the lines
-    are joined with " -1 " separators, which cannot be mistaken for data since
-    no line holds a '-', and numpy parses the whole text in one call.
-    """
-    if not lines:
-        return None
-    text = " -1 ".join(lines)
-    if kind:
-        prefix = kind + " "
-        if not (text.startswith(prefix) and text.count(" -1 " + prefix) == len(lines) - 1
-                and text.count(kind) == len(lines)):
-            return None
-        text = text.replace(prefix, "")
-    if (not text.isascii() or text.encode("ascii").translate(None, b"0123456789 \t-")
-            or text.count("-") != len(lines) - 1):
-        return None
-    values = np.fromstring(text, dtype=np.int64, sep=" ")
-    # numpy clamps a number beyond int64 to its maximum
-    if len(values) != 3 * len(lines) - 1 or (values[2::3] != -1).any() or values.max() >= 10**18:
-        return None
-    return np.append(values, -1).reshape(-1, 3)[:, :2]
-
-
 def _data_lines(lines: list[str], comment: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The stripped data lines (neither blank nor starting with ``comment``),
     their 1-based line numbers and the 0-based indices of the other lines."""
@@ -376,25 +342,10 @@ def _data_lines(lines: list[str], comment: str) -> tuple[list[str], np.ndarray, 
     return list(compress(stripped, keep)), np.flatnonzero(mask) + 1, np.flatnonzero(~mask)
 
 
-def _tokens(data: list[str], width: int) -> tuple[list[str], np.ndarray]:
-    """The first ``width`` tokens of every data line in order, padded with ""
-    where a line has fewer, and the number of tokens on each line."""
-    # the lines are joined with "|" separators and split once; if every line
-    # holds ``width`` tokens and none holds a "|", the separators sit exactly
-    # every width + 1 tokens
-    tokens = " | ".join(data).split()
-    if (len(tokens) == len(data) * (width + 1) - 1
-            and tokens.count("|") == len(data) - 1 == tokens[width::width + 1].count("|")):
-        del tokens[width::width + 1]
-        return tokens, np.full(len(data), width)
-    parts = [s.split() for s in data]  # some line has another token count
-    padded = chain.from_iterable((p + [""] * width)[:width] for p in parts)
-    return list(padded), np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-
-
-def _integers(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The tokens as integers, as int() reads them, and the mask of tokens
-    int() rejects, which read as 0.
+def _integers(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tokens as integers, as int() reads them, and the mask of the first
+    token int() rejects, if any. That token's line fails, so no later token
+    can decide the error: they are not read and stand as 0.
 
     The values are int64 unless a token lies beyond it; then they are Python
     ints in an object array, so every check and message sees the file's number.
@@ -403,22 +354,23 @@ def _integers(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
         return np.array(tokens, dtype=np.int64), np.zeros(len(tokens), dtype=bool)
     except (ValueError, OverflowError):
         pass
-    values, bad = [], []
+    values = []
     for token in tokens:
         try:
             values.append(int(token))
-            bad.append(False)
         except ValueError:
-            values.append(0)
-            bad.append(True)
+            break
+    bad = np.zeros(len(tokens), dtype=bool)
+    bad[len(values):len(values) + 1] = True
+    values += [0] * (len(tokens) - len(values))
     try:
-        return np.array(values, dtype=np.int64), np.array(bad)
+        return np.array(values, dtype=np.int64), bad
     except OverflowError:
-        return np.array(values, dtype=object), np.array(bad)
+        return np.array(values, dtype=object), bad
 
 
 class _Table(NamedTuple):
-    """The data lines of a graph file from some line on, as arrays."""
+    """Data lines of a graph file as arrays."""
 
     numbers: np.ndarray  # 1-based line number of each
     kinds: np.ndarray | None  # first token of each (DIMACS)
@@ -426,30 +378,22 @@ class _Table(NamedTuple):
     u: np.ndarray        # the two vertex tokens as integers ...
     v: np.ndarray
     bad: np.ndarray      # ... and which of them int() rejects, (lines, 2)
-    tokens: list[str]    # the vertex tokens as text, two per line
-    comments: Iterable[int]  # 0-based indices of the other lines, in order
 
 
-def _table(lines: list[str], start: int, comment: str, kind: str) -> _Table:
-    """The data lines from line index ``start`` on; each should read
-    ``kind`` (if any) and then two vertex ids."""
-    pairs = _plain_pairs(lines[start:], kind)
-    if pairs is not None:
-        k = len(pairs)
-        return _Table(np.arange(start + 1, start + k + 1), np.full(k, kind) if kind else None,
-                      np.full(k, 3 if kind else 2), pairs[:, 0], pairs[:, 1],
-                      np.zeros((k, 2), dtype=bool), [], range(start))
-    data, numbers, comments = _data_lines(lines, comment)
-    skip = int(np.searchsorted(numbers, start + 1))  # the DIMACS problem line
-    data, numbers = data[skip:], numbers[skip:]
-    tokens, counts = _tokens(data, 3 if kind else 2)
-    kinds = None
-    if kind:
-        kinds = np.array(tokens[0::3], dtype=object)
-        del tokens[0::3]
-    values, bad = _integers(tokens)
-    return _Table(numbers, kinds, counts, values[0::2], values[1::2], bad.reshape(-1, 2),
-                  tokens, comments)
+def _table(data: list[str], numbers: np.ndarray, kind: str) -> _Table:
+    """The data lines ``data`` with line numbers ``numbers``; each should
+    read ``kind`` (if any) and then two vertex ids."""
+    # each line's token list is dropped as soon as it is counted: a million
+    # live small lists would make the garbage collector walk them over and over
+    counts = np.fromiter(map(len, map(str.split, data)), dtype=np.int64, count=len(data))
+    # the tokens line up, 2 or 3 to a line, up to the first line with another
+    # count; that line fails before its tokens are read, and no later line
+    # can decide the error, so numpy may fill the rows from there on as it likes
+    tokens = np.resize(np.array(" ".join(data).split(), dtype=object), (len(data), 3 if kind else 2))
+    values, bad = _integers(tokens[:, -2:].ravel())
+    # the token texts are not kept: a message reads its token from its line
+    return _Table(numbers, tokens[:, 0].copy() if kind else None, counts, values[0::2], values[1::2],
+                  bad.reshape(-1, 2))
 
 
 def _repeats(lo: np.ndarray, hi: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -461,12 +405,9 @@ def _repeats(lo: np.ndarray, hi: np.ndarray, ok: np.ndarray) -> np.ndarray:
         ranks = np.unique(np.concatenate((lo, hi)), return_inverse=True)[1]
         lo, hi = ranks[:len(rows)], ranks[len(rows):]
     keys = lo * 2**31 + hi
-    repeats = np.zeros(len(ok), dtype=bool)
-    ordered = np.sort(keys)
-    if not (ordered[1:] == ordered[:-1]).any():
-        return repeats
     order = np.argsort(keys, kind="stable")  # equal keys keep file order
     ordered = keys[order]
+    repeats = np.zeros(len(ok), dtype=bool)
     repeats[rows[order[1:]]] = ordered[1:] == ordered[:-1]
     return repeats
 
@@ -489,25 +430,39 @@ def _first_error(checks, numbers: np.ndarray) -> GraphFormatError | None:
 def _vertex_checks(lines: list[str], t: _Table, what: str) -> list:
     """The checks every data line shares, in order: its token count and
     whether each vertex token is an integer."""
+    width = len(what.split())
+
+    def line(i: int) -> str:
+        return lines[t.numbers[i] - 1]
+
     return [
-        (t.counts != len(what.split()), lambda i: f"expected '{what}', got {lines[t.numbers[i] - 1]!r}"),
-        (t.bad[:, 0], lambda i: f"expected integer vertex id, got {t.tokens[2 * i]!r}"),
-        (t.bad[:, 1], lambda i: f"expected integer vertex id, got {t.tokens[2 * i + 1]!r}"),
+        (t.counts != width, lambda i: f"expected '{what}', got {line(i)!r}"),
+        (t.bad[:, 0], lambda i: f"expected integer vertex id, got {line(i).split()[width - 2]!r}"),
+        (t.bad[:, 1], lambda i: f"expected integer vertex id, got {line(i).split()[width - 1]!r}"),
     ]
 
 
 def _read_edge_list(lines: list[str]) -> Graph:
-    t = _table(lines, _first_data_line(lines, "#"), "#", "")
+    data, numbers, comments = _data_lines(lines, "#")
+    t = _table(data, numbers, "")
+    try:
+        return _edge_list_graph(lines, t, comments, find_repeats=False)
+    except ValueError:  # a repeated pair may come before the reported line
+        return _edge_list_graph(lines, t, comments, find_repeats=True)
+
+
+def _edge_list_graph(lines: list[str], t: _Table, comments: np.ndarray, find_repeats: bool) -> Graph:
     u, v = t.u, t.v
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     checks = _vertex_checks(lines, t, "u v") + [
         ((u < 0) | (v < 0), lambda i: "vertex ids must be nonnegative"),
         (u == v, lambda i: f"self-loop at vertex {u[i]}"),
     ]
-    checks.append((_repeats(lo, hi, _passing(checks)), lambda i: f"duplicate edge ({lo[i]},{hi[i]})"))
+    if find_repeats:
+        checks.append((_repeats(lo, hi, _passing(checks)), lambda i: f"duplicate edge ({lo[i]},{hi[i]})"))
     error = _first_error(checks, t.numbers)
     declared_n = None
-    for i in t.comments:  # the first "# n=" comment declares n
+    for i in comments:  # the first "# n=" comment declares n
         line = lines[i].strip()
         body = line[1:].strip()
         if line.startswith("#") and body.startswith("n="):
@@ -527,20 +482,27 @@ def _read_edge_list(lines: list[str]) -> Graph:
 
 
 def _read_dimacs(lines: list[str]) -> Graph:
+    data, numbers, _ = _data_lines(lines, "c")
     # every line before the first problem line fails, so it must come first
-    start = _first_data_line(lines, "c")
-    if start == len(lines):
+    if not data:
         raise GraphFormatError("missing problem line")
-    head, line = lines[start].split(), start + 1
+    head, line = data[0].split(), int(numbers[0])
     if head[0] != "p":
         message = "edge before problem line" if head[0] == "e" else f"unknown line type {head[0]!r}"
         raise GraphFormatError(message, line)
     if len(head) != 4 or head[1] != "edge":
-        raise GraphFormatError(f"expected 'p edge n m', got {lines[start]!r}", line)
+        raise GraphFormatError(f"expected 'p edge n m', got {lines[line - 1]!r}", line)
     n = _parse_int(head[2], line, "vertex count")
     _check_vertex_count(n, line)
     m = _parse_int(head[3], line, "edge count")
-    t = _table(lines, line, "c", "e")
+    t = _table(data[1:], numbers[1:], "e")
+    try:
+        return _dimacs_graph(lines, t, n, m, find_repeats=False)
+    except ValueError:  # a repeated pair may come before the reported line
+        return _dimacs_graph(lines, t, n, m, find_repeats=True)
+
+
+def _dimacs_graph(lines: list[str], t: _Table, n: int, m: int, find_repeats: bool) -> Graph:
     u, v, top = t.u, t.v, max(n, 0)
     checks = [
         (t.kinds == "p", lambda i: "duplicate problem line"),
@@ -549,8 +511,9 @@ def _read_dimacs(lines: list[str]) -> Graph:
         ((u < 1) | (u > top) | (v < 1) | (v > top), lambda i: f"vertex id out of range 1..{n}"),
         (u == v, lambda i: f"self-loop at vertex {u[i]}"),
     ]
-    repeats = _repeats(np.minimum(u, v), np.maximum(u, v), _passing(checks))
-    checks.append((repeats, lambda i: f"duplicate edge ({u[i]},{v[i]})"))
+    if find_repeats:
+        repeats = _repeats(np.minimum(u, v), np.maximum(u, v), _passing(checks))
+        checks.append((repeats, lambda i: f"duplicate edge ({u[i]},{v[i]})"))
     error = _first_error(checks, t.numbers)
     if error is not None:
         raise error

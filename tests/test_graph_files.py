@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import reference_random_regular, reference_read_dimacs, reference_read_edge_list
 from multidom import GraphFormatError, gnp, random_regular, read_graph, write_graph
-from multidom.graph import MAX_VERTICES, _plain_pairs
+from multidom.graph import MAX_VERTICES
 
 BIG = [str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), str(2**64 + 1),
        str(10**30), str(MAX_VERTICES), str(MAX_VERTICES + 1), "9" * 19, "0" * 20 + "5"]
@@ -73,7 +73,7 @@ def outcome(read, text):
 @example(f"{10**30} 1\n1 {10**30}\n")  # duplicate beyond int64
 @example(f"0 {2**63}\n")  # vertex count beyond int64
 @example(f"# n=3\n0 {2**64}\n")  # vertex id beyond int64 and declared n
-@example("1 -1 2\n")  # the fast path's separator inside a line
+@example("1 -1 2\n")  # a "-1" token inside a line
 @example("0 1\r\n\x0c# n=4\u20282 3")
 @example("# n=x\n0 0\n")  # the earlier of two failing lines
 @example("0 0\n# n=x\n")
@@ -116,12 +116,3 @@ def test_bad_token_on_the_last_of_many_lines(fmt):
 def test_random_regular_matches_the_set_loop(n, d, seed):
     assert random_regular(n, d, seed) == reference_random_regular(n, d, seed)
 
-
-def test_written_files_take_the_joined_text_path():
-    """write_graph's lines parse in one numpy call and read back equal."""
-    g = gnp(300, 0.05, 1)
-    for fmt, kind in (("edge_list", ""), ("dimacs", "e")):
-        text = write_graph(g, fmt)
-        pairs = _plain_pairs(text.splitlines()[1:], kind)
-        assert pairs is not None and len(pairs) == g.m
-        assert read_graph(text, fmt) == g and read_graph(text) == g
