@@ -7,8 +7,7 @@ Vertices are 0-based everywhere inside the library; the DIMACS format is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -300,13 +299,13 @@ def generate(spec: GraphFamilySpec) -> Graph:
 #            vertices survive a round trip; the reader honors it.
 # dimacs:    "p edge <n> <m>" header plus "e <u> <v>" lines, 1-based.
 #
-# Both readers split the text into lines once, split the joined data lines
-# into tokens once, and let numpy convert all tokens by int()'s rules in one
-# call. Each check then runs over all lines at once, and a line is looked up
-# only when a check fails: a file reports its earliest bad line, and on that
-# line the first check it fails in the order each reader lists them. Graph()
-# rejects a repeated pair itself, so the line that repeats one is looked for
-# only after some check or Graph() has failed.
+# Each reader takes a valid file in one vectorised pass: it drops comment and
+# blank lines, checks the token count of every data line, splits the joined
+# data lines once and converts all vertex ids in one np.array call, which
+# reads each token as int() does. Graph() is then the only range, self-loop
+# and duplicate check. When any step fails, the file goes to a plain line
+# loop that reads it again from the top; that loop alone decides every error
+# message and line number, so a file reports its earliest bad line.
 
 GRAPH_FORMATS = ("edge_list", "dimacs")
 
@@ -333,193 +332,117 @@ def _check_vertex_count(n: int, lineno: int | None = None) -> None:
         raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
 
 
-def _data_lines(lines: list[str], comment: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The stripped data lines (neither blank nor starting with ``comment``),
-    their 1-based line numbers and the 0-based indices of the other lines."""
-    stripped = list(map(str.strip, lines))
-    keep = [s[:1] not in comment for s in stripped]  # "" is in every string
-    mask = np.array(keep, dtype=bool)
-    return list(compress(stripped, keep)), np.flatnonzero(mask) + 1, np.flatnonzero(~mask)
-
-
-def _integers(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tokens as integers, as int() reads them, and the mask of the first
-    token int() rejects, if any. That token's line fails, so no later token
-    can decide the error: they are not read and stand as 0.
-
-    The values are int64 unless a token lies beyond it; then they are Python
-    ints in an object array, so every check and message sees the file's number.
-    """
-    try:
-        return np.array(tokens, dtype=np.int64), np.zeros(len(tokens), dtype=bool)
-    except (ValueError, OverflowError):
-        pass
-    values = []
-    for token in tokens:
-        try:
-            values.append(int(token))
-        except ValueError:
-            break
-    bad = np.zeros(len(tokens), dtype=bool)
-    bad[len(values):len(values) + 1] = True
-    values += [0] * (len(tokens) - len(values))
-    try:
-        return np.array(values, dtype=np.int64), bad
-    except OverflowError:
-        return np.array(values, dtype=object), bad
-
-
-class _Table(NamedTuple):
-    """Data lines of a graph file as arrays."""
-
-    numbers: np.ndarray  # 1-based line number of each
-    kinds: np.ndarray | None  # first token of each (DIMACS)
-    counts: np.ndarray   # number of tokens on each
-    u: np.ndarray        # the two vertex tokens as integers ...
-    v: np.ndarray
-    bad: np.ndarray      # ... and which of them int() rejects, (lines, 2)
-
-
-def _table(data: list[str], numbers: np.ndarray, kind: str) -> _Table:
-    """The data lines ``data`` with line numbers ``numbers``; each should
-    read ``kind`` (if any) and then two vertex ids."""
-    # each line's token list is dropped as soon as it is counted: a million
-    # live small lists would make the garbage collector walk them over and over
-    counts = np.fromiter(map(len, map(str.split, data)), dtype=np.int64, count=len(data))
-    # the tokens line up, 2 or 3 to a line, up to the first line with another
-    # count; that line fails before its tokens are read, and no later line
-    # can decide the error, so numpy may fill the rows from there on as it likes
-    tokens = np.resize(np.array(" ".join(data).split(), dtype=object), (len(data), 3 if kind else 2))
-    values, bad = _integers(tokens[:, -2:].ravel())
-    # the token texts are not kept: a message reads its token from its line
-    return _Table(numbers, tokens[:, 0].copy() if kind else None, counts, values[0::2], values[1::2],
-                  bad.reshape(-1, 2))
-
-
-def _repeats(lo: np.ndarray, hi: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """True on each line in ``ok`` whose pair (lo, hi), 0 <= lo <= hi, equals
-    that of an earlier line in ``ok``."""
-    rows = np.flatnonzero(ok)
-    lo, hi = lo[rows], hi[rows]
-    if len(rows) and hi.max() >= 2**31:  # lo * 2**31 + hi would overflow
-        ranks = np.unique(np.concatenate((lo, hi)), return_inverse=True)[1]
-        lo, hi = ranks[:len(rows)], ranks[len(rows):]
-    keys = lo * 2**31 + hi
-    order = np.argsort(keys, kind="stable")  # equal keys keep file order
-    ordered = keys[order]
-    repeats = np.zeros(len(ok), dtype=bool)
-    repeats[rows[order[1:]]] = ordered[1:] == ordered[:-1]
-    return repeats
-
-
-def _passing(checks) -> np.ndarray:
-    return ~np.logical_or.reduce([failed for failed, _ in checks])
-
-
-def _first_error(checks, numbers: np.ndarray) -> GraphFormatError | None:
-    """The error of the earliest line that fails one of ``checks``, a list of
-    (mask over the lines, message of line i), for the first check it fails."""
-    failing = ~_passing(checks)
-    if not failing.any():
-        return None
-    i = int(np.argmax(failing))
-    message = next(message for failed, message in checks if failed[i])
-    return GraphFormatError(message(i), int(numbers[i]))
-
-
-def _vertex_checks(lines: list[str], t: _Table, what: str) -> list:
-    """The checks every data line shares, in order: its token count and
-    whether each vertex token is an integer."""
-    width = len(what.split())
-
-    def line(i: int) -> str:
-        return lines[t.numbers[i] - 1]
-
-    return [
-        (t.counts != width, lambda i: f"expected '{what}', got {line(i)!r}"),
-        (t.bad[:, 0], lambda i: f"expected integer vertex id, got {line(i).split()[width - 2]!r}"),
-        (t.bad[:, 1], lambda i: f"expected integer vertex id, got {line(i).split()[width - 1]!r}"),
-    ]
-
-
 def _read_edge_list(lines: list[str]) -> Graph:
-    data, numbers, comments = _data_lines(lines, "#")
-    t = _table(data, numbers, "")
+    stripped = list(map(str.strip, lines))
+    data = [s for s in stripped if s[:1] not in "#"]  # "" is in every string
+    headers = (s[1:].strip() for s in stripped if s[:1] == "#")
+    declared = next((h[2:] for h in headers if h.startswith("n=")), None)
     try:
-        return _edge_list_graph(lines, t, comments, find_repeats=False)
-    except ValueError:  # a repeated pair may come before the reported line
-        return _edge_list_graph(lines, t, comments, find_repeats=True)
+        if set(map(len, map(str.split, data))) <= {2}:
+            e = np.array(" ".join(data).split(), dtype=np.int64).reshape(-1, 2)
+            n = int(declared) if declared is not None else int(e.max(initial=-1)) + 1
+            if 1 <= n <= MAX_VERTICES:
+                return Graph(n, e)
+    except (ValueError, OverflowError):  # the line loop finds and reports the fault
+        pass
+    return _edge_list_loop(lines)
 
 
-def _edge_list_graph(lines: list[str], t: _Table, comments: np.ndarray, find_repeats: bool) -> Graph:
-    u, v = t.u, t.v
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    checks = _vertex_checks(lines, t, "u v") + [
-        ((u < 0) | (v < 0), lambda i: "vertex ids must be nonnegative"),
-        (u == v, lambda i: f"self-loop at vertex {u[i]}"),
-    ]
-    if find_repeats:
-        checks.append((_repeats(lo, hi, _passing(checks)), lambda i: f"duplicate edge ({lo[i]},{hi[i]})"))
-    error = _first_error(checks, t.numbers)
-    declared_n = None
-    for i in comments:  # the first "# n=" comment declares n
-        line = lines[i].strip()
-        body = line[1:].strip()
-        if line.startswith("#") and body.startswith("n="):
-            if error is None or i + 1 < error.line:  # else the data line fails first
-                declared_n = _parse_int(body[2:].strip(), int(i) + 1, "vertex count")
-            break
-    if error is not None:
-        raise error
-    max_seen = int(hi.max()) if len(hi) else -1
+def _edge_list_loop(lines: list[str]) -> Graph:
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    declared_n: int | None = None
+    max_seen = -1
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("n=") and declared_n is None:
+                declared_n = _parse_int(body[2:].strip(), lineno, "vertex count")
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"expected 'u v', got {raw!r}", lineno)
+        u = _parse_int(parts[0], lineno, "vertex id")
+        v = _parse_int(parts[1], lineno, "vertex id")
+        if u < 0 or v < 0:
+            raise GraphFormatError("vertex ids must be nonnegative", lineno)
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge ({key[0]},{key[1]})", lineno)
+        seen.add(key)
+        edges.append(key)
+        max_seen = max(max_seen, u, v)
     n = declared_n if declared_n is not None else max_seen + 1
     if n < 1:
         raise GraphFormatError("empty edge list and no '# n=' header")
     _check_vertex_count(n)
     if max_seen >= n:
         raise GraphFormatError(f"vertex id {max_seen} exceeds declared n={n}")
-    return Graph(n, np.column_stack((u, v)))
+    return Graph(n, edges)
 
 
 def _read_dimacs(lines: list[str]) -> Graph:
-    data, numbers, _ = _data_lines(lines, "c")
-    # every line before the first problem line fails, so it must come first
-    if not data:
-        raise GraphFormatError("missing problem line")
-    head, line = data[0].split(), int(numbers[0])
-    if head[0] != "p":
-        message = "edge before problem line" if head[0] == "e" else f"unknown line type {head[0]!r}"
-        raise GraphFormatError(message, line)
-    if len(head) != 4 or head[1] != "edge":
-        raise GraphFormatError(f"expected 'p edge n m', got {lines[line - 1]!r}", line)
-    n = _parse_int(head[2], line, "vertex count")
-    _check_vertex_count(n, line)
-    m = _parse_int(head[3], line, "edge count")
-    t = _table(data[1:], numbers[1:], "e")
+    data = [s for s in map(str.strip, lines) if s[:1] not in "c"]
     try:
-        return _dimacs_graph(lines, t, n, m, find_repeats=False)
-    except ValueError:  # a repeated pair may come before the reported line
-        return _dimacs_graph(lines, t, n, m, find_repeats=True)
+        p, edge, n, m = data[0].split() if data else ()
+        n, m, body = int(n), int(m), data[1:]
+        header_ok = (p, edge) == ("p", "edge") and 1 <= n <= MAX_VERTICES
+        if header_ok and set(map(len, map(str.split, body))) <= {3}:
+            tokens = " ".join(body).split()
+            if tokens[0::3].count("e") == len(body) == m:
+                del tokens[0::3]
+                return Graph(n, np.array(tokens, dtype=np.int64).reshape(-1, 2) - 1)
+    except (ValueError, OverflowError):  # the line loop finds and reports the fault
+        pass
+    return _dimacs_loop(lines)
 
 
-def _dimacs_graph(lines: list[str], t: _Table, n: int, m: int, find_repeats: bool) -> Graph:
-    u, v, top = t.u, t.v, max(n, 0)
-    checks = [
-        (t.kinds == "p", lambda i: "duplicate problem line"),
-        (t.kinds != "e", lambda i: f"unknown line type {t.kinds[i]!r}"),
-    ] + _vertex_checks(lines, t, "e u v") + [
-        ((u < 1) | (u > top) | (v < 1) | (v > top), lambda i: f"vertex id out of range 1..{n}"),
-        (u == v, lambda i: f"self-loop at vertex {u[i]}"),
-    ]
-    if find_repeats:
-        repeats = _repeats(np.minimum(u, v), np.maximum(u, v), _passing(checks))
-        checks.append((repeats, lambda i: f"duplicate edge ({u[i]},{v[i]})"))
-    error = _first_error(checks, t.numbers)
-    if error is not None:
-        raise error
-    if m != len(u):
-        raise GraphFormatError(f"header declares {m} edges, found {len(u)}")
-    return Graph(n, np.column_stack((u, v)) - 1)
+def _dimacs_loop(lines: list[str]) -> Graph:
+    n = None
+    m = None
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise GraphFormatError("duplicate problem line", lineno)
+            if len(parts) != 4 or parts[1] != "edge":
+                raise GraphFormatError(f"expected 'p edge n m', got {raw!r}", lineno)
+            n = _parse_int(parts[2], lineno, "vertex count")
+            _check_vertex_count(n, lineno)
+            m = _parse_int(parts[3], lineno, "edge count")
+        elif parts[0] == "e":
+            if n is None:
+                raise GraphFormatError("edge before problem line", lineno)
+            if len(parts) != 3:
+                raise GraphFormatError(f"expected 'e u v', got {raw!r}", lineno)
+            u = _parse_int(parts[1], lineno, "vertex id")
+            v = _parse_int(parts[2], lineno, "vertex id")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphFormatError(f"vertex id out of range 1..{n}", lineno)
+            if u == v:
+                raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+            key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+            if key in seen:
+                raise GraphFormatError(f"duplicate edge ({u},{v})", lineno)
+            seen.add(key)
+            edges.append(key)
+        else:
+            raise GraphFormatError(f"unknown line type {parts[0]!r}", lineno)
+    if n is None:
+        raise GraphFormatError("missing problem line")
+    if m != len(edges):
+        raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
+    return Graph(n, edges)
 
 
 def read_graph(text: str, fmt: str | None = None) -> Graph:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multidom.graph
-from helpers import brute_function_number, dense_gnp
+from helpers import acceptance_graphs, brute_function_number, dense_gnp
 from helpers import coverage as brute_coverage
 from multidom import (
     Graph,
@@ -264,6 +264,19 @@ def test_coverage_minimum_weight_matches_brute_force(g, data):
         ]
         expected = brute_function_number(g, caps, demands.tolist(), open_nbhd=not closed)
         assert (min(weights) if weights else None) == expected
+
+
+def test_has_edge_agrees_with_neighbors():
+    for name, g in acceptance_graphs():
+        for u in range(g.n):
+            row = set(g.neighbors(u))
+            assert [g.has_edge(u, v) for v in range(g.n)] == [v in row for v in range(g.n)], name
+
+
+@pytest.mark.parametrize("u,v", [(-1, 0), (0, -1), (5, 0), (0, 5)])
+def test_has_edge_rejects_an_out_of_range_vertex(u, v):
+    with pytest.raises(ValueError, match="out of range for n=5"):
+        cycle(5).has_edge(u, v)
 
 
 @pytest.mark.parametrize("text", ["# n=1000000000\n", "0 1000000000\n",

@@ -1,16 +1,19 @@
-"""The vectorised graph readers against the line-by-line reference readers.
+"""The graph readers against the line-by-line reference readers.
 
 On every file both must return an equal Graph, or raise the same exception
-type with the same message and line number.
+type with the same message and line number. A valid file must be read by
+the vectorised pass alone, without the line loop.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import multidom.graph
 from helpers import reference_random_regular, reference_read_dimacs, reference_read_edge_list
-from multidom import GraphFormatError, gnp, random_regular, read_graph, write_graph
+from multidom import Graph, GraphFormatError, gnp, path, random_regular, read_graph, write_graph
 from multidom.graph import MAX_VERTICES
+from test_golden import DIMACS_FILE, EDGE_LIST_FILE
 
 BIG = [str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), str(2**64 + 1),
        str(10**30), str(MAX_VERTICES), str(MAX_VERTICES + 1), "9" * 19, "0" * 20 + "5"]
@@ -97,19 +100,77 @@ def test_dimacs_reader_matches_reference(text):
     assert outcome(lambda t: read_graph(t, "dimacs"), text) == outcome(reference_read_dimacs, text)
 
 
-@pytest.mark.parametrize("fmt", ["edge_list", "dimacs"])
-def test_bad_token_on_the_last_of_many_lines(fmt):
+# Each fault one step of the vectorised pass must catch: tokens that still
+# pair up in the joined token list, a wrong kind token or problem line, a
+# wrong edge count, and ids that only Graph() rejects.
+@pytest.mark.parametrize("fmt,text", [
+    ("edge_list", "0 1 2\n3\n"),
+    ("edge_list", "# n=4\n0\n1 2 3\n"),
+    ("edge_list", "0 1\n2\n3 1 2\n3\n"),
+    ("dimacs", "p edge 4 2\ne 1\n2 e 3 4\n"),
+    ("dimacs", "p edge 4 2\ne 1 2 e\n3 4\n"),
+    ("dimacs", "p edge 3 2\ne 1 2\nx 2 3\n"),
+    ("dimacs", "p edge 3 2\ne 1 2\np 2 3\n"),
+    ("dimacs", "p edge 3 2\ne 1 2\n"),
+    ("dimacs", "p edge 3 1\ne 1 2\ne 2 3\n"),
+    ("dimacs", "x edge 3 1\ne 1 2\n"),
+    ("dimacs", "e edge 3 1\ne 1 2\n"),
+    ("dimacs", "p edges 3 1\ne 1 2\n"),
+    ("dimacs", "p edge 3 1\ne 1 4\n"),
+    ("dimacs", "p edge 3 1\ne 0 1\n"),
+    ("edge_list", "0 1\n-1 2\n"),
+    ("edge_list", "# n=3\n0 5\n"),
+])
+def test_faults_the_vectorised_pass_hands_to_the_loop(fmt, text):
+    reference = {"edge_list": reference_read_edge_list, "dimacs": reference_read_dimacs}[fmt]
+    expected = outcome(reference, text)
+    assert expected[0] is GraphFormatError
+    assert outcome(lambda t: read_graph(t, fmt), text) == expected
+
+
+# a repeated pair and a self-loop pass every check before Graph()
+FAULTS = [pytest.param(fmt, fault, id=fmt if fault == "bad token" else f"{fmt}-{fault}")
+          for fault in ("bad token", "repeat", "self-loop") for fmt in ("edge_list", "dimacs")]
+
+
+@pytest.mark.parametrize("fmt,fault", FAULTS)
+def test_bad_token_on_the_last_of_many_lines(fmt, fault):
     g = gnp(2000, 0.06, 3)
     assert g.m >= 100_000
-    text = write_graph(g, fmt)
-    lines = text.splitlines()[:100_000]
-    lines[-1] = lines[-1][:-1] + "x"
+    lines = write_graph(g, fmt).splitlines()[:100_000]
+    kind = "e " if fmt == "dimacs" else ""
+    *_, u, v = lines[1].split()
+    if fault == "bad token":
+        lines[-1] = lines[-1][:-1] + "x"
+        message = f"expected integer vertex id, got {lines[-1].split()[-1]!r}"
+    elif fault == "repeat":
+        lines[-1] = f"{kind}{v} {u}"
+        message = f"duplicate edge ({v},{u})" if fmt == "dimacs" else f"duplicate edge ({u},{v})"
+    else:
+        lines[-1] = f"{kind}{u} {u}"
+        message = f"self-loop at vertex {u}"
     if fmt == "dimacs":
         lines[0] = f"p edge {g.n} {len(lines) - 1}"
     with pytest.raises(GraphFormatError) as exc:
         read_graph("\n".join(lines) + "\n", fmt)
     assert exc.value.line == 100_000
-    assert str(exc.value).startswith("line 100000: expected integer vertex id, got ")
+    assert str(exc.value) == f"line 100000: {message}"
+
+
+@pytest.mark.parametrize("fmt", ["edge_list", "dimacs"])
+def test_valid_files_never_reach_the_line_loop(fmt, monkeypatch):
+    def loop(lines):
+        raise AssertionError("a valid file went to the line loop")
+
+    monkeypatch.setattr(multidom.graph, "_edge_list_loop", loop)
+    monkeypatch.setattr(multidom.graph, "_dimacs_loop", loop)
+    # isolated trailing vertices (kept by "# n=") and a graph without edges
+    for g in (gnp(3000, 20 / 2999, 1), Graph(5, [(0, 1)]), path(1)):
+        assert read_graph(write_graph(g, fmt), fmt) == g
+    # comments, blank lines, a tab and CRLF
+    text, reference = {"edge_list": (EDGE_LIST_FILE, reference_read_edge_list),
+                       "dimacs": (DIMACS_FILE, reference_read_dimacs)}[fmt]
+    assert read_graph(text, fmt) == reference(text)
 
 
 @pytest.mark.parametrize("n,d,seed", [(10, 3, 1), (200, 4, 2), (2000, 4, 7), (50, 5, 3), (12, 0, 1)])
