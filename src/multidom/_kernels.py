@@ -3,8 +3,9 @@
 Both searches run over plain Python lists: element access on a list costs a
 fraction of reading a numpy scalar from the interpreter, and the graphs the
 exact oracle accepts (n <= 20 by default) are far too small for array
-operations to pay back their call overhead. ``oracle.py`` converts the CSR
-and the suffix table to lists once per exact call and passes them in.
+operations to pay back their call overhead. ``oracle.py`` cuts the rows
+from the graph's open CSR and converts the suffix table to lists once per
+exact call and passes them in.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ def set_search_fixed_size(nbrs, suf, t, k_req, l_req, budget):
     """Search for a set D of size exactly t meeting per-vertex coverage demands.
 
     Coverage of v is |N[v] ∩ D|: ``nbrs[u]`` lists the closed neighbourhood
-    N[u], u itself included. Vertices in D need l_req, vertices outside
-    need k_req. ``suf[x][v]`` counts members of N[v] with id >= x, the
-    transpose of ``suffix_counts``.
+    N[u] in any order (the open CSR row of u with u appended). Vertices in
+    D need l_req, vertices outside need k_req. ``suf[x][v]`` counts members
+    of N[v] with id >= x: the transpose of ``suffix_counts(g)``.
 
     Returns (status, membership, nodes): status 1 found / 0 exhausted /
     -1 node budget exceeded; membership is a list of n bools. Lexicographic
@@ -31,74 +32,61 @@ def set_search_fixed_size(nbrs, suf, t, k_req, l_req, budget):
     min_req = k_req if k_req < l_req else l_req
     nodes = 0
     if t == 0:
-        status = 1 if k_req <= 0 else 0
-        return status, in_d, nodes
+        return (1 if k_req <= 0 else 0), in_d, nodes
     depth = 0
     cand = 0
     while True:
-        if depth == t:
-            valid = True
-            for v in range(n):
-                if cov[v] < (l_req if in_d[v] else k_req):
-                    valid = False
-                    break
-            if valid:
-                return 1, in_d, nodes
-            depth -= 1
-            u = chosen[depth]
-            in_d[u] = False
+        if depth < t and cand <= n - (t - depth):
+            u = cand
+            nodes += 1
+            if nodes > budget:
+                return -1, in_d, nodes
+            chosen[depth] = u
+            depth += 1
+            in_d[u] = True
             for w in nbrs[u]:
-                cov[w] -= 1
+                cov[w] += 1
             cand = u + 1
-            continue
-        if cand > n - (t - depth):
-            if depth == 0:
-                return 0, in_d, nodes
-            depth -= 1
-            u = chosen[depth]
-            in_d[u] = False
-            for w in nbrs[u]:
-                cov[w] -= 1
-            cand = u + 1
-            continue
-        u = cand
-        nodes += 1
-        if nodes > budget:
-            return -1, in_d, nodes
-        chosen[depth] = u
-        depth += 1
-        in_d[u] = True
-        for w in nbrs[u]:
-            cov[w] += 1
-        nxt = u + 1
-        rem = t - depth
-        # Admissible prune: even if all remaining picks landed inside N[v],
-        # v could not reach its (best-case) demand. Picks ascend, so every
-        # member is <= u and a vertex above u may still join D: it needs
-        # only min(k_req, l_req).
-        row = suf[nxt]
-        prune = False
-        for v in range(nxt):
-            avail = row[v]
-            if avail > rem:
-                avail = rem
-            if cov[v] + avail < (l_req if in_d[v] else k_req):
-                prune = True
-                break
-        if not prune:
-            for v in range(nxt, n):
+            rem = t - depth
+            # Admissible prune: even if all remaining picks landed inside
+            # N[v], v could not reach its (best-case) demand. Picks ascend,
+            # so every member is <= u and a vertex above u may still join
+            # D: it needs only min(k_req, l_req).
+            row = suf[cand]
+            prune = False
+            for v in range(cand):
                 avail = row[v]
                 if avail > rem:
                     avail = rem
-                if cov[v] + avail < min_req:
+                if cov[v] + avail < (l_req if in_d[v] else k_req):
                     prune = True
                     break
-        if prune:
-            depth -= 1
-            in_d[u] = False
-            for w in nbrs[u]:
-                cov[w] -= 1
-        cand = nxt
+            if not prune:
+                for v in range(cand, n):
+                    avail = row[v]
+                    if avail > rem:
+                        avail = rem
+                    if cov[v] + avail < min_req:
+                        prune = True
+                        break
+            if not prune:
+                continue
+        elif depth == t:
+            for v in range(n):
+                if cov[v] < (l_req if in_d[v] else k_req):
+                    break
+            else:
+                return 1, in_d, nodes
+        elif depth == 0:
+            return 0, in_d, nodes
+        # a full set that fails, no candidate left, or a pruned pick: drop
+        # the last pick u and go on from u + 1
+        depth -= 1
+        u = chosen[depth]
+        in_d[u] = False
+        for w in nbrs[u]:
+            cov[w] -= 1
+        cand = u + 1
 
 
 def function_search_min_weight(nbrs, caps, demands, budget, best_init):
@@ -127,7 +115,6 @@ def function_search_min_weight(nbrs, caps, demands, budget, best_init):
     weight = 0
     nodes = 0
     pos = 0
-    status = 0
     while pos >= 0:
         x = val[pos]
         nb = nbrs[pos]
@@ -153,8 +140,7 @@ def function_search_min_weight(nbrs, caps, demands, budget, best_init):
             sum_asg[w] += x
         nodes += 1
         if nodes > budget:
-            status = -1
-            break
+            return -1, best_w, best_vals, nodes
         lb = 0
         infeasible = False
         for w in range(n):
@@ -176,13 +162,13 @@ def function_search_min_weight(nbrs, caps, demands, budget, best_init):
             improved = True
             continue
         pos += 1
-    if status == 0:
-        status = 1 if improved else 0
-    return status, best_w, best_vals, nodes
+    return (1 if improved else 0), best_w, best_vals, nodes
 
 
-def suffix_counts(cindptr: np.ndarray, cindices: np.ndarray, n: int) -> np.ndarray:
-    """suffix[v, x] = |{u in N[v] : u >= x}| for the set-search prune."""
-    dense = np.zeros((n, n + 1), dtype=np.int64)
-    dense[np.repeat(np.arange(n), np.diff(cindptr)), cindices] = 1
+def suffix_counts(g) -> np.ndarray:
+    """suffix[v, x] = |{u in N[v] : u >= x}| for the set-search prune,
+    from the open CSR of g plus the diagonal."""
+    indptr, indices = g.csr()
+    dense = np.eye(g.n, g.n + 1, dtype=np.int64)
+    dense[np.repeat(np.arange(g.n), g.degrees), indices] = 1
     return np.ascontiguousarray(np.cumsum(dense[:, ::-1], axis=1)[:, ::-1])

@@ -191,19 +191,23 @@ def _cmd_exact(args) -> int:
     return 0
 
 
+def _witness_list(witness, key: str) -> list[int]:
+    """witness[key], which must be a list of JSON integers (no floats, no booleans)."""
+    items = witness.get(key) if isinstance(witness, dict) else None
+    if not isinstance(items, list) or any(type(x) is not int for x in items):
+        raise ValueError(f'the witness must be a JSON object {{"{key}": [integers]}}')
+    return items
+
+
 def _cmd_verify(args) -> int:
     g = _resolve_graph(args)
     spec = parse_spec(args.spec)
     with open(args.witness, "r", encoding="utf-8") as fh:
         witness = json.load(fh)
     if spec.is_set_variant:
-        if "set" not in witness:
-            raise ValueError('set-type spec needs a witness of the form {"set": [ids]}')
-        verify, w = verify_set, witness["set"]
+        verify, w = verify_set, _witness_list(witness, "set")
     else:
-        if "values" not in witness:
-            raise ValueError('function-type spec needs a witness {"values": [ints]}')
-        verify, w = verify_function, VertexFunction(witness["values"])
+        verify, w = verify_function, VertexFunction(_witness_list(witness, "values"))
     # verify_* report an infeasible spec as deficiencies; the CLI exits 2
     spec.check_feasible(g)
     report = verify(g, spec, w)

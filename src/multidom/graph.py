@@ -120,16 +120,9 @@ class Graph:
 
     # -- array views for kernels -------------------------------------------
 
-    def csr(self, closed: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) arrays; ``closed`` includes each vertex itself."""
-        if not closed:
-            return self.indptr, self.indices
-        vertices = np.arange(self.n)
-        rows = np.repeat(vertices, self.degrees)
-        # v goes after its neighbours below v, in sorted position
-        below = np.bincount(rows[self.indices < rows], minlength=self.n)
-        indices = np.insert(self.indices, self.indptr[:-1] + below, vertices)
-        return self.indptr + np.arange(self.n + 1), indices
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (indptr, indices) arrays of the open neighbourhoods N(v)."""
+        return self.indptr, self.indices
 
     def __eq__(self, other) -> bool:
         return (

@@ -37,18 +37,27 @@ class ExactResult:
         }
 
 
-def _check_limits(limit_n: int, node_budget: int) -> None:
+def _admit(g: Graph, spec: DominationSpec, limit_n: int, node_budget: int) -> None:
+    """Refuse a search the limits forbid or the spec makes infeasible."""
     if limit_n < 1:
         raise ValueError(f"limit_n must be >= 1, got {limit_n}")
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
+    if g.n > limit_n:
+        raise ResourceLimitError(f"n={g.n} exceeds limit_n={limit_n}; raise the limit explicitly")
+    spec.check_feasible(g)
 
 
-def _rows(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
-    """The rows of a CSR as Python lists, for the interpreter kernels."""
+def _rows(g: Graph, closed: bool) -> list[list[int]]:
+    """Each N(v) from the open CSR as a Python list, v appended when ``closed``."""
+    indptr, indices = g.csr()
     ptr = indptr.tolist()
     idx = indices.tolist()
-    return [idx[ptr[v] : ptr[v + 1]] for v in range(len(ptr) - 1)]
+    rows = [idx[ptr[v] : ptr[v + 1]] for v in range(g.n)]
+    if closed:
+        for v, row in enumerate(rows):
+            row.append(v)
+    return rows
 
 
 def exact_set_number(
@@ -60,14 +69,10 @@ def exact_set_number(
     """Minimum cardinality of a witness set for a set-type spec."""
     if not spec.is_set_variant:
         raise ValueError(f"exact_set_number needs a set variant, got {spec.variant}")
-    _check_limits(limit_n, node_budget)
-    if g.n > limit_n:
-        raise ResourceLimitError(f"n={g.n} exceeds limit_n={limit_n}; raise the limit explicitly")
-    spec.check_feasible(g)
+    _admit(g, spec, limit_n, node_budget)
     k_req, l_req = spec.requirements()
-    cindptr, cindices = g.csr(closed=True)
-    nbrs = _rows(cindptr, cindices)
-    suf = _kernels.suffix_counts(cindptr, cindices, g.n).T.tolist()
+    nbrs = _rows(g, closed=True)
+    suf = _kernels.suffix_counts(g).T.tolist()
     # every vertex needs min(k_req, l_req) coverage and one pick covers at
     # most max_degree+1 vertices
     t_start = max(0, math.ceil(g.n * min(k_req, l_req) / (g.max_degree + 1)))
@@ -99,33 +104,25 @@ def exact_function_number(
     """Minimum weight of a witness function for brace_k / rs / total_rs."""
     if not spec.is_function_variant:
         raise ValueError(f"exact_function_number needs a function variant, got {spec.variant}")
-    _check_limits(limit_n, node_budget)
-    if g.n > limit_n:
-        raise ResourceLimitError(f"n={g.n} exceeds limit_n={limit_n}; raise the limit explicitly")
-    spec.check_feasible(g)
+    _admit(g, spec, limit_n, node_budget)
     caps, demands = spec.vectors(g.n)
+    # search position i holds vertex perm[i]; vertex v sits at position inv[v]
     order = np.argsort(g.degrees, kind="stable")
-    inv = np.empty(g.n, dtype=np.int64)
-    inv[order] = np.arange(g.n)
-    # the constraint CSR of the graph relabelled into search order
-    edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
-    nindptr, nindices = Graph(g.n, inv[edges]).csr(closed=not spec.uses_open_neighborhoods)
-    perm = order.tolist()
+    perm, inv = order.tolist(), np.argsort(order).tolist()
+    rows = _rows(g, closed=not spec.uses_open_neighborhoods)
+    nbrs = [[inv[w] for w in rows[v]] for v in perm]
     caps_perm = [caps[v] for v in perm]
     demands_perm = [demands[v] for v in perm]
     best_init = sum(caps_perm)  # the all-caps function; valid by feasibility
     status, best_w, best_vals, nodes = _kernels.function_search_min_weight(
-        _rows(nindptr, nindices), caps_perm, demands_perm, node_budget, best_init
+        nbrs, caps_perm, demands_perm, node_budget, best_init
     )
     if status == -1:
         raise ResourceLimitError(
             f"node budget {node_budget} exhausted",
             partial={"best_weight_so_far": best_w, "nodes": nodes},
         )
-    values = [0] * g.n
-    for i, v in enumerate(perm):
-        values[v] = best_vals[i]
-    witness = VertexFunction(values)
+    witness = VertexFunction([best_vals[i] for i in inv])
     report = verify_function(g, spec, witness)
     if not report.valid or report.weight != best_w:
         raise MultidomError("internal: search returned an invalid witness")

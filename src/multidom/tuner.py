@@ -104,8 +104,9 @@ def solve_cubic(k: int, delta: int) -> CubicSpec:
     return CubicSpec(k, delta, (a, b, c, d), (mb, mc, md), roots, residuals)
 
 
-def _grid_minimum(k: int, delta: int, step: float = 1e-3) -> tuple[float, float]:
+def _grid_minimum(k: int, delta: int) -> tuple[float, float]:
     """(c, value) minimizing the threshold coefficient over feasible c."""
+    step = 1e-3
     hi = (delta + 1) / k
     cs = np.arange(1.0 + step, hi + step / 2, step)
     cs = cs[cs <= hi]
@@ -116,25 +117,27 @@ def _grid_minimum(k: int, delta: int, step: float = 1e-3) -> tuple[float, float]
     return float(cs[i]), float(vals[i])
 
 
-def tune_c(k: int, delta: int) -> float:
-    """Threshold constant for (k, delta): the largest real cubic root c > 1
-    with delta >= ck - 1, falling back to a grid search when none qualifies."""
+def _select_root(k: int, delta: int) -> tuple[CubicSpec, list[float], float]:
+    """The cubic, its feasible roots (c > 1 with delta >= ck - 1) and the
+    chosen c: the largest feasible root, else the grid minimum."""
     if k < 1 or delta < 1:
         raise ValueError("tune_c needs k >= 1 and delta >= 1")
     if (delta + 1) / k <= 1.0:
         raise NotApplicableError(f"no feasible c > 1: (delta+1)/k = {(delta + 1) / k:.3f}")
     cub = solve_cubic(k, delta)
     feasible = [r for r in cub.roots if r > 1.0 and delta >= r * k - 1.0]
-    if feasible:
-        return max(feasible)
-    return _grid_minimum(k, delta)[0]
+    return cub, feasible, max(feasible) if feasible else _grid_minimum(k, delta)[0]
+
+
+def tune_c(k: int, delta: int) -> float:
+    """Threshold constant for (k, delta): the largest real cubic root c > 1
+    with delta >= ck - 1, falling back to a grid search when none qualifies."""
+    return _select_root(k, delta)[2]
 
 
 def tune_details(k: int, delta: int) -> dict:
     """tune_c plus the grid ground truth and any root-selection discrepancy."""
-    cub = solve_cubic(k, delta)
-    feasible = [r for r in cub.roots if r > 1.0 and delta >= r * k - 1.0]
-    chosen = tune_c(k, delta)
+    cub, feasible, chosen = _select_root(k, delta)
     source = "cubic" if feasible else "grid"
     grid_c, grid_value = _grid_minimum(k, delta)
     value = _threshold_coeff(k, delta, chosen)

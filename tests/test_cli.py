@@ -164,6 +164,25 @@ def test_verify_witness_shape_mismatch(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("spec,text", [
+    ("kdom:1", '{"set": [0, 1.9, 3, 4.2]}'),  # was read as {0, 1, 3, 4}: valid, weight 4
+    ("bracek:1", '{"values": [1.5, 1, 1, 1, 1, 1]}'),  # was read as weight 6
+    ("kdom:1", '{"set": [true, 3]}'),  # was read as vertex 1
+    ("kdom:1", '5'),
+    ("kdom:1", '{"set": null}'),
+    ("bracek:1", '{"values": 5}'),
+    ("bracek:1", '[1, 1, 1, 1, 1, 1]'),
+    ("kdom:1", '{"values": [0, 3]}'),  # the key of the other kind of spec
+])
+def test_verify_rejects_a_witness_that_is_not_a_list_of_integers(capsys, tmp_path, spec, text):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--family", "cycle", "--n", "6",
+                             "--spec", spec, "--witness", str(wfile))
+    assert code == 1 and out == ""
+    assert err.startswith("multidom: error: the witness must be a JSON object")
+
+
 def test_construct_deterministic_output(capsys):
     args = ("construct", "--family", "gnp", "--n", "22", "--p", "0.4",
             "--seed", "7", "--spec", "param:2,2", "--trials", "15",

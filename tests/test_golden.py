@@ -98,6 +98,17 @@ def _commands(tmp_path) -> dict[str, list[str]]:
         commands[f"construct regular {label}"] = [
             "construct", *REGULAR, "--spec", label, "--trials", "20", "--trace", "--no-timestamp",
         ]
+    # the threshold constant and forced, not-applicable bounds
+    for label in ("ktuple:2", "param:1,3", "bracek:2"):
+        commands[f"bounds c3 {label}"] = [
+            "bounds", *GNP, "--spec", label, "--c", "3.0", "--no-timestamp",
+        ]
+    commands["bounds regular force totalk:2"] = [
+        "bounds", *REGULAR, "--spec", "totalk:2", "--force", "--no-timestamp",
+    ]
+    for fmt in ("csv", "json"):
+        commands[f"compare {fmt}"] = ["compare", "5", "1000", "1", "--format", fmt,
+                                      "--no-timestamp"]
     return commands
 
 
@@ -149,6 +160,12 @@ GOLDEN = {
     "construct dimacs file ktuple:2": "b71939c3d5d737141a4511bd1d9122d4831e752bb3c73c77993a9c7f4fe11184",
     "bounds dimacs file bracek:2": "d33b9e0dae9ba27f3aa9f4d1a8b2e24256212c2d13a701cca222ff416de3dbaf",
     "construct dimacs file bracek:2": "7e997e9bb6aa261198cc5f96800ab957d34ef5dbf71297822996b0203dc257c2",
+    "bounds c3 ktuple:2": "bcaf467d3e3228e8b1a440c4bf352f027c7c80d40baa41f51ab89c71059a4bd2",
+    "bounds c3 param:1,3": "29bd6ec3fa2288df3860713067fde69ebe8652736451eef07e7880f0dbf5e36f",
+    "bounds c3 bracek:2": "1b3618c7324f62d08cebf6ced1a6a097105e3edb0f6b34fbdb2903000e47afff",
+    "bounds regular force totalk:2": "036c308befb456493e36dca1c053f20c0d6367a91580a2969bf3ca4b704680dc",
+    "compare csv": "918145f3d17285233116218e15e84ae0af3ec752390d175d5efa717032cc3f7e",
+    "compare json": "805d5449ab0717b2a69ea4af6b89d02d6b71dc3e8c4be555bfe59f6d2884d8c2",
 }
 
 

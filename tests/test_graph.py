@@ -207,11 +207,9 @@ def test_parse_errors_carry_line_numbers():
 
 def test_csr_views():
     g = cycle(4)
-    indptr, indices = g.csr(closed=False)
+    indptr, indices = g.csr()
     assert indptr.tolist() == [0, 2, 4, 6, 8]
     assert indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2]
-    cindptr, cindices = g.csr(closed=True)
-    assert (np.diff(cindptr) == 3).all()
 
 
 @st.composite

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import multidom.oracle
 from helpers import brute_function_number, brute_set_number, small_graphs
 from multidom import (
     DominationSpec,
+    Graph,
     InfeasibleSpecError,
     MultidomError,
     ResourceLimitError,
@@ -17,6 +20,7 @@ from multidom import (
     verify_function,
     verify_set,
 )
+from test_graph import small_graphs as uneven_graphs
 
 
 def test_known_set_numbers():
@@ -91,6 +95,37 @@ def test_function_oracle_matches_brute_force(seed):
         want = brute_function_number(g, caps, demands, open_nb)
         got = exact_function_number(g, spec).value
         assert got == want
+
+
+LABELS = st.lists(st.integers(0, 2), min_size=8, max_size=8)
+
+
+@given(uneven_graphs(max_n=8), st.integers(1, 2), st.integers(1, 2), LABELS, LABELS)
+@example(Graph(6, [(0, 1), (1, 2), (2, 3), (1, 4)]), 1, 2, [2] * 8, [1] * 8)  # pendants, isolated 5
+@example(Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]), 2, 1, [1, 2] * 4, [2, 1] * 4)
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_brute_force_on_uneven_graphs(g, k, l, caps, demands):
+    """Every variant, on graphs whose empty and short rows the seeded ones lack."""
+    caps, demands = caps[: g.n], demands[: g.n]
+    specs = [
+        DominationSpec.classical(),
+        DominationSpec.k_dominating(k),
+        DominationSpec.k_tuple(k),
+        DominationSpec.total_k(k),
+        DominationSpec.parametric(k, l),
+        DominationSpec.brace_k(k),
+        DominationSpec.rs(caps, demands),
+        DominationSpec.total_rs(caps, demands),
+    ]
+    for spec in specs:
+        if not spec.feasibility(g)[0]:
+            continue
+        if spec.is_set_variant:
+            want = brute_set_number(g, *spec.requirements())
+            assert exact_set_number(g, spec).value == want, spec.label()
+        else:
+            want = brute_function_number(g, *spec.vectors(g.n), spec.uses_open_neighborhoods)
+            assert exact_function_number(g, spec, limit_n=8).value == want, spec.label()
 
 
 def test_brace_one_equals_classical_domination():

@@ -1,15 +1,20 @@
-"""Every python block of README.md runs as written."""
+"""Every python block of README.md runs as written, and so does its CLI walk-through."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import multidom as md
+from multidom.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
-                    re.MULTILINE | re.DOTALL)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+CLI_BLOCK = next(b for b in re.findall(r"^```bash\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+                 if "multidom gen" in b)
 
 
 def test_readme_has_python_blocks():
@@ -24,3 +29,22 @@ def test_python_block_runs(block, monkeypatch):
 
 def test_tune_c_is_the_readme_value():
     assert round(md.tune_c(5, 1000), 3) == 4.91  # "# threshold constant, 4.910"
+
+
+def test_cli_block_runs(capsys, monkeypatch, tmp_path):
+    """Each `multidom ...` line through cli.main and the `python -c` witness
+    step, in order, in one directory; the verify report must be valid."""
+    monkeypatch.chdir(tmp_path)
+    commands = [line for line in CLI_BLOCK.splitlines() if line and not line.startswith("#")]
+    assert any(line.startswith("multidom verify") for line in commands)
+    for line in commands:
+        argv = shlex.split(line)
+        if argv[:2] == ["python", "-c"]:
+            exec(compile(argv[2], "README.md", "exec"), {})
+            continue
+        assert argv[0] == "multidom", line
+        capsys.readouterr()
+        assert main(argv[1:]) == 0, line
+        if argv[1] == "verify":
+            report = json.loads(capsys.readouterr().out)
+            assert report["valid"] is True and not report["deficiencies"]
