@@ -8,6 +8,7 @@ for reports) outputs are byte-identical across runs. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -227,7 +228,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parse_args leaves it unchanged."""
     parser = _Parser(prog="multidom",
                      description="Multiple-domination bounds, constructions and exact solvers.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -72,20 +72,23 @@ def exact_set_number(
     _admit(g, spec, limit_n, node_budget)
     k_req, l_req = spec.requirements()
     nbrs = _rows(g, closed=True)
-    suf = _kernels.suffix_counts(g).T.tolist()
+    gain, after = _kernels.prune_tables(g, k_req, l_req)
     # every vertex needs min(k_req, l_req) coverage and one pick covers at
     # most max_degree+1 vertices
     t_start = max(0, math.ceil(g.n * min(k_req, l_req) / (g.max_degree + 1)))
     nodes_total = 0
     for t in range(t_start, g.n + 1):
         status, membership, nodes = _kernels.set_search_fixed_size(
-            nbrs, suf, t, k_req, l_req, node_budget - nodes_total
+            nbrs, gain, after, t, k_req, l_req, node_budget - nodes_total
         )
         nodes_total += nodes
         if status == -1:
+            # every size below t is ruled out: from t_start up by exhausted
+            # searches, below t_start by the counting bound
             raise ResourceLimitError(
-                f"node budget {node_budget} exhausted at size {t}",
-                partial={"size_reached": t, "nodes": nodes_total},
+                f"node budget {node_budget} exhausted at size {t}; "
+                f"the domination number is at least {t}",
+                partial={"size_reached": t, "nodes": nodes_total, "lower_bound": t},
             )
         if status == 1:
             witness = tuple(v for v in range(g.n) if membership[v])

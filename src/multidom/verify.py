@@ -299,7 +299,7 @@ def _deficiencies(achieved: np.ndarray, required: np.ndarray) -> tuple[tuple[int
 
 def _indicator(g: Graph, members: Iterable[int]) -> np.ndarray:
     """0/1 membership vector of a witness set; repeated ids count once."""
-    ids = np.fromiter((int(v) for v in members), dtype=np.int64)
+    ids = np.array(list(members), dtype=np.int64)
     bad = ids[(ids < 0) | (ids >= g.n)]
     if bad.size:
         raise ValueError(f"witness vertex {bad[0]} out of range for n={g.n}")

@@ -214,3 +214,86 @@ def reference_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_
         f"pairing model failed to produce a simple {d}-regular graph "
         f"on {n} vertices in {max_attempts} attempts"
     )
+
+
+# -- the set-search kernel before its prune tables --------------------------
+#
+# _kernels.set_search_fixed_size must return the same (status, membership,
+# nodes) as this loop on every input, budget stops included.
+
+
+def reference_set_search(nbrs, suf, t, k_req, l_req, budget):
+    """The set search as it was before its prune tables: apply each pick,
+    then scan for a vertex that can no longer reach its demand.
+
+    Coverage of v is |N[v] ∩ D|: ``nbrs[u]`` lists the closed neighbourhood
+    N[u] in any order (the open CSR row of u with u appended). Vertices in
+    D need l_req, vertices outside need k_req. ``suf[x][v]`` counts members
+    of N[v] with id >= x: the transpose of ``suffix_counts(g)``.
+
+    Returns (status, membership, nodes): status 1 found / 0 exhausted /
+    -1 node budget exceeded; membership is a list of n bools. Lexicographic
+    DFS, so the witness is the lexicographically smallest valid set of size t.
+    """
+    n = len(nbrs)
+    in_d = [False] * n
+    cov = [0] * n
+    chosen = [0] * (t + 1)
+    min_req = k_req if k_req < l_req else l_req
+    nodes = 0
+    if t == 0:
+        return (1 if k_req <= 0 else 0), in_d, nodes
+    depth = 0
+    cand = 0
+    while True:
+        if depth < t and cand <= n - (t - depth):
+            u = cand
+            nodes += 1
+            if nodes > budget:
+                return -1, in_d, nodes
+            chosen[depth] = u
+            depth += 1
+            in_d[u] = True
+            for w in nbrs[u]:
+                cov[w] += 1
+            cand = u + 1
+            rem = t - depth
+            # Admissible prune: even if all remaining picks landed inside
+            # N[v], v could not reach its (best-case) demand. Picks ascend,
+            # so every member is <= u and a vertex above u may still join
+            # D: it needs only min(k_req, l_req).
+            row = suf[cand]
+            prune = False
+            for v in range(cand):
+                avail = row[v]
+                if avail > rem:
+                    avail = rem
+                if cov[v] + avail < (l_req if in_d[v] else k_req):
+                    prune = True
+                    break
+            if not prune:
+                for v in range(cand, n):
+                    avail = row[v]
+                    if avail > rem:
+                        avail = rem
+                    if cov[v] + avail < min_req:
+                        prune = True
+                        break
+            if not prune:
+                continue
+        elif depth == t:
+            for v in range(n):
+                if cov[v] < (l_req if in_d[v] else k_req):
+                    break
+            else:
+                return 1, in_d, nodes
+        elif depth == 0:
+            return 0, in_d, nodes
+        # a full set that fails, no candidate left, or a pruned pick: drop
+        # the last pick u and go on from u + 1
+        depth -= 1
+        u = chosen[depth]
+        in_d[u] = False
+        for w in nbrs[u]:
+            cov[w] -= 1
+        cand = u + 1

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from multidom import DominationSpec, cycle, read_graph
-from multidom.cli import main, parse_spec
+from multidom.cli import build_parser, main, parse_spec
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,19 @@ def test_bounds_ktuple_with_c_csv(capsys):
     assert {"rv", "ktuple_threshold", "rs_strong"} <= names
 
 
+def test_successive_calls_share_no_options(capsys):
+    plain = ("bounds", "--family", "cycle", "--n", "6", "--spec", "classical", "--no-timestamp")
+    first = run_cli(capsys, *plain)
+    other = run_cli(capsys, "bounds", "--family", "complete", "--n", "8", "--spec", "ktuple:3",
+                    "--c", "3.0", "--force", "--format", "csv")
+    again = run_cli(capsys, *plain)
+    assert first[0] == other[0] == 0
+    assert again == first  # json again, no --c, --force or csv left over
+    assert json.loads(again[1])["graph"]["n"] == 6
+    assert other[1].startswith("name,applicable,")
+    assert build_parser() is build_parser()
+
+
 def test_infeasible_spec_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bounds", "--family", "cycle", "--n", "4",
                            "--spec", "totalk:3")
@@ -114,6 +127,13 @@ def test_exact_rejects_nonpositive_node_budget(capsys):
                              "--node-budget", "-5")
     assert code == 1 and out == ""
     assert "node_budget must be >= 1" in err
+
+
+def test_exact_budget_stop_reports_lower_bound(capsys):
+    code, out, err = run_cli(capsys, "exact", "--family", "gnp", "--n", "14", "--p", "0.3",
+                             "--seed", "1", "--spec", "classical", "--node-budget", "3")
+    assert code == 1 and out == ""
+    assert err.rstrip().endswith("; the domination number is at least 2")  # gamma is 3
 
 
 def test_construct_verify_pipeline(capsys, tmp_path):

@@ -1,8 +1,12 @@
 """The exact-search kernels: suffix table, pinned search order, budget stop."""
 
+from hypothesis import example, given, settings
+
 import multidom
+from helpers import reference_set_search
 from multidom import DominationSpec, exact_function_number, exact_set_number, gnp
-from multidom._kernels import set_search_fixed_size, suffix_counts
+from multidom._kernels import prune_tables, set_search_fixed_size, suffix_counts
+from test_graph import small_graphs
 
 # (value, witness, nodes_explored) of every variant on seven seeded graphs.
 # The node counts pin the DFS itself: candidate order, prune predicate and
@@ -144,8 +148,29 @@ def test_suffix_counts():
 def test_budget_exhaustion_status():
     g, suffix = _setup(12, 0.3, 2)
     nbrs = [list(g.closed_neighborhood(v)) for v in range(g.n)]
-    status, _, nodes = set_search_fixed_size(nbrs, suffix.T.tolist(), 6, 2, 2, 3)
+    status, _, nodes = set_search_fixed_size(nbrs, *prune_tables(g, 2, 2), 6, 2, 2, 3)
     assert status == -1 and nodes == 4  # stopped right after crossing the budget
+
+
+@given(small_graphs(max_n=12))
+@example(gnp(12, 0.7, 0))  # dense: long pruned sibling runs and deep searches
+@example(gnp(12, 0.7, 1))
+@example(gnp(12, 0.7, 2))
+@settings(max_examples=60, deadline=None)
+def test_set_search_matches_reference(g):
+    """Same (status, membership, nodes) as the loop before the prune tables for
+    every demand pair, size and a ladder of budgets around the unbudgeted count."""
+    nbrs = [list(g.closed_neighborhood(v)) for v in range(g.n)]
+    suf = suffix_counts(g).T.tolist()
+    for k_req in range(4):
+        for l_req in range(5):
+            gain, after = prune_tables(g, k_req, l_req)
+            for t in range(g.n + 1):
+                full = reference_set_search(nbrs, suf, t, k_req, l_req, 10**9)[2]
+                for budget in sorted({1, 2, 3, full // 3, full - 1, full, full + 1, 10**9}):
+                    want = reference_set_search(nbrs, suf, t, k_req, l_req, budget)
+                    got = set_search_fixed_size(nbrs, gain, after, t, k_req, l_req, budget)
+                    assert got == want, (k_req, l_req, t, budget)
 
 
 def test_numba_flag_is_exposed():

@@ -153,6 +153,10 @@ def test_resource_guards():
     with pytest.raises(ResourceLimitError) as exc:
         exact_set_number(g, DominationSpec.classical(), node_budget=3)
     assert exc.value.partial is not None
+    t = exc.value.partial["size_reached"]
+    assert exc.value.partial["lower_bound"] == t
+    assert str(exc.value).endswith(f"; the domination number is at least {t}")
+    assert exact_set_number(g, DominationSpec.classical()).value >= t
 
 
 @pytest.mark.parametrize("budget", [0, -5])

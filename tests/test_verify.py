@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,17 @@ def test_verify_set_examples():
 
     rep = verify_set(c4, DominationSpec.parametric(1, 2), [0, 1])
     assert rep.valid  # this is total domination
+
+
+def test_verify_set_takes_any_collection_of_ids():
+    g = gnp(12, 0.3, 4)
+    spec = DominationSpec.k_tuple(2)
+    want = verify_set(g, spec, (0, 3, 5, 9))
+    assert want.deficiencies  # a failing set, so the reports carry content
+    for members in ([9, 5, 3, 0], {0, 3, 5, 9, 3, 0}, [0, 3, 3, 5, 9, 9], np.array([0, 3, 5, 9])):
+        assert verify_set(g, spec, members) == want
+    with pytest.raises(ValueError, match="witness vertex 12 out of range for n=12"):
+        verify_set(g, spec, np.array([0, 12]))
 
 
 def test_deficiency_reports_are_exhaustive():
