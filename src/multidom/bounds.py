@@ -141,6 +141,28 @@ class ParametricParams:
             log_binomial(delta, phi - 1), log_b_pair,
         )
 
+    @property
+    def p_phi(self) -> float | None:
+        """Selection probability of the phi-based strong bound."""
+        return _selection_p(self.delta_bar, self.log_b_phi)
+
+    @property
+    def p_alt(self) -> float | None:
+        """Selection probability of the alternative strong bound."""
+        return _selection_p(self.delta_hat, self.log_b_pair)
+
+
+def _selection_p(d: int, log_b: float) -> float | None:
+    """The p that minimises a strong bound's expectation n(p + (1-p)^(d+1) b),
+    1 - ((1+d) b)^(-1/d) with ln b = log_b. At d = 0 it is the formula's limit
+    as the margin shrinks to zero: 1 - 1/e for b = 1 and 1 otherwise. None
+    when d < 0 or b = 0."""
+    if d < 0 or not math.isfinite(log_b):
+        return None
+    if d == 0:
+        return 1.0 - math.exp(-1.0) if log_b == 0.0 else 1.0
+    return 1.0 - math.exp(-(math.log1p(d) + log_b) / d)
+
 
 # -- reports -------------------------------------------------------------------
 

@@ -13,8 +13,17 @@ guarantees is returned against the trivial bound, with a note naming the
 failed condition.
 
 Trials are independent given per-trial seeds derived from (seed, index);
-they run in index order and the winner is the lowest index meeting the
-target.
+the winner is the lowest index meeting the target. The trials run in
+blocks: trial 0 alone, as it meets the target on most instances, then
+blocks of 1, 2, 4, ... trials, each as large as all the trials before it
+and at most TRIAL_BLOCK_CELLS cells, so the trials drawn past the stopping
+one never outnumber those used. A block draws one row per trial from that
+trial's own generator, patches the rows of a set construction in array
+passes (the capped repair and the member completion run row by row) and
+checks every row against the full neighbourhoods with one coverage call.
+The rows are then taken in index order, exactly as single trials were:
+the blocks change no witness, weight, trace or note, and the rows past the
+stopping trial are discarded unread.
 """
 
 from __future__ import annotations
@@ -25,17 +34,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    RSParams,
-    ParametricParams,
-    bound_parametric,
-    bound_parametric_alt,
-    bound_rs,
-    bound_total_rs,
-)
+from .bounds import RSParams, ParametricParams, _rs_strong_coeff, _strong_coeff
 from .errors import MultidomError
 from .graph import Graph, coverage
-from .verify import DominationSpec, VertexFunction, _core, _witness_dict, verify_function, verify_set
+from .verify import DominationSpec, VertexFunction, _core, _rows_valid, _witness_dict
+
+# A block of trials holds at most this many cells, trials x (n + 2m): the
+# closed neighbourhood sums of a row gather n + 2m labels, and n + 2m is at
+# least n(delta + 1), the restricted-neighbourhood cells N' of a row. So a
+# block's arrays stay within 2**18 entries (2 MB of int64) however many
+# trials are asked for, unless one trial alone needs more. Every row is
+# drawn from its own trial's generator, so the block sizes change no seeded
+# output.
+TRIAL_BLOCK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -75,30 +86,46 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
 def _construct(
     g: Graph, spec: DominationSpec, seed: int, max_trials: int, collect_trace: bool
 ) -> ConstructionResult:
-    """Run the spec's plan: draw trials in index order, verify each, stop at
-    the first whose weight meets ceil(target) and keep the lightest."""
+    """Run the spec's plan: draw trials in index order, check each against
+    the full neighbourhoods, stop at the first whose weight meets
+    ceil(target) and keep the lightest.
+
+    A plan's draw maps a list of generators to a (T, n) int64 array, one
+    row per trial, and the notes of each row."""
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     if max_trials < 1:
         raise ValueError("max_trials must be >= 1")
-    spec.check_feasible(g)  # once; the trials verify without repeating it
+    spec.check_feasible(g)  # once; the trials are checked without repeating it
     plan = _parametric_plan if spec.is_set_variant else _capped_plan
     params, notes, target, draw = plan(g, spec)
-    verify = verify_set if spec.is_set_variant else verify_function
     threshold = math.ceil(target)
+    cap = max(1, TRIAL_BLOCK_CELLS // (g.n + 2 * g.m))
     trace: list[int] = []
-    best = None  # (weight, index, witness, notes)
-    for i in range(max_trials):
-        witness, trial_notes = draw(_trial_rng(seed, i))
-        report = verify(g, spec, witness)
-        if not report.valid:
-            raise MultidomError(f"internal: trial {i} failed verification")
-        trace.append(report.weight)
-        if best is None or report.weight < best[0]:
-            best = (report.weight, i, witness, trial_notes)
-        if report.weight <= threshold:
+    best = None  # (weight, index, row, notes)
+    start = 0
+    while start < max_trials:
+        # a block holds as many trials as ran before it: trial 0 alone, then
+        # 1, 2, 4, ... up to the cell cap
+        stop = min(max_trials, start + min(max(start, 1), cap))
+        rows, row_notes = draw([_trial_rng(seed, i) for i in range(start, stop)])
+        valid = _rows_valid(g, spec, rows)
+        for j, weight in enumerate(rows.sum(axis=1).tolist()):
+            if not valid[j]:
+                raise MultidomError(f"internal: trial {start + j} failed verification")
+            trace.append(weight)
+            if best is None or weight < best[0]:
+                best = (weight, start + j, rows[j], row_notes[j])
+            if weight <= threshold:
+                break
+        if trace[-1] <= threshold:
             break
-    weight, index, witness, trial_notes = best
+        start = stop
+    weight, index, row, trial_notes = best
+    if spec.is_set_variant:
+        witness = tuple(np.flatnonzero(row).tolist())
+    else:
+        witness = VertexFunction(row.tolist())
     return ConstructionResult(
         witness=witness,
         weight=weight,
@@ -113,20 +140,25 @@ def _construct(
     )
 
 
+def _fixed(row):
+    """A draw that gives every trial the same row."""
+    row = np.asarray(row, dtype=np.int64)
+    return lambda rngs: (np.tile(row, (len(rngs), 1)), [()] * len(rngs))
+
+
 def _witness_plan(g: Graph, spec: DominationSpec, why: str):
     """The plan for a spec the paper's construction does not cover: the
     witness feasibility guarantees, the (l-1)-core of a set variant or the
     all-caps function, against the trivial bound it always meets."""
     if spec.is_set_variant:
         l = spec.requirements()[1]
-        witness = tuple(np.flatnonzero(_core(g, l - 1)).tolist())
+        row = _core(g, l - 1)
         target, what = float(g.n), f"the {l - 1}-core"
     else:
-        caps = spec.vectors(g.n)[0]
-        witness = VertexFunction(caps)
-        target, what = float(sum(caps)), "the all-caps function"
+        row = spec.vectors(g.n)[0]
+        target, what = float(sum(row)), "the all-caps function"
     notes = [f"{why}; returned {what}, the witness feasibility guarantees"]
-    return {"delta": g.min_degree}, notes, target, lambda rng: (witness, ())
+    return {"delta": g.min_degree}, notes, target, _fixed(row)
 
 
 def _restricted(g: Graph, closed: bool) -> np.ndarray:
@@ -205,10 +237,9 @@ def _capped_plan(g: Graph, spec: DominationSpec):
     """(params, notes, target, draw) of the capped-function construction."""
     delta = g.min_degree
     closed = not spec.uses_open_neighborhoods
-    tau, s, cap_sum = spec.cap_summary(g.n)
+    tau, s, _ = spec.cap_summary(g.n)
     if s < 1:
-        zero = VertexFunction((0,) * g.n)
-        return {"p": 0.0, "delta": delta}, ["all demands are zero"], 0.0, lambda rng: (zero, ())
+        return {"p": 0.0, "delta": delta}, ["all demands are zero"], 0.0, _fixed([0] * g.n)
     if not closed and delta < 1:
         return _witness_plan(g, spec, "total construction needs delta >= 1")
     params = RSParams.derive(tau, s, delta, closed)
@@ -221,12 +252,13 @@ def _capped_plan(g: Graph, spec: DominationSpec):
     p, clamped = _clamped_p(log_inner, params.theta)
     if clamped:
         notes.append("selection probability clamped to 0; the repair step does all the work")
-    target = (bound_rs if closed else bound_total_rs)(tau, s, cap_sum, delta, g.n).absolute
+    target = _rs_strong_coeff(params) * g.n  # bound_rs, or bound_total_rs when open
     restricted = _restricted(g, closed)
 
-    def draw(rng: np.random.Generator):
-        vals = _capped_trial(restricted, g.n, params.r, params.s, params.theta, p, rng)
-        return VertexFunction(vals.tolist()), ()
+    def draw(rngs: list[np.random.Generator]):
+        rows = [_capped_trial(restricted, g.n, params.r, params.s, params.theta, p, rng)
+                for rng in rngs]
+        return np.array(rows), [()] * len(rngs)
 
     return ({"delta": delta, "r": params.r, "s": params.s, "theta": params.theta,
              "p": p, "p_clamped": clamped}, notes, target, draw)
@@ -261,70 +293,88 @@ def construct_total_rs(
 # -- (k,l) set construction ------------------------------------------------------
 
 
-def _parametric_trial(
+def _parametric_block(
     g: Graph,
     restricted: np.ndarray,
     k: int,
     l: int,
     p: float,
-    rng: np.random.Generator,
-    debug: dict | None = None,
-) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """One randomized trial: the random set A, the deficiency classes, the
-    patches; returns the members of D in ascending order."""
-    n = g.n
-    in_a = rng.random(n) < p
-    msum = in_a[restricted].sum(axis=1)
-    x = in_a.astype(np.int64)  # indicator of D
-    a_patches: dict[int, set[int]] = {}
-    b_patches: dict[int, set[int]] = {}
-    a_sizes: dict[int, int] = {}
-    b_sizes: dict[int, int] = {}
-    # members of A short of l-1 and non-members short of k; the rest need no patch
-    short = np.where(in_a, msum <= l - 2, msum <= k - 1)
-    for v in np.flatnonzero(short).tolist():
-        m = int(msum[v])
-        if in_a[v]:
-            take = l - m - 1
-            bucket, sizes = a_patches, a_sizes
-        else:
-            take = k - m
-            bucket, sizes = b_patches, b_sizes
-        sizes[m] = sizes.get(m, 0) + 1
-        nb = restricted[v]
-        picked = nb[~in_a[nb]][:take]
-        # delta >= max(k, l-1) guarantees enough candidates outside A
-        if len(picked) < take:
-            raise MultidomError(f"internal: not enough patch candidates in N'({v}) - A")
-        bucket.setdefault(m, set()).update(picked.tolist())
-        x[picked] = 1
-    notes: tuple[str, ...] = ()
+    rngs: list[np.random.Generator],
+    debug: list | None = None,
+) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """Trials of the (k,l) set construction, one row per generator: the
+    random set A, the deficiency classes and the patches; returns the 0/1
+    rows of D and the notes of each row.
+
+    A member v of A with m = |N'(v) ∩ A| <= l-2 is patched with the first
+    l-1-m vertices of N'(v) - A in ascending order, a non-member with
+    m <= k-1 with the first k-m. The candidates depend only on A, so a
+    running count over N'(v) - A picks every patch of every row in one
+    pass; delta >= max(k, l-1) guarantees enough of them.
+    """
+    in_a = np.array([rng.random(g.n) for rng in rngs]) < p
+    slots = in_a[:, restricted.T]  # slots[t, j, v]: is the j-th vertex of N'(v) in A
+    msum = slots.sum(axis=1)
+    take = np.where(in_a, l - 1, k) - msum  # > 0 exactly at the short vertices
+    t, v = (take > 0).nonzero()
+    x = in_a.astype(np.int64)  # rows: indicators of D
+    picked = np.zeros((0, restricted.shape[1]), dtype=bool)
+    if t.size:
+        outside = ~slots[t, :, v]  # one row per short vertex
+        picked = outside & (outside.cumsum(axis=1) <= take[t, v][:, None])
+        short, j = picked.nonzero()
+        x[t[short], restricted[v[short], j]] = 1
+    notes: list[tuple[str, ...]] = [()] * len(rngs)
     if l >= k + 2:
-        # Vertices pulled into D by a patch only carry the non-member
-        # guarantee of k; top up their coverage to the member demand l.
-        rounds = 0
-        while True:
-            cov = coverage(g, x, closed=True)
-            deficient = np.flatnonzero((x == 1) & (cov < l)).tolist()
-            if not deficient:
-                break
-            rounds += 1
-            for v in deficient:
-                need = l - int(cov[v])
-                for u in restricted[v].tolist():
-                    if need == 0:
-                        break
-                    if not x[u]:
-                        x[u] = 1
-                        need -= 1
-        if rounds:
-            notes = (f"member coverage completion ran {rounds} round(s)",)
+        for row, completed in enumerate(x):
+            rounds = _complete_members(g, restricted, l, completed)
+            if rounds:
+                notes[row] = (f"member coverage completion ran {rounds} round(s)",)
     if debug is not None:
-        debug["a_class_sizes"] = a_sizes
-        debug["b_class_sizes"] = b_sizes
-        debug["a_patch_sizes"] = {m: len(s) for m, s in a_patches.items()}
-        debug["b_patch_sizes"] = {m: len(s) for m, s in b_patches.items()}
-    return tuple(np.flatnonzero(x).tolist()), notes
+        for row in range(len(rngs)):
+            mine = t == row
+            debug.append(_patch_accounting(
+                restricted, in_a[row], msum[row], v[mine], picked[mine]))
+    return x, notes
+
+
+def _complete_members(g: Graph, restricted: np.ndarray, l: int, x: np.ndarray) -> int:
+    """Vertices pulled into D by a patch only carry the non-member
+    guarantee of k; top up their coverage to the member demand l, in
+    place on the 0/1 row x. Returns the number of rounds that ran."""
+    rounds = 0
+    while True:
+        cov = coverage(g, x, closed=True)
+        deficient = np.flatnonzero((x == 1) & (cov < l)).tolist()
+        if not deficient:
+            return rounds
+        rounds += 1
+        for v in deficient:
+            need = l - int(cov[v])
+            for u in restricted[v].tolist():
+                if need == 0:
+                    break
+                if not x[u]:
+                    x[u] = 1
+                    need -= 1
+
+
+def _patch_accounting(restricted, in_a, msum, short, picked) -> dict:
+    """Sizes of one row's deficiency classes A_m, B_m and of their patches
+    A'_m, B'_m (the union of the patches of a class's vertices), from the
+    row's short vertices and the patch each picked from its N'."""
+    out = {}
+    for name, side in (("a", in_a[short]), ("b", ~in_a[short])):
+        classes = msum[short[side]]
+        patches = [restricted[u][mask] for u, mask in zip(short[side], picked[side])]
+        out[f"{name}_class_sizes"] = {}
+        out[f"{name}_patch_sizes"] = {}
+        for m in np.unique(classes).tolist():
+            members = np.flatnonzero(classes == m)
+            out[f"{name}_class_sizes"][m] = len(members)
+            union = set().union(*(patches[i].tolist() for i in members))
+            out[f"{name}_patch_sizes"][m] = len(union)
+    return out
 
 
 def _parametric_plan(g: Graph, spec: DominationSpec):
@@ -337,25 +387,22 @@ def _parametric_plan(g: Graph, spec: DominationSpec):
             g, spec, f"construction needs min degree >= max(k, l-1) = {phi}, got {delta}"
         )
     params = ParametricParams.derive(k, l, delta)
+    p = params.p_phi
     notes: list[str] = []
-    if params.delta_bar >= 1:
-        p = 1.0 - math.exp(
-            -(math.log1p(params.delta_bar) + params.log_b_phi) / params.delta_bar
-        )
-    else:
-        # delta == max(k, l-1): take the formula's limit as the margin
-        # shrinks to zero, which is 1 - 1/e for b_{phi-1} = 1 and 1 otherwise
-        p = 1.0 - math.exp(-1.0) if params.log_b_phi == 0.0 else 1.0
+    if params.delta_bar == 0:
+        # delta == max(k, l-1): the zero-margin limit of the formula
         notes.append(
             "selection probability taken as the zero-margin limit of the formula"
         )
+    # the smaller of bound_parametric and bound_parametric_alt where each
+    # applies (a margin of at least 1), from the parameters already derived
     candidates = [
-        r.absolute
-        for r in (
-            bound_parametric(k, l, delta, g.n),
-            bound_parametric_alt(k, l, delta, g.n),
+        c * g.n
+        for c in (
+            _strong_coeff(params.delta_bar, params.log_b_phi),
+            _strong_coeff(params.delta_hat, params.log_b_pair),
         )
-        if r.applicable
+        if c is not None
     ]
     if candidates:
         target = min(candidates)
@@ -365,7 +412,7 @@ def _parametric_plan(g: Graph, spec: DominationSpec):
     restricted = _restricted(g, closed=False)
     return (
         {"delta": delta, "k": k, "l": l, "phi": phi, "p": p}, notes, target,
-        lambda rng: _parametric_trial(g, restricted, k, l, p, rng),
+        lambda rngs: _parametric_block(g, restricted, k, l, p, rngs),
     )
 
 

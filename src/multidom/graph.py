@@ -143,18 +143,22 @@ def coverage(g: Graph, x, closed: bool) -> np.ndarray:
     """Neighbourhood sums of the labels x: sum of x over N[v] when
     ``closed``, over N(v) otherwise, for every vertex v.
 
-    Every domination condition compares these sums with a demand; the
-    closed and open sums differ only by the vertex's own label.
+    x has shape (n,), or (T, n) for T labelings summed row by row in one
+    pass. Every domination condition compares these sums with a demand;
+    the closed and open sums differ only by the vertex's own label.
     """
     x = np.asarray(x, dtype=np.int64)
-    if x.shape != (g.n,):
+    if x.ndim not in (1, 2) or x.shape[-1] != g.n:
         raise ValueError(f"labels have shape {x.shape}, graph has n={g.n}")
     indptr, indices = g.csr()
-    sums = np.zeros(g.n, dtype=np.int64)
-    # reduceat would give an empty row its successor's first entry
-    nonempty = indptr[1:] > indptr[:-1]
-    if nonempty.any():
-        sums[nonempty] = np.add.reduceat(x[indices], indptr[:-1][nonempty])
+    if g.min_degree > 0:
+        sums = np.add.reduceat(x[..., indices], indptr[:-1], axis=-1)
+    else:
+        # reduceat would give an empty row its successor's first entry
+        sums = np.zeros(x.shape, dtype=np.int64)
+        nonempty = indptr[1:] > indptr[:-1]
+        if nonempty.any():
+            sums[..., nonempty] = np.add.reduceat(x[..., indices], indptr[:-1][nonempty], axis=-1)
     return sums + x if closed else sums
 
 

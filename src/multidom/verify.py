@@ -24,8 +24,24 @@ FUNCTION_VARIANTS = ("brace_k", "rs", "total_rs")
 LABEL_LIMIT = 2**31
 
 
+def _integers(values: Iterable, what: str) -> list[int]:
+    """The entries of values as Python ints. Each must be an int or a numpy
+    integer; anything else, bools included, raises rather than being cast."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        return values.tolist()
+    values = list(values)
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    for kind in kinds:
+        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+            bad = next(v for v in values if type(v) is kind)
+            raise ValueError(f"{what} must be integers, got {bad!r}")
+    return list(map(int, values))
+
+
 def _as_vector(values: Sequence[int], what: str) -> tuple[int, ...]:
-    out = tuple(map(int, values))
+    out = tuple(_integers(values, f"{what} entries"))
     if out and min(out) < 0:
         raise ValueError(f"{what} entries must be nonnegative")
     if out and max(out) >= LABEL_LIMIT:
@@ -257,8 +273,8 @@ class VertexFunction:
     @classmethod
     def characteristic(cls, members: Iterable[int], n: int) -> "VertexFunction":
         vals = [0] * n
-        for v in members:
-            vals[int(v)] = 1
+        for v in _integers(members, "member ids"):
+            vals[v] = 1
         return cls(tuple(vals))
 
     def to_dict(self) -> dict:
@@ -297,9 +313,30 @@ def _deficiencies(achieved: np.ndarray, required: np.ndarray) -> tuple[tuple[int
     return tuple(zip(short.tolist(), required[short].tolist(), achieved[short].tolist()))
 
 
+def _sums(g: Graph, spec: DominationSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(achieved, required): the neighbourhood sums of the labels x, of
+    shape (n,) or (T, n), and the demands they must meet. Set variants
+    take 0/1 rows and closed sums (see ``DominationSpec.requirements``)."""
+    if spec.is_set_variant:
+        k_req, l_req = spec.requirements()
+        return coverage(g, x, closed=True), np.where(x == 1, l_req, k_req)
+    demands = np.asarray(spec.vectors(g.n)[1], dtype=np.int64)
+    return coverage(g, x, closed=not spec.uses_open_neighborhoods), demands
+
+
+def _rows_valid(g: Graph, spec: DominationSpec, rows: np.ndarray) -> np.ndarray:
+    """Whether each row of the (T, n) array is a witness of spec: a 0/1
+    set indicator, or labels within the caps, meeting every demand."""
+    achieved, required = _sums(g, spec, rows)
+    valid = (achieved >= required).all(axis=1)
+    if spec.is_function_variant:
+        valid &= (rows <= np.asarray(spec.vectors(g.n)[0])).all(axis=1)
+    return valid
+
+
 def _indicator(g: Graph, members: Iterable[int]) -> np.ndarray:
     """0/1 membership vector of a witness set; repeated ids count once."""
-    ids = np.array(list(members), dtype=np.int64)
+    ids = np.array(_integers(members, "witness vertex ids"), dtype=np.int64)
     bad = ids[(ids < 0) | (ids >= g.n)]
     if bad.size:
         raise ValueError(f"witness vertex {bad[0]} out of range for n={g.n}")
@@ -319,9 +356,7 @@ def verify_set(g: Graph, spec: DominationSpec, members: Iterable[int]) -> Verify
     if not spec.is_set_variant:
         raise ValueError(f"verify_set needs a set variant, got {spec.variant}")
     x = _indicator(g, members)
-    k_req, l_req = spec.requirements()
-    required = np.where(x == 1, l_req, k_req)
-    deficiencies = _deficiencies(coverage(g, x, closed=True), required)
+    deficiencies = _deficiencies(*_sums(g, spec, x))
     return VerifyReport(not deficiencies, int(x.sum()), deficiencies)
 
 
@@ -333,7 +368,7 @@ def verify_function(g: Graph, spec: DominationSpec, f: VertexFunction) -> Verify
     """
     if not spec.is_function_variant:
         raise ValueError(f"verify_function needs a function variant, got {spec.variant}")
-    caps, demands = spec.vectors(g.n)
+    caps = spec.vectors(g.n)[0]
     if len(f.values) != g.n:
         raise ValueError(f"function has {len(f.values)} values, graph has n={g.n}")
     values = np.asarray(f.values, dtype=np.int64)
@@ -341,6 +376,5 @@ def verify_function(g: Graph, spec: DominationSpec, f: VertexFunction) -> Verify
     if over.size:
         v = over[0]
         raise CapViolationError(f"f({v}) = {values[v]} exceeds cap {caps[v]}")
-    achieved = coverage(g, values, closed=not spec.uses_open_neighborhoods)
-    deficiencies = _deficiencies(achieved, np.asarray(demands, dtype=np.int64))
+    deficiencies = _deficiencies(*_sums(g, spec, values))
     return VerifyReport(not deficiencies, f.weight, deficiencies)

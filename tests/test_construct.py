@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import multidom
 import multidom.construct
+from helpers import reference_construct
 from multidom import (
     DominationSpec,
     Graph,
     InfeasibleSpecError,
     MultidomError,
-    VerifyReport,
     VertexFunction,
     bound_rs,
     complete,
@@ -31,7 +32,16 @@ from multidom import (
     verify_function,
     verify_set,
 )
-from multidom.construct import _capped_trial, _parametric_trial, _restricted, _trial_rng
+from multidom.bounds import ParametricParams, bound_parametric, bound_parametric_alt
+from multidom.construct import (
+    _capped_trial,
+    _construct,
+    _parametric_block,
+    _parametric_plan,
+    _restricted,
+    _trial_rng,
+)
+from test_graph import small_graphs
 
 
 def test_rs_unit_vectors_on_k5():
@@ -191,14 +201,16 @@ def test_patch_accounting_invariant():
     if g.min_degree < max(k, l - 1):
         pytest.skip("graph too sparse for the construction")
     restricted = _restricted(g, closed=False)
-    for seed in range(30):
-        debug: dict = {}
-        d, _ = _parametric_trial(g, restricted, k, l, 0.4, _trial_rng(seed, 0), debug)
-        assert verify_set(g, DominationSpec.parametric(k, l), d).valid
-        for m, size in debug["a_patch_sizes"].items():
-            assert size <= (l - m - 1) * debug["a_class_sizes"][m]
-        for m, size in debug["b_patch_sizes"].items():
-            assert size <= (k - m) * debug["b_class_sizes"][m]
+    debug: list = []
+    rows, _ = _parametric_block(g, restricted, k, l, 0.4,
+                                [_trial_rng(seed, 0) for seed in range(30)], debug)
+    assert len(debug) == len(rows) == 30
+    for row, accounting in zip(rows, debug):
+        assert verify_set(g, DominationSpec.parametric(k, l), np.flatnonzero(row)).valid
+        for m, size in accounting["a_patch_sizes"].items():
+            assert size <= (l - m - 1) * accounting["a_class_sizes"][m]
+        for m, size in accounting["b_patch_sizes"].items():
+            assert size <= (k - m) * accounting["b_class_sizes"][m]
 
 
 def test_degenerate_probability_clamps_to_zero():
@@ -242,27 +254,61 @@ def test_mean_weight_tracks_bound_on_small_gnp():
     assert np.mean(weights) <= target * 1.05
 
 
-def _invalid_report(*args):
-    return VerifyReport(False, 0, ((0, 1, 0),))
+def _no_row_valid(g, spec, rows):
+    return np.zeros(len(rows), dtype=bool)
 
 
 def test_invalid_trial_witness_raises_multidom_error(monkeypatch):
-    monkeypatch.setattr(multidom.construct, "verify_set", _invalid_report)
+    monkeypatch.setattr(multidom.construct, "_rows_valid", _no_row_valid)
     with pytest.raises(MultidomError, match="failed verification"):
         construct_parametric(cycle(5), 1, 1, seed=0, max_trials=1)
-    monkeypatch.setattr(multidom.construct, "verify_function", _invalid_report)
     with pytest.raises(MultidomError, match="failed verification"):
         construct_rs(cycle(5), (1,) * 5, (1,) * 5, seed=0, max_trials=1)
+
+
+def _invalid_row(bad_block: int, bad_row: int):
+    """A block check that passes the real one's verdict except on one row
+    of one block (blocks counted from 0)."""
+    calls = []
+    real = multidom.construct._rows_valid
+
+    def check(g, spec, rows):
+        valid = real(g, spec, rows)
+        if len(calls) == bad_block:
+            valid[bad_row] = False
+        calls.append(len(rows))
+        return valid
+
+    return check
+
+
+def test_deficient_row_before_the_stop_names_its_trial(monkeypatch):
+    # kdom:2 misses its target in all 20 trials here; the blocks hold trials
+    # 0, 1, 2-3, 4-7, ..., so the second row of the fourth block is trial 5
+    g = random_regular(200, 4, 2)
+    monkeypatch.setattr(multidom.construct, "_rows_valid", _invalid_row(3, 1))
+    with pytest.raises(MultidomError, match=r"internal: trial 5 failed verification"):
+        construct_parametric(g, 2, 1, seed=8, max_trials=20)
+
+
+def test_deficient_row_after_the_stop_is_discarded(monkeypatch):
+    # kdom:2 meets its target in trial 2 here, the first row of the block
+    # of trials 2-3; trial 3 was never a trial of the one-at-a-time loop
+    g = gnp(30, 0.3, 5)
+    want = construct_parametric(g, 2, 1, seed=3, max_trials=20, collect_trace=True)
+    assert want.trials == 3 and want.met_target
+    monkeypatch.setattr(multidom.construct, "_rows_valid", _invalid_row(2, 1))
+    got = construct_parametric(g, 2, 1, seed=3, max_trials=20, collect_trace=True)
+    assert got.to_dict() == want.to_dict()
 
 
 def test_invalid_trial_witness_is_caught_under_python_O():
     # python -O strips assert statements; the witness check must survive it
     # and the CLI must exit 1 with a message, not a traceback
     script = (
-        "import sys, multidom.construct\n"
+        "import sys, numpy, multidom.construct\n"
         "from multidom.cli import main\n"
-        "from multidom.verify import VerifyReport\n"
-        "multidom.construct.verify_set = lambda *a: VerifyReport(False, 0, ((0, 1, 0),))\n"
+        "multidom.construct._rows_valid = lambda g, spec, rows: numpy.zeros(len(rows), bool)\n"
         "sys.exit(main(['construct', '--family', 'cycle', '--n', '5', '--spec', 'classical']))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(multidom.__file__)))
@@ -299,3 +345,131 @@ def test_feasibility_checked_once_per_construction(monkeypatch):
     assert verify_set(g, DominationSpec.k_dominating(2), range(g.n)).valid
     assert verify_function(g, DominationSpec.brace_k(3), VertexFunction(vec)).valid
     assert calls == []
+
+
+# -- trial blocks against the one-at-a-time loop -------------------------------
+
+
+def _outcome(construct, g, spec, seed, max_trials):
+    """to_dict() with the weight trace, or the error a construction raises."""
+    try:
+        return construct(g, spec, seed, max_trials, True).to_dict()
+    except (InfeasibleSpecError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_as_reference(g, spec, seed, max_trials):
+    want = _outcome(reference_construct, g, spec, seed, max_trials)
+    assert _outcome(_construct, g, spec, seed, max_trials) == want, (spec.label(), seed)
+    return want
+
+
+@given(small_graphs(), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 20]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_blocks_match_the_single_trial_loop(g, seed, max_trials, data):
+    k = data.draw(st.integers(1, 3))
+    l = data.draw(st.integers(1, k + 3))
+    caps = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    demands = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    S = DominationSpec
+    for spec in (S.classical(), S.k_dominating(k), S.k_tuple(k), S.total_k(k),
+                 S.parametric(k, l), S.brace_k(k), S.rs(caps, demands),
+                 S.total_rs(caps, demands)):
+        _assert_as_reference(g, spec, seed, max_trials)
+
+
+def test_blocks_match_on_member_completion():
+    # l >= k+2: the completion rounds run row by row and their notes stay
+    # with their row; trial 0 of seed 9 is completed and wins
+    g = random_regular(40, 6, 1)
+    res = _assert_as_reference(g, DominationSpec.parametric(2, 5), 9, 20)
+    assert res["notes"] == ["member coverage completion ran 1 round(s)"]
+    g = random_regular(30, 4, 1)
+    restricted = _restricted(g, closed=False)
+    p = _parametric_plan(g, DominationSpec.parametric(1, 3))[0]["p"]
+    pairs = [(s, i) for s in range(20) for i in range(20)]
+    rows, notes = _parametric_block(g, restricted, 1, 3, p, [_trial_rng(*si) for si in pairs])
+    completed = 0
+    for (s, i), row, row_notes in zip(pairs, rows, notes):
+        witness, want_notes = helpers._parametric_trial(g, restricted, 1, 3, p, _trial_rng(s, i))
+        assert tuple(np.flatnonzero(row).tolist()) == witness and row_notes == want_notes
+        completed += bool(row_notes)
+    assert completed > 0
+
+
+@pytest.mark.parametrize("g,spec", [
+    # p clamped to 0 on two isolated vertices
+    (Graph(2, []), DominationSpec.rs((2, 2), (1, 1))),
+    # all demands zero
+    (cycle(4), DominationSpec.rs((1,) * 4, (0,) * 4)),
+    # the three witness-plan fallbacks: delta < max(k, l-1), r > tau, and
+    # an open construction on a graph with delta = 0
+    (path(4), DominationSpec.parametric(2, 2)),
+    (cycle(6), DominationSpec.rs((1,) * 6, (3,) * 6)),
+    (Graph(3, [(0, 1)]), DominationSpec.total_rs((1, 2, 1), (1, 1, 0))),
+])
+def test_blocks_match_on_degenerate_plans(g, spec):
+    for max_trials in (1, 2, 20):
+        for seed in (0, 5):
+            res = _assert_as_reference(g, spec, seed, max_trials)
+            assert res["trials"] == 1 and res["met_target"]
+
+
+def test_blocks_match_when_the_cell_cap_splits_a_run(monkeypatch):
+    # kdom:2 runs all 20 trials on this graph, in blocks that double up to
+    # the cap: 1 + 1 + 2 + 4 + 8 + 4 without it, 1 + 1 + 2 + 3 + ... + 3 + 1
+    # with room for three trials, one at a time with room for none
+    g = random_regular(200, 4, 2)
+    sizes = []
+    real = multidom.construct._rows_valid
+
+    def recorded(g, spec, rows):
+        sizes.append(len(rows))
+        return real(g, spec, rows)
+
+    monkeypatch.setattr(multidom.construct, "_rows_valid", recorded)
+    for cells, want in ((multidom.construct.TRIAL_BLOCK_CELLS, [1, 1, 2, 4, 8, 4]),
+                        (3 * (g.n + 2 * g.m), [1, 1, 2, 3, 3, 3, 3, 3, 1]),
+                        (1, [1] * 20)):
+        monkeypatch.setattr(multidom.construct, "TRIAL_BLOCK_CELLS", cells)
+        sizes.clear()
+        res = _assert_as_reference(g, DominationSpec.k_dominating(2), 8, 20)
+        assert res["trials"] == 20 and sizes == want
+        for spec in (DominationSpec.k_tuple(2), DominationSpec.brace_k(3),
+                     DominationSpec.total_rs((3,) * g.n, (4,) * g.n)):
+            _assert_as_reference(g, spec, 8, 20)
+
+
+def test_plan_p_is_the_parametric_params_p():
+    # bit for bit, for k, l <= 4 and delta <= 30, against the formula the
+    # plan kept before it read ParametricParams
+    for delta in range(31):
+        g = complete(delta + 1)
+        for k in range(1, 5):
+            for l in range(1, 5):
+                spec = DominationSpec.parametric(k, l)
+                if delta < max(k, l - 1):
+                    continue  # the witness plan, which draws nothing
+                want = helpers._parametric_plan(g, spec)[0]["p"]
+                got = _parametric_plan(g, spec)[0]["p"]
+                assert got.hex() == want.hex() == ParametricParams.derive(k, l, delta).p_phi.hex()
+
+
+def test_parametric_params_p_minimises_each_strong_bound():
+    # p + b (1-p)^(d+1) at the selection p is the bound's coefficient
+    for delta in range(1, 31):
+        for k in range(1, 5):
+            for l in range(1, 5):
+                params = ParametricParams.derive(k, l, delta)
+                for p, d, log_b, bound in (
+                    (params.p_phi, params.delta_bar, params.log_b_phi, bound_parametric),
+                    (params.p_alt, params.delta_hat, params.log_b_pair, bound_parametric_alt),
+                ):
+                    if d < 0:
+                        assert p is None
+                        continue
+                    if d == 0:  # the zero-margin limit
+                        assert p == (1.0 - math.exp(-1.0) if log_b == 0.0 else 1.0)
+                        continue
+                    value = p + math.exp(log_b) * (1.0 - p) ** (d + 1)
+                    assert math.isclose(value, bound(k, l, delta, 100).coefficient, rel_tol=1e-12)

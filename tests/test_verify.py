@@ -52,6 +52,29 @@ def test_verify_set_takes_any_collection_of_ids():
         verify_set(g, spec, np.array([0, 12]))
 
 
+@pytest.mark.parametrize("bad", [0.9, 2.5, 2.0, "3", True, np.float64(1.0), np.bool_(False), None])
+def test_non_integer_ids_and_labels_are_rejected(bad):
+    # nothing is cast: 0.9 is not vertex 0, "3" is not label 3
+    c5 = cycle(5)
+    with pytest.raises(ValueError, match="must be integers"):
+        verify_set(c5, DominationSpec.classical(), [bad, 2])
+    with pytest.raises(ValueError, match="must be integers"):
+        VertexFunction([bad, 2])
+    with pytest.raises(ValueError, match="must be integers"):
+        VertexFunction.characteristic([bad, 2], 5)
+    with pytest.raises(ValueError, match="must be integers"):
+        DominationSpec.rs([1, bad], [1, 1])
+
+
+def test_numpy_integer_ids_and_labels_are_accepted():
+    c5 = cycle(5)
+    ids = [np.int32(0), np.uint8(2), 3]
+    assert verify_set(c5, DominationSpec.classical(), ids) == verify_set(
+        c5, DominationSpec.classical(), [0, 2, 3])
+    f = VertexFunction(np.array([1, 0, 2], dtype=np.int16))
+    assert f.values == (1, 0, 2) and all(type(v) is int for v in f.values)
+
+
 def test_deficiency_reports_are_exhaustive():
     c4 = cycle(4)
     rep = verify_set(c4, DominationSpec.k_tuple(2), [0, 1])
