@@ -112,6 +112,11 @@ class RSParams:
         top = slots * r
         return cls(tau, s, r, theta, 1.0 / theta, top, log_binomial(top, s - 1))
 
+    def strong_target(self, n: int) -> float | None:
+        """The strong bound's absolute value on n vertices: bound_rs, or
+        bound_total_rs for open slots; None where its gate fails."""
+        return _rs_strong_coeff(self) * n if _rs_gate(self)[0] else None
+
 
 @dataclass(frozen=True)
 class ParametricParams:
@@ -150,6 +155,22 @@ class ParametricParams:
     def p_alt(self) -> float | None:
         """Selection probability of the alternative strong bound."""
         return _selection_p(self.delta_hat, self.log_b_pair)
+
+    @property
+    def coeff_phi(self) -> float | None:
+        """Coefficient of the phi-based strong bound; None unless delta_bar >= 1."""
+        return _strong_coeff(self.delta_bar, self.log_b_phi)
+
+    @property
+    def coeff_alt(self) -> float | None:
+        """Coefficient of the alternative strong bound; None unless delta_hat >= 1."""
+        return _strong_coeff(self.delta_hat, self.log_b_pair)
+
+    def strong_target(self, n: int) -> float | None:
+        """The smaller of bound_parametric and bound_parametric_alt on n
+        vertices where each applies; None where neither does."""
+        candidates = [c * n for c in (self.coeff_phi, self.coeff_alt) if c is not None]
+        return min(candidates) if candidates else None
 
 
 def _selection_p(d: int, log_b: float) -> float | None:
@@ -399,7 +420,7 @@ def bound_parametric(k: int, l: int, delta: int, n: int, force: bool = False) ->
     params = {"delta": delta, "k": k, "l": l, "phi": p.phi, "delta_bar": p.delta_bar,
               "log_b_phi1": p.log_b_phi}
     return _report("parametric_strong", n, float(n), params, applicable, reason,
-                   lambda: _strong_coeff(p.delta_bar, p.log_b_phi), force)
+                   lambda: p.coeff_phi, force)
 
 
 def bound_parametric_log(k: int, l: int, delta: int, n: int, force: bool = False) -> BoundReport:
@@ -427,7 +448,7 @@ def bound_parametric_alt(k: int, l: int, delta: int, n: int, force: bool = False
     params = {"delta": delta, "k": k, "l": l, "delta_hat": p.delta_hat,
               "log_b_pair": p.log_b_pair}
     return _report("parametric_alt_strong", n, float(n), params, applicable, reason,
-                   lambda: _strong_coeff(p.delta_hat, p.log_b_pair), force)
+                   lambda: p.coeff_alt, force)
 
 
 def bound_parametric_alt_log(k: int, l: int, delta: int, n: int, force: bool = False) -> BoundReport:

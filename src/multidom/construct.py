@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import RSParams, ParametricParams, _rs_strong_coeff, _strong_coeff
+from .bounds import RSParams, ParametricParams
 from .errors import MultidomError
 from .graph import Graph, coverage
 from .verify import DominationSpec, VertexFunction, _core, _rows_valid, _witness_dict
@@ -243,7 +243,8 @@ def _capped_plan(g: Graph, spec: DominationSpec):
     if not closed and delta < 1:
         return _witness_plan(g, spec, "total construction needs delta >= 1")
     params = RSParams.derive(tau, s, delta, closed)
-    if params.r > params.tau:
+    target = params.strong_target(g.n)  # bound_rs, or bound_total_rs when open
+    if target is None:  # s >= 1 here, so the gate failed on r > tau
         return _witness_plan(
             g, spec, f"derived uniform cap r={params.r} exceeds min cap tau={params.tau}"
         )
@@ -252,7 +253,6 @@ def _capped_plan(g: Graph, spec: DominationSpec):
     p, clamped = _clamped_p(log_inner, params.theta)
     if clamped:
         notes.append("selection probability clamped to 0; the repair step does all the work")
-    target = _rs_strong_coeff(params) * g.n  # bound_rs, or bound_total_rs when open
     restricted = _restricted(g, closed)
 
     def draw(rngs: list[np.random.Generator]):
@@ -310,7 +310,9 @@ def _parametric_block(
     l-1-m vertices of N'(v) - A in ascending order, a non-member with
     m <= k-1 with the first k-m. The candidates depend only on A, so a
     running count over N'(v) - A picks every patch of every row in one
-    pass; delta >= max(k, l-1) guarantees enough of them.
+    pass. delta >= max(k, l-1) guarantees enough of them; a short count
+    raises MultidomError, since the block check reads the full N[v] and
+    could pass a vertex whose patch from N'(v) fell short.
     """
     in_a = np.array([rng.random(g.n) for rng in rngs]) < p
     slots = in_a[:, restricted.T]  # slots[t, j, v]: is the j-th vertex of N'(v) in A
@@ -322,6 +324,11 @@ def _parametric_block(
     if t.size:
         outside = ~slots[t, :, v]  # one row per short vertex
         picked = outside & (outside.cumsum(axis=1) <= take[t, v][:, None])
+        short_of = picked.sum(axis=1) < take[t, v]
+        if short_of.any():
+            raise MultidomError(
+                f"internal: not enough patch candidates in N'({v[short_of.argmax()]}) - A"
+            )
         short, j = picked.nonzero()
         x[t[short], restricted[v[short], j]] = 1
     notes: list[tuple[str, ...]] = [()] * len(rngs)
@@ -394,19 +401,8 @@ def _parametric_plan(g: Graph, spec: DominationSpec):
         notes.append(
             "selection probability taken as the zero-margin limit of the formula"
         )
-    # the smaller of bound_parametric and bound_parametric_alt where each
-    # applies (a margin of at least 1), from the parameters already derived
-    candidates = [
-        c * g.n
-        for c in (
-            _strong_coeff(params.delta_bar, params.log_b_phi),
-            _strong_coeff(params.delta_hat, params.log_b_pair),
-        )
-        if c is not None
-    ]
-    if candidates:
-        target = min(candidates)
-    else:
+    target = params.strong_target(g.n)
+    if target is None:
         target = float(g.n)
         notes.append("no strong bound applicable; target set to the trivial bound n")
     restricted = _restricted(g, closed=False)

@@ -32,7 +32,13 @@ from multidom import (
     verify_function,
     verify_set,
 )
-from multidom.bounds import ParametricParams, bound_parametric, bound_parametric_alt
+from multidom.bounds import (
+    ParametricParams,
+    RSParams,
+    bound_parametric,
+    bound_parametric_alt,
+    bound_total_rs,
+)
 from multidom.construct import (
     _capped_trial,
     _construct,
@@ -474,3 +480,34 @@ def test_parametric_params_p_minimises_each_strong_bound():
                         continue
                     value = p + math.exp(log_b) * (1.0 - p) ** (d + 1)
                     assert math.isclose(value, bound(k, l, delta, 100).coefficient, rel_tol=1e-12)
+
+
+def test_strong_targets_are_the_bound_reports():
+    # the plans take their targets from the derived params; the bound
+    # reports must give the same value and the same applicability
+    for delta in range(31):
+        for n in (1, 7, 100):
+            for k in range(1, 5):
+                for l in range(1, 5):
+                    reports = [r for r in (bound_parametric(k, l, delta, n),
+                                           bound_parametric_alt(k, l, delta, n)) if r.applicable]
+                    want = min(r.absolute for r in reports) if reports else None
+                    assert ParametricParams.derive(k, l, delta).strong_target(n) == want
+            for tau in range(1, 4):
+                for s in range(6):
+                    for closed, bound in ((True, bound_rs), (False, bound_total_rs)):
+                        if not closed and delta < 1:
+                            continue
+                        report = bound(tau, s, tau * n, delta, n)
+                        want = report.absolute if report.applicable else None
+                        assert RSParams.derive(tau, s, delta, closed).strong_target(n) == want
+
+
+def test_short_patch_candidates_raise():
+    # the block check reads the full N[v], so a patch that N'(v) cannot
+    # fill is caught where it is picked: here N' keeps 2 of 5 neighbours
+    # and every vertex of the empty set A needs k = 3
+    g = complete(6)
+    restricted = _restricted(g, closed=False)[:, :2]
+    with pytest.raises(MultidomError, match=r"not enough patch candidates in N'\(0\) - A"):
+        _parametric_block(g, restricted, 3, 1, 0.0, [np.random.default_rng(0)])
