@@ -234,9 +234,25 @@ def test_coverage_of_sets_matches_brute_force(g, raw):
         assert coverage(g, x, closed).tolist() == expected
 
 
+@given(small_graphs(), st.data())
+@example(Graph(4, [(0, 1)]), None)  # trailing empty rows
+@example(Graph(3, [(1, 2)]), None)  # leading empty row
+@example(cycle(5), None)  # no empty row
+@settings(max_examples=60, deadline=None)
+def test_coverage_of_a_block_is_row_by_row(g, data):
+    rows = [[(3 * t + 5 * v) % 4 for v in range(g.n)] for t in range(3)]
+    if data is not None:
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, 9), min_size=g.n, max_size=g.n), min_size=1, max_size=4))
+    for closed in (True, False):
+        assert coverage(g, rows, closed).tolist() == [coverage(g, r, closed).tolist() for r in rows]
+
+
 def test_coverage_rejects_wrong_length():
     with pytest.raises(ValueError):
         coverage(cycle(4), [1, 1, 1], closed=False)
+    with pytest.raises(ValueError):
+        coverage(cycle(4), [[[1, 1, 1, 1]]], closed=False)
 
 
 @given(small_graphs(), st.data())
