@@ -117,6 +117,14 @@ class RSParams:
         bound_total_rs for open slots; None where its gate fails."""
         return _rs_strong_coeff(self) * n if _rs_gate(self)[0] else None
 
+    @property
+    def p(self) -> float:
+        """Selection probability 1 - (r/((1+theta) B_{s-1}))^(1/theta) of the
+        capped construction, clamped into [0, 1]. It is 0 on tiny graphs, where
+        the trial draws a = 0 and the repair step does all the work."""
+        p = 1.0 - math.exp((math.log(self.r) - math.log1p(self.theta) - self.log_b) / self.theta)
+        return max(0.0, min(p, 1.0))
+
 
 @dataclass(frozen=True)
 class ParametricParams:

@@ -54,14 +54,9 @@ def parse_spec(text: str) -> DominationSpec:
     if ":" not in text:
         raise ValueError(f"bad spec {text!r}; expected {SPEC_HELP}")
     head, _, arg = text.partition(":")
-    if head in ("kdom", "ktuple", "totalk", "bracek"):
-        k = int(arg)
-        return {
-            "kdom": DominationSpec.k_dominating,
-            "ktuple": DominationSpec.k_tuple,
-            "totalk": DominationSpec.total_k,
-            "bracek": DominationSpec.brace_k,
-        }[head](k)
+    for variant, name in DominationSpec.K_LABELS.items():
+        if head == name:
+            return DominationSpec(variant, k=int(arg))
     if head == "param":
         k, l = (int(x) for x in arg.split(","))
         return DominationSpec.parametric(k, l)

@@ -9,8 +9,13 @@ ceiling of the applicable bound, otherwise the best valid witness is
 returned with met_target=False (the bound only holds in expectation).
 
 Where the paper's construction does not apply, the witness that feasibility
-guarantees is returned against the trivial bound, with a note naming the
-failed condition.
+guarantees (verify._guaranteed_witness, the one feasibility checks) is
+returned against the trivial bound, with a note naming the failed
+condition.
+
+A capped trial repairs only the deficiency classes C_m that occur and draws
+its r x n uniforms in chunks of at most TRIAL_BLOCK_CELLS cells, so none of
+its arrays grows with the demand s.
 
 Trials are independent given per-trial seeds derived from (seed, index);
 the winner is the lowest index meeting the target. The trials run in
@@ -37,7 +42,7 @@ import numpy as np
 from .bounds import RSParams, ParametricParams
 from .errors import MultidomError
 from .graph import Graph, coverage
-from .verify import DominationSpec, VertexFunction, _core, _rows_valid, _witness_dict
+from .verify import DominationSpec, VertexFunction, _guaranteed_witness, _rows_valid, _witness_dict
 
 # A block of trials holds at most this many cells, trials x (n + 2m): the
 # closed neighbourhood sums of a row gather n + 2m labels, and n + 2m is at
@@ -150,13 +155,11 @@ def _witness_plan(g: Graph, spec: DominationSpec, why: str):
     """The plan for a spec the paper's construction does not cover: the
     witness feasibility guarantees, the (l-1)-core of a set variant or the
     all-caps function, against the trivial bound it always meets."""
+    row = _guaranteed_witness(g, spec)
     if spec.is_set_variant:
-        l = spec.requirements()[1]
-        row = _core(g, l - 1)
-        target, what = float(g.n), f"the {l - 1}-core"
+        target, what = float(g.n), f"the {spec.requirements()[1] - 1}-core"
     else:
-        row = spec.vectors(g.n)[0]
-        target, what = float(sum(row)), "the all-caps function"
+        target, what = float(row.sum()), "the all-caps function"
     notes = [f"{why}; returned {what}, the witness feasibility guarantees"]
     return {"delta": g.min_degree}, notes, target, _fixed(row)
 
@@ -174,37 +177,32 @@ def _restricted(g: Graph, closed: bool) -> np.ndarray:
 # -- capped-function construction (closed and open variants) --------------------
 
 
-def _clamped_p(log_inner: float, theta: int) -> tuple[float, bool]:
-    """p = 1 - (r/((1+theta) B_{s-1}))^(1/theta), clamped into [0, 1].
-
-    p <= 0 happens on tiny graphs; the trial then degenerates to a = 0 and
-    the repair step does all the work, which is still valid.
-    """
-    p = 1.0 - math.exp(log_inner / theta)
-    clamped = p <= 0.0
-    return (0.0 if clamped else min(p, 1.0)), clamped
-
-
 def _capped_trial(
     restricted: np.ndarray,
-    n: int,
-    cap: int,
+    r: int,
     s: int,
-    theta: int,
     p: float,
     rng: np.random.Generator,
     debug: dict | None = None,
 ) -> np.ndarray:
     """One randomized trial: cap indicator draws, deficiency classes, repair.
 
-    Returns labels f(v) = a(v) + max_m c_m(v) <= cap with every restricted
+    Returns labels f(v) = a(v) + max_m c_m(v) <= r with every restricted
     neighborhood summing to at least s, hence valid for the full sums too.
+    Only the classes C_m that occur, m < s, are repaired, in ascending m.
     """
-    a = (rng.random((cap, n)) < p).sum(axis=0).astype(np.int64)
+    n = len(restricted)
+    # (r, n) uniforms in row chunks of at most TRIAL_BLOCK_CELLS cells: the doubles of one draw
+    a = np.zeros(n, dtype=np.int64)
+    rows = max(1, TRIAL_BLOCK_CELLS // n)
+    for start in range(0, r, rows):
+        a += (rng.random((min(rows, r - start), n)) < p).sum(axis=0)
     msum = a[restricted].sum(axis=1)
-    room = (cap - a).tolist()
-    repairs = np.zeros((s, n), dtype=np.int64)
-    for m in range(s):
+    room = (r - a).tolist()
+    top = np.zeros(n, dtype=np.int64)
+    if debug is not None:
+        debug["class_sizes"], debug["repair_weights"] = {}, {}
+    for m in sorted(set(msum[msum < s].tolist())):
         cm = [0] * n
         members = np.flatnonzero(msum == m).tolist()  # ascending keeps trials reproducible
         for v in members:
@@ -213,7 +211,7 @@ def _capped_trial(
             if cur >= s - m:
                 continue  # enough repair mass already placed here
             need = s - m - cur
-            # spare capacity in N'(v) is (slots*cap - m) - cur = need + theta > 0
+            # spare capacity in N'(v) is (slots*r - m) - cur = need + theta > 0
             if sum(room[u] - cm[u] for u in nb) < need:
                 raise MultidomError(f"internal: spare-capacity argument violated at vertex {v}")
             for u in nb:
@@ -226,11 +224,11 @@ def _capped_trial(
                     break
             if need:
                 raise MultidomError(f"internal: repair at vertex {v} left {need} unplaced")
-        repairs[m] = cm
+        np.maximum(top, cm, out=top)
         if debug is not None:
-            debug.setdefault("class_sizes", {})[m] = len(members)
-            debug.setdefault("repair_weights", {})[m] = sum(cm)
-    return a + (repairs.max(axis=0) if s > 0 else 0)
+            debug["class_sizes"][m] = len(members)
+            debug["repair_weights"][m] = sum(cm)
+    return a + top
 
 
 def _capped_plan(g: Graph, spec: DominationSpec):
@@ -248,20 +246,18 @@ def _capped_plan(g: Graph, spec: DominationSpec):
         return _witness_plan(
             g, spec, f"derived uniform cap r={params.r} exceeds min cap tau={params.tau}"
         )
+    p = params.p
     notes: list[str] = []
-    log_inner = math.log(params.r) - math.log1p(params.theta) - params.log_b
-    p, clamped = _clamped_p(log_inner, params.theta)
-    if clamped:
+    if p == 0.0:
         notes.append("selection probability clamped to 0; the repair step does all the work")
     restricted = _restricted(g, closed)
 
     def draw(rngs: list[np.random.Generator]):
-        rows = [_capped_trial(restricted, g.n, params.r, params.s, params.theta, p, rng)
-                for rng in rngs]
+        rows = [_capped_trial(restricted, params.r, params.s, p, rng) for rng in rngs]
         return np.array(rows), [()] * len(rngs)
 
     return ({"delta": delta, "r": params.r, "s": params.s, "theta": params.theta,
-             "p": p, "p_clamped": clamped}, notes, target, draw)
+             "p": p, "p_clamped": p == 0.0}, notes, target, draw)
 
 
 def construct_rs(
@@ -388,12 +384,11 @@ def _parametric_plan(g: Graph, spec: DominationSpec):
     """(params, notes, target, draw) of the (k,l) set construction."""
     k, l = spec.requirements()
     delta = g.min_degree
-    phi = max(k, l - 1)
-    if delta < phi:
-        return _witness_plan(
-            g, spec, f"construction needs min degree >= max(k, l-1) = {phi}, got {delta}"
-        )
     params = ParametricParams.derive(k, l, delta)
+    if delta < params.phi:
+        return _witness_plan(
+            g, spec, f"construction needs min degree >= max(k, l-1) = {params.phi}, got {delta}"
+        )
     p = params.p_phi
     notes: list[str] = []
     if params.delta_bar == 0:
@@ -407,7 +402,7 @@ def _parametric_plan(g: Graph, spec: DominationSpec):
         notes.append("no strong bound applicable; target set to the trivial bound n")
     restricted = _restricted(g, closed=False)
     return (
-        {"delta": delta, "k": k, "l": l, "phi": phi, "p": p}, notes, target,
+        {"delta": delta, "k": k, "l": l, "phi": params.phi, "p": p}, notes, target,
         lambda rngs: _parametric_block(g, restricted, k, l, p, rngs),
     )
 

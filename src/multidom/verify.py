@@ -69,6 +69,14 @@ def _core(g: Graph, d: int) -> np.ndarray:
     return np.array(inside, dtype=np.int64)
 
 
+def _guaranteed_witness(g: Graph, spec: DominationSpec) -> np.ndarray:
+    """The witness that exists whenever any does: the 0/1 indicator of the
+    (l-1)-core for a set variant, the all-caps function otherwise."""
+    if spec.is_set_variant:
+        return _core(g, spec.requirements()[1] - 1)
+    return np.asarray(spec.vectors(g.n)[0], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class DominationSpec:
     """Tagged domination variant with its parameters.
@@ -194,22 +202,19 @@ class DominationSpec:
         outside C has at least k neighbours in C, and C is then one.
         Function variants: the (closed or open) neighbourhood caps of every
         vertex must sum to at least its demand; the all-caps function is
-        then a witness.
+        then a witness. Either way the guaranteed witness is checked with
+        the requirement check verification uses; core members always meet
+        l, so a short vertex lies outside C.
         """
         if self.is_set_variant:
-            k, l = self.requirements()
+            l = self.requirements()[1]
             if g.min_degree >= l - 1:
                 return True, ""  # C = V
-            core = _core(g, l - 1)
-            have = coverage(g, core, closed=False)
-            need = np.where(core == 1, 0, k)
             what = f"neighbours in the {l - 1}-core number"
         else:
-            caps, demands = self.vectors(g.n)
             closed = not self.uses_open_neighborhoods
-            have = coverage(g, caps, closed)
-            need = np.asarray(demands)
             what = f"{'closed' if closed else 'open'} neighborhood caps sum to"
+        have, need = _sums(g, self, _guaranteed_witness(g, self))
         short = np.flatnonzero(have < need)
         if short.size:
             i = short[0]
@@ -223,18 +228,14 @@ class DominationSpec:
 
     # -- presentation ----------------------------------------------------------
 
+    # label heads ("kdom" in "kdom:2") of the variants with k alone; cli reads them back
+    K_LABELS = {"k_dominating": "kdom", "k_tuple": "ktuple", "total_k": "totalk",
+                "brace_k": "bracek"}
+
     def label(self) -> str:
         v = self.variant
-        if v == "classical":
-            return "classical"
-        if v == "k_dominating":
-            return f"kdom:{self.k}"
-        if v == "k_tuple":
-            return f"ktuple:{self.k}"
-        if v == "total_k":
-            return f"totalk:{self.k}"
-        if v == "brace_k":
-            return f"bracek:{self.k}"
+        if v in self.K_LABELS:
+            return f"{self.K_LABELS[v]}:{self.k}"
         if v == "parametric":
             return f"param:{self.k},{self.l}"
         return v

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,13 +190,9 @@ def test_repair_accounting_invariant():
 
     params = RSParams.derive(2, 2, g.min_degree)
     restricted = _restricted(g, closed=True)
-    p = 1.0 - math.exp(
-        (math.log(params.r) - math.log1p(params.theta) - params.log_b) / params.theta
-    )
     for seed in range(30):
         debug: dict = {}
-        _capped_trial(restricted, g.n, params.r, params.s, params.theta,
-                      p, _trial_rng(seed, 0), debug)
+        _capped_trial(restricted, params.r, params.s, params.p, _trial_rng(seed, 0), debug)
         for m, wt in debug["repair_weights"].items():
             assert wt <= (params.s - m) * debug["class_sizes"][m]
 
@@ -460,6 +457,40 @@ def test_plan_p_is_the_parametric_params_p():
                 want = helpers._parametric_plan(g, spec)[0]["p"]
                 got = _parametric_plan(g, spec)[0]["p"]
                 assert got.hex() == want.hex() == ParametricParams.derive(k, l, delta).p_phi.hex()
+
+
+def test_rs_params_p_matches_the_clamped_formula():
+    # bit for bit, for tau <= 3, s <= 5 and delta <= 30, closed and open,
+    # against the formula the capped plan kept before it read RSParams
+    for delta in range(31):
+        for tau in range(1, 4):
+            for s in range(1, 6):
+                for closed in (True, False):
+                    if not closed and delta < 1:
+                        continue
+                    params = RSParams.derive(tau, s, delta, closed)
+                    log_inner = math.log(params.r) - math.log1p(params.theta) - params.log_b
+                    want, clamped = helpers._clamped_p(log_inner, params.theta)
+                    assert params.p.hex() == want.hex() and (params.p == 0.0) == clamped
+
+
+def test_large_demands_on_a_cycle():
+    # C10 with caps = demands: the trial repairs only the classes that
+    # occur and draws its r x n uniforms in chunks, so neither its time nor
+    # its memory grows with s through an (s, n) array
+    g = cycle(10)
+    big = (30_000,) * g.n
+    want = reference_construct(g, DominationSpec.rs(big, big), 3, 1, False)
+    assert construct_rs(g, big, big, seed=3, max_trials=1).to_dict() == want.to_dict()
+    big = (3_000_000,) * g.n
+    tracemalloc.start()
+    try:
+        res = construct_rs(g, big, big, seed=3, max_trials=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verify_function(g, DominationSpec.rs(big, big), res.witness).valid
+    assert peak < 16 * 2**20
 
 
 def test_parametric_params_p_minimises_each_strong_bound():
