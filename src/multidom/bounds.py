@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .verify import DominationSpec
@@ -208,16 +208,7 @@ class BoundReport:
     params: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "coefficient": self.coefficient,
-            "absolute": self.absolute,
-            "vacuous": self.vacuous,
-            "forced": self.forced,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def _report(
@@ -496,7 +487,7 @@ def _threshold_coeff(size: int, delta: int, c: float) -> float:
 def bound_threshold_ktuple(k: int, delta: int, n: int, c: float, force: bool = False) -> BoundReport:
     """k-tuple bound (c/(delta+1) + e^(-k(c+1/c-2)/2)) k n under delta >= ck-1, c > 1."""
     delta = _check_delta(delta)
-    if c <= 1:
+    if not c > 1:
         applicable, reason = False, f"needs c > 1, got c={c}"
     elif delta < c * k - 1:
         applicable, reason = False, f"needs delta >= ck-1 = {c * k - 1:.3f}"
@@ -514,7 +505,7 @@ def bound_threshold_parametric(
     """(k,l) threshold bound with mu = max(k, l) under delta >= c*mu - 1, c > 1."""
     delta = _check_delta(delta)
     mu = max(k, l)
-    if c <= 1:
+    if not c > 1:
         applicable, reason = False, f"needs c > 1, got c={c}"
     elif delta < c * mu - 1:
         applicable, reason = False, f"needs delta >= c*mu-1 = {c * mu - 1:.3f}"
@@ -531,7 +522,7 @@ def bound_threshold_rs(
 ) -> BoundReport:
     """Capped-function threshold bound with s = max demand under (delta+1)tau >= cs, c > 1."""
     delta = _check_delta(delta)
-    if c <= 1:
+    if not c > 1:
         applicable, reason = False, f"needs c > 1, got c={c}"
     elif s < 1:
         applicable, reason = False, "max demand is 0; the zero function already dominates"

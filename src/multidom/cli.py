@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -41,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _finite(text: str) -> float:
+    """A float option that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _read_vector(path: str) -> tuple[int, ...]:
@@ -238,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="tabulate every applicable upper bound for a spec")
     _add_graph_args(p)
     p.add_argument("--spec", required=True, help=SPEC_HELP)
-    p.add_argument("--c", type=float, default=None, help="threshold constant for the c-bounds")
+    p.add_argument("--c", type=_finite, default=None,
+                   help="threshold constant for the c-bounds (a finite number)")
     p.add_argument("--force", action="store_true",
                    help="evaluate bounds even where not applicable (flagged)")
     _add_output_args(p)

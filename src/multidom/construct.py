@@ -145,9 +145,8 @@ def _construct(
     )
 
 
-def _fixed(row):
-    """A draw that gives every trial the same row."""
-    row = np.asarray(row, dtype=np.int64)
+def _fixed(row: np.ndarray):
+    """A draw that gives every trial the same int64 row."""
     return lambda rngs: (np.tile(row, (len(rngs), 1)), [()] * len(rngs))
 
 
@@ -237,7 +236,8 @@ def _capped_plan(g: Graph, spec: DominationSpec):
     closed = not spec.uses_open_neighborhoods
     tau, s, _ = spec.cap_summary(g.n)
     if s < 1:
-        return {"p": 0.0, "delta": delta}, ["all demands are zero"], 0.0, _fixed([0] * g.n)
+        zero = _fixed(np.zeros(g.n, dtype=np.int64))
+        return {"p": 0.0, "delta": delta}, ["all demands are zero"], 0.0, zero
     if not closed and delta < 1:
         return _witness_plan(g, spec, "total construction needs delta >= 1")
     params = RSParams.derive(tau, s, delta, closed)

@@ -114,8 +114,7 @@ def exact_function_number(
     perm, inv = order.tolist(), np.argsort(order).tolist()
     rows = _rows(g, closed=not spec.uses_open_neighborhoods)
     nbrs = [[inv[w] for w in rows[v]] for v in perm]
-    caps_perm = [caps[v] for v in perm]
-    demands_perm = [demands[v] for v in perm]
+    caps_perm, demands_perm = caps[order].tolist(), demands[order].tolist()
     best_init = sum(caps_perm)  # the all-caps function; valid by feasibility
     status, best_w, best_vals, nodes = _kernels.function_search_min_weight(
         nbrs, caps_perm, demands_perm, node_budget, best_init

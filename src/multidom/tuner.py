@@ -14,7 +14,7 @@ disagreement about which feasible root is best.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -173,15 +173,7 @@ class ComparisonRow:
     best: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "rv": self.rv,
-            "c3": self.c3,
-            "tuned_c": self.tuned_c,
-            "tuned_value": self.tuned_value,
-            "ktuple_log": self.ktuple_log,
-            "best": self.best,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

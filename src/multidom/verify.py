@@ -74,7 +74,7 @@ def _guaranteed_witness(g: Graph, spec: DominationSpec) -> np.ndarray:
     (l-1)-core for a set variant, the all-caps function otherwise."""
     if spec.is_set_variant:
         return _core(g, spec.requirements()[1] - 1)
-    return np.asarray(spec.vectors(g.n)[0], dtype=np.int64)
+    return spec.vectors(g.n)[0]
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,8 @@ class DominationSpec:
     """Tagged domination variant with its parameters.
 
     Set variants use (k, l); function variants use per-vertex cap vector r
-    and demand vector s. Use the classmethod constructors.
+    and demand vector s. Every constructor checks these once, here; the
+    classmethods are the usual way in.
     """
 
     variant: str
@@ -94,16 +95,30 @@ class DominationSpec:
     def __post_init__(self):
         if self.variant not in SET_VARIANTS + FUNCTION_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.l is not None and self.l < 1:
-            raise ValueError("l must be >= 1")
-        if max(self.k or 0, self.l or 0) >= LABEL_LIMIT:
-            raise ValueError(f"k and l must be below {LABEL_LIMIT}")
-        if (self.r is None) != (self.s is None):
-            raise ValueError("r and s vectors must be given together")
-        if self.r is not None and len(self.r) != len(self.s):
-            raise ValueError("r and s vectors must have equal length")
+        wanted = {"classical": (), "parametric": ("k", "l"), "rs": ("r", "s"),
+                  "total_rs": ("r", "s")}.get(self.variant, ("k",))
+        given = tuple(name for name in "klrs" if getattr(self, name) is not None)
+        if given != wanted:
+            raise ValueError(f"{self.variant} takes {', '.join(wanted) or 'no parameters'}, "
+                             f"got {', '.join(given) or 'none'}")
+        for name in [name for name in given if name in ("k", "l")]:
+            value = _integers((getattr(self, name),), name)[0]
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+            if value >= LABEL_LIMIT:
+                raise ValueError(f"k and l must be below {LABEL_LIMIT}")
+            object.__setattr__(self, name, value)
+        if self.r is not None:
+            r, s = _as_vector(self.r, "r"), _as_vector(self.s, "s")
+            if len(r) != len(s):
+                raise ValueError("r and s vectors must have equal length")
+            object.__setattr__(self, "r", r)
+            object.__setattr__(self, "s", s)
+            # read-only int64 copies that vectors() hands out; not fields, so
+            # equality, hashing and repr still see only the tuples
+            caps, demands = np.array(r, dtype=np.int64), np.array(s, dtype=np.int64)
+            caps.flags.writeable = demands.flags.writeable = False
+            object.__setattr__(self, "_vectors", (caps, demands))
 
     # -- constructors --------------------------------------------------------
 
@@ -133,11 +148,11 @@ class DominationSpec:
 
     @classmethod
     def rs(cls, r: Sequence[int], s: Sequence[int]) -> "DominationSpec":
-        return cls("rs", r=_as_vector(r, "r"), s=_as_vector(s, "s"))
+        return cls("rs", r=r, s=s)
 
     @classmethod
     def total_rs(cls, r: Sequence[int], s: Sequence[int]) -> "DominationSpec":
-        return cls("total_rs", r=_as_vector(r, "r"), s=_as_vector(s, "s"))
+        return cls("total_rs", r=r, s=s)
 
     # -- classification ------------------------------------------------------
 
@@ -172,24 +187,27 @@ class DominationSpec:
             return self.k, self.l
         raise ValueError(f"{self.variant} is not a set variant")
 
-    def vectors(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(caps, demands) of length n. Function variants only."""
+    def vectors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(caps, demands) of length n as read-only int64 arrays, the same
+        objects on every call for rs and total_rs. Function variants only."""
         if self.variant == "brace_k":
-            return (self.k,) * n, (self.k,) * n
+            ks = np.full(n, self.k, dtype=np.int64)
+            ks.flags.writeable = False
+            return ks, ks
         if self.variant in ("rs", "total_rs"):
             if len(self.r) != n:
                 raise ValueError(f"r/s vectors have length {len(self.r)}, graph has n={n}")
-            return self.r, self.s
+            return self._vectors
         raise ValueError(f"{self.variant} is not a function variant")
 
     def cap_summary(self, n: int) -> tuple[int, int, int]:
         """(tau, s, cap_sum): min cap, max demand and sum of the caps over n
-        vertices, the three numbers the capped-function bounds read.
-        Function variants only."""
+        vertices, the three numbers the capped-function bounds read, as
+        Python ints. Function variants only."""
         if self.variant == "brace_k":
             return self.k, self.k, self.k * n
         caps, demands = self.vectors(n)
-        return min(caps), max(demands), sum(caps)
+        return int(caps.min()), int(demands.max()), int(caps.sum())
 
     # -- feasibility ----------------------------------------------------------
 
@@ -321,8 +339,7 @@ def _sums(g: Graph, spec: DominationSpec, x: np.ndarray) -> tuple[np.ndarray, np
     if spec.is_set_variant:
         k_req, l_req = spec.requirements()
         return coverage(g, x, closed=True), np.where(x == 1, l_req, k_req)
-    demands = np.asarray(spec.vectors(g.n)[1], dtype=np.int64)
-    return coverage(g, x, closed=not spec.uses_open_neighborhoods), demands
+    return coverage(g, x, closed=not spec.uses_open_neighborhoods), spec.vectors(g.n)[1]
 
 
 def _rows_valid(g: Graph, spec: DominationSpec, rows: np.ndarray) -> np.ndarray:
@@ -331,7 +348,7 @@ def _rows_valid(g: Graph, spec: DominationSpec, rows: np.ndarray) -> np.ndarray:
     achieved, required = _sums(g, spec, rows)
     valid = (achieved >= required).all(axis=1)
     if spec.is_function_variant:
-        valid &= (rows <= np.asarray(spec.vectors(g.n)[0])).all(axis=1)
+        valid &= (rows <= spec.vectors(g.n)[0]).all(axis=1)
     return valid
 
 
@@ -373,7 +390,7 @@ def verify_function(g: Graph, spec: DominationSpec, f: VertexFunction) -> Verify
     if len(f.values) != g.n:
         raise ValueError(f"function has {len(f.values)} values, graph has n={g.n}")
     values = np.asarray(f.values, dtype=np.int64)
-    over = np.flatnonzero(values > np.asarray(caps))
+    over = np.flatnonzero(values > caps)
     if over.size:
         v = over[0]
         raise CapViolationError(f"f({v}) = {values[v]} exceeds cap {caps[v]}")

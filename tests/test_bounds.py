@@ -355,6 +355,15 @@ def test_threshold_ktuple_values():
     assert forced.forced and forced.coefficient is not None
 
 
+@pytest.mark.parametrize("c", [math.nan, 1.0, 0.5])
+def test_threshold_gates_refuse_a_nan_or_small_c(c):
+    for rep in (bound_threshold_ktuple(2, 100, 10, c),
+                bound_threshold_parametric(2, 3, 100, 10, c),
+                bound_threshold_rs(1, 2, 10, 100, 10, c)):
+        assert not rep.applicable and rep.coefficient is None
+        assert rep.reason == f"needs c > 1, got c={c}"
+
+
 def test_threshold_parametric_and_rs_identities():
     # l <= k gives mu = k and the same value as the k-tuple form
     for k, l, delta, c in [(3, 2, 30, 2.5), (4, 4, 50, 3.0), (5, 1, 40, 2.0)]:

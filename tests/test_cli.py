@@ -71,6 +71,15 @@ def test_bounds_ktuple_with_c_csv(capsys):
     assert {"rv", "ktuple_threshold", "rs_strong"} <= names
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf", "NaN", "x"])
+@pytest.mark.parametrize("spec,fmt", [("ktuple:2", "json"), ("bracek:2", "csv")])
+def test_bounds_rejects_a_non_finite_c(capsys, spec, fmt, c):
+    code, out, err = run_cli(capsys, "bounds", "--family", "petersen", "--spec", spec,
+                             f"--c={c}", "--format", fmt)
+    assert code == 1 and out == ""
+    assert f"argument --c: expected a finite number, got '{c}'" in err
+
+
 def test_successive_calls_share_no_options(capsys):
     plain = ("bounds", "--family", "cycle", "--n", "6", "--spec", "classical", "--no-timestamp")
     first = run_cli(capsys, *plain)

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +22,7 @@ from multidom import (
     verify_set,
     weight,
 )
+from multidom.bounds import bounds_for_spec
 from multidom.construct import _restricted
 
 
@@ -320,3 +322,77 @@ def test_spec_validation():
         DominationSpec.brace_k(2**62)
     with pytest.raises(ValueError):
         VertexFunction((2**62, 0))
+
+
+@pytest.mark.parametrize("variant,params", [
+    ("classical", {"k": 1}),
+    ("k_dominating", {}),
+    ("k_tuple", {}),
+    ("total_k", {"k": 2, "l": 2}),
+    ("brace_k", {"r": (1,), "s": (1,)}),
+    ("parametric", {"k": 2}),
+    ("parametric", {"l": 2}),
+    ("rs", {"r": (1, 1)}),
+    ("total_rs", {"k": 1, "r": (1,), "s": (1,)}),
+    ("k_tuple", {"k": True}),
+    ("k_tuple", {"k": 2.0}),
+    ("brace_k", {"k": "2"}),
+    ("parametric", {"k": 2, "l": 1.5}),
+    ("parametric", {"k": 2, "l": 0}),
+    ("total_k", {"k": 2**31}),
+])
+def test_every_constructor_checks_its_parameters(variant, params):
+    with pytest.raises(ValueError):
+        DominationSpec(variant, **params)
+
+
+def test_direct_construction_matches_the_classmethods():
+    assert DominationSpec("parametric", k=2, l=3) == DominationSpec.parametric(2, 3)
+    spec = DominationSpec.k_tuple(np.int64(2))
+    assert type(spec.k) is int and spec.label() == "ktuple:2"
+    spec = DominationSpec("rs", r=[1, 2], s=np.array([1, 0]))
+    assert spec == DominationSpec.rs((1, 2), (1, 0))
+    assert hash(spec) == hash(DominationSpec.rs((1, 2), (1, 0)))
+    assert spec.r == (1, 2) and spec.s == (1, 0)
+    assert spec.to_dict() == {"variant": "rs", "r": [1, 2], "s": [1, 0]}
+
+
+@pytest.mark.parametrize("variant", ["rs", "total_rs"])
+@pytest.mark.parametrize("r,s", [((-1, 2), (1, 1)), ((1, 2), (True, 1)),
+                                 ((1, 2**31), (1, 1)), ((1, 1), (1, 2**31))])
+def test_direct_construction_checks_vectors_like_the_classmethod(variant, r, s):
+    with pytest.raises(ValueError) as by_classmethod:
+        getattr(DominationSpec, variant)(r, s)
+    with pytest.raises(ValueError) as direct:
+        DominationSpec(variant, r=r, s=s)
+    assert str(direct.value) == str(by_classmethod.value)
+
+
+@pytest.mark.parametrize("spec", [DominationSpec.rs((1, 2, 3), (1, 1, 2)),
+                                  DominationSpec.total_rs((1, 2, 3), (1, 1, 2)),
+                                  DominationSpec.brace_k(2)], ids=lambda s: s.variant)
+def test_vectors_are_read_only_int64_arrays(spec):
+    caps, demands = spec.vectors(3)
+    for vector in (caps, demands):
+        assert vector.dtype == np.int64 and vector.shape == (3,)
+        assert not vector.flags.writeable
+        with pytest.raises(ValueError):
+            vector[0] = 5
+    if spec.variant == "brace_k":
+        assert caps.tolist() == demands.tolist() == [2, 2, 2]
+    else:
+        again = spec.vectors(3)
+        assert again[0] is caps and again[1] is demands
+        assert (caps.tolist(), demands.tolist()) == ([1, 2, 3], [1, 1, 2])
+        assert (spec.r, spec.s) == ((1, 2, 3), (1, 1, 2))
+        with pytest.raises(ValueError):
+            spec.vectors(4)
+
+
+@pytest.mark.parametrize("make", [DominationSpec.rs, DominationSpec.total_rs])
+def test_cap_summary_gives_ints_that_reach_json(make):
+    spec = make((2, 3, 2, 3, 2), (1, 2, 1, 1, 2))
+    summary = spec.cap_summary(5)
+    assert summary == (2, 2, 12) and all(type(x) is int for x in summary)
+    for force in (False, True):
+        json.dumps([r.to_dict() for r in bounds_for_spec(spec, 2, 5, c=1.5, force=force)])
