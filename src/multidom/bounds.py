@@ -221,23 +221,44 @@ def _report(
     coeff_fn: Callable[[], float | None],
     force: bool = False,
 ) -> BoundReport:
+    """The one evaluation of a bound's formula. A forced one that raises an
+    ArithmeticError or ValueError, or any non-finite result, gives no
+    coefficient; non-finite params become None, so to_dict() is strict JSON."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    coefficient = None
+    coefficient = absolute = None
     if applicable or force:
-        coefficient = coeff_fn()
-    absolute = coefficient * n if coefficient is not None else None
-    vacuous = (absolute >= cap_absolute) if absolute is not None else None
+        try:
+            coefficient = coeff_fn()
+        except (ArithmeticError, ValueError):
+            if applicable:
+                raise
+    if coefficient is not None:
+        absolute = coefficient * n
+        if not (math.isfinite(coefficient) and math.isfinite(absolute)):
+            coefficient = absolute = None
+    for key, value in params.items():  # each caller builds its params afresh
+        if isinstance(value, float) and not math.isfinite(value):
+            params[key] = None
     return BoundReport(
         name=name,
         applicable=applicable,
         reason=reason,
         coefficient=coefficient,
         absolute=absolute,
-        vacuous=vacuous,
+        vacuous=(absolute >= cap_absolute) if absolute is not None else None,
         forced=force and not applicable and coefficient is not None,
         params=params,
     )
+
+
+def _gate(*checks: tuple[bool, str]) -> tuple[bool, str]:
+    """(applicable, reason) from (holds, reason) checks taken in order: the
+    reason of the first that fails, or (True, "") when all hold."""
+    for holds, reason in checks:
+        if not holds:
+            return False, reason
+    return True, ""
 
 
 def _check_delta(delta: int) -> int:
@@ -276,8 +297,7 @@ def bound_classical(delta: int, n: int) -> BoundReport:
 def bound_caro_roditty(delta: int, n: int, force: bool = False) -> BoundReport:
     """gamma(G) <= (1 - delta/(1+delta)^(1+1/delta)) * n for delta >= 1."""
     delta = _check_delta(delta)
-    applicable = delta >= 1
-    reason = "" if applicable else "needs delta >= 1"
+    applicable, reason = _gate((delta >= 1, "needs delta >= 1"))
     return _report(
         "caro_roditty", n, float(n), {"delta": delta}, applicable, reason,
         lambda: _strong_coeff(delta, 0.0), force,
@@ -301,12 +321,12 @@ def _rs_log_coeff(theta: int, log_b: float, r: int) -> float:
     return (math.log(theta + 1) + log_b - math.log(r) + 1.0) / (theta + 1) * r
 
 
+_ZERO_DEMAND = "max demand is 0; the zero function already dominates"
+
+
 def _rs_gate(p: RSParams) -> tuple[bool, str]:
-    if p.s < 1:
-        return False, "max demand is 0; the zero function already dominates"
-    if p.r > p.tau:
-        return False, f"derived r={p.r} exceeds min cap tau={p.tau}"
-    return True, ""
+    return _gate((p.s >= 1, _ZERO_DEMAND),
+                 (p.r <= p.tau, f"derived r={p.r} exceeds min cap tau={p.tau}"))
 
 
 def _capped_report(
@@ -335,7 +355,7 @@ def _capped_report(
                        "log_B_s1": p.log_b})
     return _report(
         name, n, float(cap_sum), params, applicable, reason,
-        lambda: coeff(p) if p is not None and p.s >= 1 else None, force,
+        lambda: coeff(p) if p is not None else None, force,
     )
 
 
@@ -367,13 +387,8 @@ def bound_rs_log_optimized(
     """Log-form bound minimized over every admissible integer r in [s/(delta+1), tau]."""
     delta = _check_delta(delta)
     lo = max(1, -(-s // (delta + 1)))  # ceil(s/(delta+1))
-    applicable = s >= 1 and lo <= tau
-    if s < 1:
-        reason = "max demand is 0; the zero function already dominates"
-    elif lo > tau:
-        reason = f"no admissible integer r: ceil(s/(delta+1))={lo} exceeds tau={tau}"
-    else:
-        reason = ""
+    applicable, reason = _gate((s >= 1, _ZERO_DEMAND), (
+        lo <= tau, f"no admissible integer r: ceil(s/(delta+1))={lo} exceeds tau={tau}"))
     best: tuple[float, int] | None = None
     if applicable:
         for r in range(lo, tau + 1):
@@ -414,8 +429,7 @@ def bound_parametric(k: int, l: int, delta: int, n: int, force: bool = False) ->
     """Strong (k,l) bound: (1 - dbar/((1+dbar)^(1+1/dbar) b_{phi-1}^(1/dbar))) n, dbar = delta - phi."""
     delta = _check_delta(delta)
     p = ParametricParams.derive(k, l, delta)
-    applicable = p.delta_bar >= 1
-    reason = "" if applicable else f"needs delta - max(k, l-1) > 0, got {p.delta_bar}"
+    applicable, reason = _gate((p.delta_bar >= 1, f"needs delta - max(k, l-1) > 0, got {p.delta_bar}"))
     params = {"delta": delta, "k": k, "l": l, "phi": p.phi, "delta_bar": p.delta_bar,
               "log_b_phi1": p.log_b_phi}
     return _report("parametric_strong", n, float(n), params, applicable, reason,
@@ -426,8 +440,7 @@ def bound_parametric_log(k: int, l: int, delta: int, n: int, force: bool = False
     """Log-form (k,l) bound: (ln(delta-phi+1) + ln b_{phi-1} + 1)/(delta-phi+1) n."""
     delta = _check_delta(delta)
     p = ParametricParams.derive(k, l, delta)
-    applicable = delta >= p.phi
-    reason = "" if applicable else f"needs delta >= max(k, l-1) = {p.phi}"
+    applicable, reason = _gate((delta >= p.phi, f"needs delta >= max(k, l-1) = {p.phi}"))
     params = {"delta": delta, "k": k, "l": l, "phi": p.phi,
               "log_b_phi1": p.log_b_phi}
     return _report("parametric_log", n, float(n), params, applicable, reason,
@@ -442,8 +455,7 @@ def bound_parametric_alt(k: int, l: int, delta: int, n: int, force: bool = False
     """
     delta = _check_delta(delta)
     p = ParametricParams.derive(k, l, delta)
-    applicable = p.delta_hat >= 1
-    reason = "" if applicable else f"needs delta - max(k, l) + 1 > 0, got {p.delta_hat}"
+    applicable, reason = _gate((p.delta_hat >= 1, f"needs delta - max(k, l) + 1 > 0, got {p.delta_hat}"))
     params = {"delta": delta, "k": k, "l": l, "delta_hat": p.delta_hat,
               "log_b_pair": p.log_b_pair}
     return _report("parametric_alt_strong", n, float(n), params, applicable, reason,
@@ -454,8 +466,7 @@ def bound_parametric_alt_log(k: int, l: int, delta: int, n: int, force: bool = F
     """Log form of the alternative (k,l) bound: (ln(dhat+1) + ln(b_{k-1}+b_{l-2}) + 1)/(dhat+1) n."""
     delta = _check_delta(delta)
     p = ParametricParams.derive(k, l, delta)
-    applicable = delta >= p.phi
-    reason = "" if applicable else f"needs delta >= max(k, l-1) = {p.phi}"
+    applicable, reason = _gate((delta >= p.phi, f"needs delta >= max(k, l-1) = {p.phi}"))
     params = {"delta": delta, "k": k, "l": l, "delta_hat": p.delta_hat,
               "log_b_pair": p.log_b_pair}
     return _report("parametric_alt_log", n, float(n), params, applicable, reason,
@@ -468,8 +479,8 @@ def bound_parametric_alt_log(k: int, l: int, delta: int, n: int, force: bool = F
 def bound_rv(k: int, delta: int, n: int, force: bool = False) -> BoundReport:
     """k-tuple bound under delta >= 2k ln(delta+1) - 1, with exact factorial terms."""
     delta = _check_delta(delta)
-    applicable = delta >= 2 * k * math.log(delta + 1) - 1
-    reason = "" if applicable else f"needs delta >= 2k*ln(delta+1) - 1 = {2 * k * math.log(delta + 1) - 1:.3f}"
+    need = 2 * k * math.log(delta + 1) - 1
+    applicable, reason = _gate((delta >= need, f"needs delta >= 2k*ln(delta+1) - 1 = {need:.3f}"))
 
     def coeff() -> float:
         total = k * math.log(delta + 1) / (delta + 1)
@@ -484,19 +495,22 @@ def _threshold_coeff(size: int, delta: int, c: float) -> float:
     return (c / (delta + 1) + math.exp(-0.5 * size * (c + 1.0 / c - 2.0))) * size
 
 
+def _threshold(name: str, size: int, delta: int, n: int, c: float, cap: float,
+               params: dict, force: bool, degree_gate: tuple[bool, str],
+               extra_gate: tuple[bool, str] = (True, "")) -> BoundReport:
+    """The c-form (c/(delta+1) + e^(-size(c+1/c-2)/2)) size n, gated on c > 1,
+    then extra_gate, then degree_gate; force does not pass a failed extra_gate."""
+    applicable, reason = _gate((c > 1, f"needs c > 1, got c={c}"), extra_gate, degree_gate)
+    return _report(name, n, cap, params, applicable, reason,
+                   lambda: _threshold_coeff(size, delta, c) if extra_gate[0] else None, force)
+
+
 def bound_threshold_ktuple(k: int, delta: int, n: int, c: float, force: bool = False) -> BoundReport:
     """k-tuple bound (c/(delta+1) + e^(-k(c+1/c-2)/2)) k n under delta >= ck-1, c > 1."""
     delta = _check_delta(delta)
-    if not c > 1:
-        applicable, reason = False, f"needs c > 1, got c={c}"
-    elif delta < c * k - 1:
-        applicable, reason = False, f"needs delta >= ck-1 = {c * k - 1:.3f}"
-    else:
-        applicable, reason = True, ""
-    return _report(
-        "ktuple_threshold", n, float(n), {"delta": delta, "k": k, "c": c},
-        applicable, reason, lambda: _threshold_coeff(k, delta, c), force,
-    )
+    return _threshold("ktuple_threshold", k, delta, n, c, float(n),
+                      {"delta": delta, "k": k, "c": c}, force,
+                      (delta >= c * k - 1, f"needs delta >= ck-1 = {c * k - 1:.3f}"))
 
 
 def bound_threshold_parametric(
@@ -505,16 +519,9 @@ def bound_threshold_parametric(
     """(k,l) threshold bound with mu = max(k, l) under delta >= c*mu - 1, c > 1."""
     delta = _check_delta(delta)
     mu = max(k, l)
-    if not c > 1:
-        applicable, reason = False, f"needs c > 1, got c={c}"
-    elif delta < c * mu - 1:
-        applicable, reason = False, f"needs delta >= c*mu-1 = {c * mu - 1:.3f}"
-    else:
-        applicable, reason = True, ""
-    return _report(
-        "parametric_threshold", n, float(n), {"delta": delta, "k": k, "l": l, "mu": mu, "c": c},
-        applicable, reason, lambda: _threshold_coeff(mu, delta, c), force,
-    )
+    return _threshold("parametric_threshold", mu, delta, n, c, float(n),
+                      {"delta": delta, "k": k, "l": l, "mu": mu, "c": c}, force,
+                      (delta >= c * mu - 1, f"needs delta >= c*mu-1 = {c * mu - 1:.3f}"))
 
 
 def bound_threshold_rs(
@@ -522,40 +529,24 @@ def bound_threshold_rs(
 ) -> BoundReport:
     """Capped-function threshold bound with s = max demand under (delta+1)tau >= cs, c > 1."""
     delta = _check_delta(delta)
-    if not c > 1:
-        applicable, reason = False, f"needs c > 1, got c={c}"
-    elif s < 1:
-        applicable, reason = False, "max demand is 0; the zero function already dominates"
-    elif (delta + 1) * tau < c * s:
-        applicable, reason = False, f"needs (delta+1)*tau >= c*s = {c * s:.3f}"
-    else:
-        applicable, reason = True, ""
-    return _report(
-        "rs_threshold", n, float(cap_sum), {"delta": delta, "tau": tau, "s": s, "c": c},
-        applicable, reason,
-        lambda: _threshold_coeff(s, delta, c) if s >= 1 else None, force,
-    )
+    return _threshold("rs_threshold", s, delta, n, c, float(cap_sum),
+                      {"delta": delta, "tau": tau, "s": s, "c": c}, force,
+                      ((delta + 1) * tau >= c * s, f"needs (delta+1)*tau >= c*s = {c * s:.3f}"),
+                      (s >= 1, _ZERO_DEMAND))
 
 
 def _ln_threshold(name: str, size: int, delta: int, n: int, c: float,
                   cap: float, params: dict, force: bool,
                   extra_gate: tuple[bool, str] = (True, "")) -> BoundReport:
-    ok, why = extra_gate
-    if not ok:
-        applicable, reason = False, why
-    elif not 0.0 < c < 1.0:
-        applicable, reason = False, f"needs 0 < c < 1, got c={c}"
-    elif delta < 1 or size > (1.0 - c) * math.log(delta):
-        applicable, reason = False, f"needs parameter <= (1-c)*ln(delta) = {(1 - c) * math.log(delta) if delta >= 1 else NEG_INF:.3f}"
-    else:
-        applicable, reason = True, ""
-
-    def coeff() -> float | None:
-        if delta < 1:
-            return None
-        return math.log(delta) / (delta + 1) + size / delta ** (0.5 * c * c)
-
-    return _report(name, n, cap, params, applicable, reason, coeff, force)
+    """The ln-form (ln(delta)/(delta+1) + size/delta^(c^2/2)) n, gated on
+    extra_gate, then 0 < c < 1, then size <= (1-c) ln delta."""
+    log_delta = math.log(delta) if delta >= 1 else NEG_INF
+    applicable, reason = _gate(
+        extra_gate, (0.0 < c < 1.0, f"needs 0 < c < 1, got c={c}"),
+        (size <= (1.0 - c) * log_delta,
+         f"needs parameter <= (1-c)*ln(delta) = {(1 - c) * log_delta:.3f}"))
+    return _report(name, n, cap, params, applicable, reason,
+                   lambda: log_delta / (delta + 1) + size / delta ** (0.5 * c * c), force)
 
 
 def bound_ln_threshold_ktuple(k: int, delta: int, n: int, c: float, force: bool = False) -> BoundReport:

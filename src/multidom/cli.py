@@ -129,7 +129,7 @@ def _emit_json(args, payload: dict) -> None:
     if not args.no_timestamp:
         payload = dict(payload)
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -120,6 +120,10 @@ class DominationSpec:
             caps.flags.writeable = demands.flags.writeable = False
             object.__setattr__(self, "_vectors", (caps, demands))
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which sets _vectors
+        return type(self), (self.variant, self.k, self.l, self.r, self.s)
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -291,10 +295,7 @@ class VertexFunction:
 
     @classmethod
     def characteristic(cls, members: Iterable[int], n: int) -> "VertexFunction":
-        vals = [0] * n
-        for v in _integers(members, "member ids"):
-            vals[v] = 1
-        return cls(tuple(vals))
+        return cls(_indicator(members, n))
 
     def to_dict(self) -> dict:
         return {"values": list(self.values)}
@@ -352,14 +353,20 @@ def _rows_valid(g: Graph, spec: DominationSpec, rows: np.ndarray) -> np.ndarray:
     return valid
 
 
-def _indicator(g: Graph, members: Iterable[int]) -> np.ndarray:
-    """0/1 membership vector of a witness set; repeated ids count once."""
-    ids = np.array(_integers(members, "witness vertex ids"), dtype=np.int64)
-    bad = ids[(ids < 0) | (ids >= g.n)]
-    if bad.size:
-        raise ValueError(f"witness vertex {bad[0]} out of range for n={g.n}")
-    x = np.zeros(g.n, dtype=np.int64)
-    x[ids] = 1
+def _indicator(members: Iterable[int], n: int) -> np.ndarray:
+    """0/1 membership vector over n vertices of a witness set; repeated ids
+    count once, and the first id outside [0, n), in the given order, raises."""
+    ids = _integers(members, "witness vertex ids")
+    try:
+        at = np.array(ids, dtype=np.int64)
+        inside = at.size == 0 or (at.min() >= 0 and at.max() < n)
+    except OverflowError:  # an id past int64
+        inside = False
+    if not inside:
+        bad = next(v for v in ids if not 0 <= v < n)
+        raise ValueError(f"witness vertex {bad} out of range for n={n}")
+    x = np.zeros(n, dtype=np.int64)
+    x[at] = 1
     return x
 
 
@@ -373,7 +380,7 @@ def verify_set(g: Graph, spec: DominationSpec, members: Iterable[int]) -> Verify
     """
     if not spec.is_set_variant:
         raise ValueError(f"verify_set needs a set variant, got {spec.variant}")
-    x = _indicator(g, members)
+    x = _indicator(members, g.n)
     deficiencies = _deficiencies(*_sums(g, spec, x))
     return VerifyReport(not deficiencies, int(x.sum()), deficiencies)
 

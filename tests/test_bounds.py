@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -364,6 +365,21 @@ def test_threshold_gates_refuse_a_nan_or_small_c(c):
         assert rep.reason == f"needs c > 1, got c={c}"
 
 
+def test_zero_demand_and_min_cap_gates():
+    # the c-form checks c, then zero demand, then degree; the ln-form checks tau first
+    zero = "max demand is 0; the zero function already dominates"
+    assert bound_rs_log_optimized(3, 0, 30, 5, 10).reason == zero
+    assert bound_threshold_rs(3, 0, 30, 5, 10, 2.0).reason == zero
+    assert bound_threshold_rs(3, 0, 30, 5, 10, 0.5).reason == "needs c > 1, got c=0.5"
+    forced = bound_threshold_rs(3, 0, 30, 5, 10, 2.0, force=True)
+    assert forced.coefficient is None and not forced.forced
+    rep = bound_ln_threshold_rs(0, 1, 0, 50, 10, 0.5)
+    assert not rep.applicable and rep.reason == "needs min cap tau >= 1"
+    assert bound_ln_threshold_rs(0, 1, 0, 50, 10, 2.0).reason == "needs min cap tau >= 1"
+    forced = bound_ln_threshold_rs(0, 1, 0, 50, 10, 0.5, force=True)
+    assert forced.forced and forced.coefficient == pytest.approx(0.6899438969570715, rel=1e-12)
+
+
 def test_threshold_parametric_and_rs_identities():
     # l <= k gives mu = k and the same value as the k-tuple form
     for k, l, delta, c in [(3, 2, 30, 2.5), (4, 4, 50, 3.0), (5, 1, 40, 2.0)]:
@@ -469,3 +485,77 @@ def test_bounds_for_spec_catalogue():
 
     rows = bounds_for_spec(DominationSpec.brace_k(2), 5, 8)
     assert {"rs_strong", "rs_log", "rs_log_optimized"} <= {r.name for r in rows}
+
+
+# -- forced evaluation outside a formula's domain ------------------------------------
+
+
+GRID_C = [0, -1e-300, -0.001, -1, 0.5, 1, 1.5, 3, 1000, 1e300, math.inf, -math.inf, math.nan]
+
+
+def _forced_grid(n=10):
+    """Every public bound, forced, over small and degenerate parameters."""
+    for delta in (0, 1, 2, 5, 50):
+        yield bound_classical(delta, n)
+        yield bound_caro_roditty(delta, n, force=True)
+        for k in (1, 2, 5):
+            yield bound_rv(k, delta, n, force=True)
+            for c in GRID_C:
+                yield bound_threshold_ktuple(k, delta, n, c, force=True)
+                yield bound_ln_threshold_ktuple(k, delta, n, c, force=True)
+            for l in (1, 2, 3, 6):
+                for fn in (bound_parametric, bound_parametric_log,
+                           bound_parametric_alt, bound_parametric_alt_log):
+                    yield fn(k, l, delta, n, force=True)
+                for c in GRID_C:
+                    yield bound_threshold_parametric(k, l, delta, n, c, force=True)
+                    yield bound_ln_threshold_parametric(k, l, delta, n, c, force=True)
+        for tau in (0, 1, 3):
+            for s in (0, 1, 4, 100):
+                caps = (tau, s, tau * n, delta, n)
+                for fn in (bound_rs, bound_rs_log, bound_rs_log_optimized,
+                           bound_total_rs, bound_total_rs_log):
+                    yield fn(*caps, force=True)
+                for c in GRID_C:
+                    yield bound_threshold_rs(*caps, c, force=True)
+                    yield bound_ln_threshold_rs(*caps, c, force=True)
+
+
+def test_forced_bounds_never_raise_and_report_strict_json():
+    names, forced = set(), 0
+    for rep in _forced_grid():
+        json.dumps(rep.to_dict(), allow_nan=False)
+        assert rep.forced == (not rep.applicable and rep.coefficient is not None)
+        names.add(rep.name)
+        forced += rep.forced
+    assert len(names) == 18 and forced > 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bound_threshold_ktuple(2, 3, 10, 0, force=True),  # 1/c divides by zero
+    lambda: bound_threshold_ktuple(2, 3, 10, -0.001, force=True),  # e^2005 overflows
+    lambda: bound_threshold_parametric(2, 3, 3, 10, math.nan, force=True),  # not finite
+    lambda: bound_ln_threshold_ktuple(2, 3, 10, 1000, force=True),  # 3^500000 overflows
+    lambda: bound_ln_threshold_rs(1, 1, 10, 0, 10, 0.5, force=True),  # ln 0
+])
+def test_a_forced_formula_outside_its_domain_has_no_coefficient(call):
+    rep = call()
+    assert not rep.applicable and not rep.forced
+    assert rep.coefficient is None and rep.absolute is None and rep.vacuous is None
+    json.dumps(rep.to_dict(), allow_nan=False)
+
+
+def test_non_finite_params_are_none():
+    # b_{phi-1} = C(2, 4) = 0, so ln b is -inf
+    rep = bound_parametric(5, 1, 2, 6)
+    assert rep.params["log_b_phi1"] is None and rep.params["phi"] == 5
+    assert bound_threshold_ktuple(2, 100, 10, math.inf).params["c"] is None
+
+
+def test_an_applicable_formula_that_raises_still_raises():
+    def broken():
+        raise ZeroDivisionError("formula")
+
+    assert bounds._report("x", 3, 3.0, {}, False, "no", broken, force=True).coefficient is None
+    with pytest.raises(ZeroDivisionError):
+        bounds._report("x", 3, 3.0, {}, True, "", broken)

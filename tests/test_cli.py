@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
 from multidom import DominationSpec, cycle, read_graph
+from multidom import cli
+from multidom.bounds import BoundReport
 from multidom.cli import build_parser, main, parse_spec
 
 
@@ -78,6 +81,36 @@ def test_bounds_rejects_a_non_finite_c(capsys, spec, fmt, c):
                              f"--c={c}", "--format", fmt)
     assert code == 1 and out == ""
     assert f"argument --c: expected a finite number, got '{c}'" in err
+
+
+def _no_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv,row,field", [
+    (("--family", "petersen", "--spec", "ktuple:2", "--force", "--c", "0"),
+     "ktuple_threshold", "coefficient"),  # was ZeroDivisionError
+    (("--family", "petersen", "--spec", "ktuple:2", "--force", "--c", "1000"),
+     "ktuple_ln_threshold", "coefficient"),  # was OverflowError
+    (("--family", "petersen", "--spec", "ktuple:2", "--force", "--c", "-0.001"),
+     "ktuple_threshold", "coefficient"),  # was OverflowError
+    (("--family", "cycle", "--n", "6", "--spec", "kdom:5"),
+     "parametric_strong", "log_b_phi1"),  # was -Infinity
+])
+def test_bounds_output_is_strict_json(capsys, argv, row, field):
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out, parse_constant=_no_constant)
+    rep = next(r for r in payload["bounds"] if r["name"] == row)
+    assert (rep if field == "coefficient" else rep["params"])[field] is None
+
+
+def test_a_non_finite_value_is_an_error_not_json(capsys, monkeypatch):
+    nan_row = BoundReport("nan_row", True, "", math.nan, math.nan, None, False, {})
+    monkeypatch.setattr(cli, "bounds_for_spec", lambda *args, **kwargs: [nan_row])
+    code, out, err = run_cli(capsys, "bounds", "--family", "petersen", "--spec", "classical")
+    assert code == 1 and out == ""
+    assert err.startswith("multidom: error: Out of range float values are not JSON compliant")
 
 
 def test_successive_calls_share_no_options(capsys):
@@ -172,6 +205,16 @@ def test_construct_function_spec(capsys, tmp_path):
     payload = json.loads(out)
     assert "values" in payload["witness"]
     assert len(payload["weight_trace"]) == payload["trials"]
+
+
+def test_verify_rejects_an_id_past_int64(capsys, tmp_path):
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"set": [1000000000000000000000000000000]}')
+    code, out, err = run_cli(capsys, "verify", "--family", "petersen", "--spec", "ktuple:2",
+                             "--witness", str(wfile))
+    assert code == 1 and out == ""
+    assert err == ("multidom: error: witness vertex 1000000000000000000000000000000 "
+                   "out of range for n=10\n")
 
 
 def test_verify_invalid_witness_is_data_not_error(capsys, tmp_path):

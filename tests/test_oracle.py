@@ -168,6 +168,12 @@ def test_node_budget_must_be_positive(budget):
         exact_function_number(g, DominationSpec.brace_k(2), node_budget=budget)
 
 
+def test_function_search_budget_stop_reports_its_partial():
+    with pytest.raises(ResourceLimitError, match="^node budget 5 exhausted$") as exc:
+        exact_function_number(petersen(), DominationSpec.brace_k(2), node_budget=5)
+    assert exc.value.partial == {"best_weight_so_far": 20, "nodes": 6}
+
+
 @pytest.mark.parametrize("limit", [0, -1])
 def test_limit_n_must_be_positive(limit):
     g = petersen()

@@ -65,6 +65,16 @@ def test_tune_c_infeasible():
         tune_c(12, 11)  # (delta+1)/k = 1
 
 
+def test_one_real_root_and_the_grid_fallback():
+    # k = delta = 1: the cubic c^3 - 2c^2 + c + 2 has one real root, a negative one
+    cub = solve_cubic(1, 1)
+    assert len(cub.roots) == 1
+    assert cub.roots[0] == pytest.approx(-0.6956207695598621, rel=1e-12)
+    assert abs(cub.residuals[0]) < 1e-12
+    assert tune_c(1, 1) == 1.001
+    assert tune_details(1, 1)["source"] == "grid"
+
+
 def test_tune_details_reports_grid_truth():
     det = tune_details(5, 1000)
     assert det["source"] == "cubic"

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -75,6 +77,28 @@ def test_numpy_integer_ids_and_labels_are_accepted():
         c5, DominationSpec.classical(), [0, 2, 3])
     f = VertexFunction(np.array([1, 0, 2], dtype=np.int16))
     assert f.values == (1, 0, 2) and all(type(v) is int for v in f.values)
+
+
+@pytest.mark.parametrize("ids,bad,n", [
+    ([3, 12, -1], 12, 12), ([-1, 12], -1, 12),
+    ([10**30], 10**30, 12),  # past int64: out of range, not an OverflowError
+    ([-1], -1, 3), ([5], 5, 3),  # characteristic() marked vertex 2, then raised IndexError
+])
+def test_witness_ids_out_of_range_name_the_first_bad_one(ids, bad, n):
+    for check in (lambda: verify_set(cycle(n), DominationSpec.classical(), ids),
+                  lambda: VertexFunction.characteristic(ids, n)):
+        with pytest.raises(ValueError, match=f"^witness vertex {bad} out of range for n={n}$"):
+            check()
+
+
+@pytest.mark.parametrize("spec", [DominationSpec.rs([1, 2, 2], [1, 1, 2]),
+                                  DominationSpec.total_rs([2, 2, 2], [1, 0, 1])])
+def test_copies_of_a_spec_keep_read_only_vectors(spec):
+    for twin in (copy.deepcopy(spec), copy.copy(spec), pickle.loads(pickle.dumps(spec))):
+        assert twin == spec and twin.label() == spec.label()
+        caps, demands = twin.vectors(3)
+        assert not caps.flags.writeable and not demands.flags.writeable
+        assert caps.tolist() == list(spec.r) and demands.tolist() == list(spec.s)
 
 
 def test_deficiency_reports_are_exhaustive():
