@@ -15,7 +15,7 @@ import sys
 from datetime import datetime, timezone
 
 from .bounds import bounds_for_spec
-from .construct import construct_parametric, construct_rs, construct_total_rs
+from .construct import _construct
 from .errors import InfeasibleSpecError, MultidomError
 from .graph import (
     FAMILIES,
@@ -166,14 +166,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _resolve_graph(args)
-    spec = parse_spec(args.spec)  # every construct_* checks feasibility once
-    if spec.is_function_variant:
-        construct = construct_total_rs if spec.uses_open_neighborhoods else construct_rs
-        result = construct(g, *spec.vectors(g.n), args.seed, args.trials,
-                           collect_trace=args.trace)
-    else:  # the closed-neighborhood (k,l) equivalent of the set variant
-        result = construct_parametric(g, *spec.requirements(), args.seed, args.trials,
-                                      collect_trace=args.trace)
+    spec = parse_spec(args.spec)
+    # the trial loop every construct_* runs; it checks feasibility once
+    result = _construct(g, spec, args.seed, args.trials, args.trace)
     payload = result.to_dict()
     payload["graph"] = _graph_summary(g)
     payload["spec"] = spec.label()

@@ -6,6 +6,7 @@ Vertices are 0-based everywhere inside the library; the DIMACS format is
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -298,15 +299,26 @@ def generate(spec: GraphFamilySpec) -> Graph:
 #            vertices survive a round trip; the reader honors it.
 # dimacs:    "p edge <n> <m>" header plus "e <u> <v>" lines, 1-based.
 #
-# Each reader takes a valid file in one vectorised pass: it drops comment and
-# blank lines, checks the token count of every data line, splits the joined
-# data lines once and converts all vertex ids in one np.array call, which
-# reads each token as int() does. Graph() is then the only range, self-loop
-# and duplicate check. When any step fails, the file goes to a plain line
-# loop that reads it again from the top; that loop alone decides every error
-# message and line number, so a file reports its earliest bad line.
+# Each reader takes a valid file in one byte pass, _byte_pass: numpy finds
+# the lines and tokens of the file's UTF-8 bytes and converts the vertex ids
+# digit by digit. It takes only files on which it must agree with
+# str.splitlines, str.split and int(): lines end in "\n" or "\r\n", ids are
+# ASCII digits separated by spaces and tabs, and any other text stands in a
+# comment line or the problem line, which Python reads. Graph() is then the
+# only range, self-loop and duplicate check. Any other file, or one that
+# fails a check, goes to a plain line loop that reads it again from the
+# top; that loop alone decides every error message and line number, so a
+# file reports its earliest bad line.
 
 GRAPH_FORMATS = ("edge_list", "dimacs")
+
+# The line breaks of str.splitlines besides "\n" and "\r\n". A file that
+# holds one, or a lone "\r", goes to the line loop.
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAKS = "\n\r" + _OTHER_BREAKS
+
+# Ids of up to 18 digits fit int64; the line loop reads longer ones.
+_DIGITS = 18
 
 
 def write_graph(g: Graph, fmt: str = "edge_list") -> str:
@@ -331,20 +343,72 @@ def _check_vertex_count(n: int, lineno: int | None = None) -> None:
         raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
 
 
-def _read_edge_list(lines: list[str]) -> Graph:
-    stripped = list(map(str.strip, lines))
-    data = [s for s in stripped if s[:1] not in "#"]  # "" is in every string
-    headers = (s[1:].strip() for s in stripped if s[:1] == "#")
-    declared = next((h[2:] for h in headers if h.startswith("n=")), None)
+def _first_line(text: str, comment: str) -> re.Match:
+    """The first line that is neither blank nor a comment, as str.splitlines
+    and str.strip find it: group 1 holds it from its first non-blank
+    character. re compiles the pattern on first use and caches it."""
+    return re.match(rf"(?:\s*{comment}[^{_BREAKS}]*)*\s*([^{_BREAKS}]*)", text)
+
+
+def _byte_pass(text: str, comment: str, kind: str = "") -> tuple[np.ndarray, list[str]] | None:
+    """The vertex ids and comment lines of a file the byte pass takes.
+
+    Each line of such a file is blank, a comment (its first token starts
+    with ``comment``) or a data line: ``kind``, when given, then two ids of
+    at most 18 ASCII digits. Returns the (m, 2) int64 ids and the comment
+    lines as text, or None for any other file.
+    """
+    if any(c in text for c in _OTHER_BREAKS):
+        return None
+    # the trailing newlines end the last line and let a token's digit reads
+    # run past it
+    raw = text.encode("utf-8", "surrogatepass") + b"\n" * _DIGITS
+    b = np.frombuffer(raw, dtype=np.uint8)
+    if ((b[:-1] == 13) & (b[1:] != 10)).any():  # a lone "\r"
+        return None
+    solid = (b != 32) & (b != 9) & (b != 10) & (b != 13)  # every "\r" ends a line here
+    starts, stops = np.flatnonzero(np.diff(solid, prepend=False)).reshape(-1, 2).T
+    ends = np.flatnonzero(b == 10)
+    first = np.searchsorted(starts, np.concatenate(([0], ends[:-1] + 1)))  # of each line
+    count = np.diff(first, append=len(starts))
+    first, count, ends = first[count > 0], count[count > 0], ends[count > 0]
+    lead = b[starts[first]]
+    remark = lead == ord(comment)
+    comments = [raw[a:z].decode("utf-8", "surrogatepass")
+                for a, z in zip(starts[first[remark]].tolist(), ends[remark].tolist())]
+    first, count, lead = first[~remark], count[~remark], lead[~remark]
+    if (count != len(kind) + 2).any():
+        return None
+    if kind and ((lead != ord(kind)) | (stops[first] - starts[first] != 1)).any():
+        return None
+    tokens = first[:, None] + np.arange(len(kind), len(kind) + 2)
+    at, length = starts[tokens], stops[tokens] - starts[tokens]
+    width = int(length.max(initial=0))
+    if width > _DIGITS:
+        return None
+    ids = np.zeros(tokens.shape, dtype=np.int64)
+    for d in range(width):
+        live = length > d
+        digit = b[at + d] - 48  # a byte below "0" wraps above 9
+        if (live & (digit > 9)).any():
+            return None
+        ids = np.where(live, ids * 10 + digit, ids)
+    return ids, comments
+
+
+def _read_edge_list(text: str) -> Graph:
+    read = _byte_pass(text, "#")
     try:
-        if set(map(len, map(str.split, data))) <= {2}:
-            e = np.array(" ".join(data).split(), dtype=np.int64).reshape(-1, 2)
+        if read is not None:
+            e, comments = read
+            headers = (s[1:].strip() for s in comments)
+            declared = next((h[2:] for h in headers if h.startswith("n=")), None)
             n = int(declared) if declared is not None else int(e.max(initial=-1)) + 1
             if 1 <= n <= MAX_VERTICES:
                 return Graph(n, e)
     except (ValueError, OverflowError):  # the line loop finds and reports the fault
         pass
-    return _edge_list_loop(lines)
+    return _edge_list_loop(text.splitlines())
 
 
 def _edge_list_loop(lines: list[str]) -> Graph:
@@ -385,20 +449,18 @@ def _edge_list_loop(lines: list[str]) -> Graph:
     return Graph(n, edges)
 
 
-def _read_dimacs(lines: list[str]) -> Graph:
-    data = [s for s in map(str.strip, lines) if s[:1] not in "c"]
+def _read_dimacs(text: str) -> Graph:
+    problem = _first_line(text, "c")
     try:
-        p, edge, n, m = data[0].split() if data else ()
-        n, m, body = int(n), int(m), data[1:]
-        header_ok = (p, edge) == ("p", "edge") and 1 <= n <= MAX_VERTICES
-        if header_ok and set(map(len, map(str.split, body))) <= {3}:
-            tokens = " ".join(body).split()
-            if tokens[0::3].count("e") == len(body) == m:
-                del tokens[0::3]
-                return Graph(n, np.array(tokens, dtype=np.int64).reshape(-1, 2) - 1)
+        p, edge, n, m = problem[1].split()
+        n, m = int(n), int(m)
+        if (p, edge) == ("p", "edge") and 1 <= n <= MAX_VERTICES:
+            read = _byte_pass(text[problem.end():], "c", "e")
+            if read is not None and len(read[0]) == m:
+                return Graph(n, read[0] - 1)
     except (ValueError, OverflowError):  # the line loop finds and reports the fault
         pass
-    return _dimacs_loop(lines)
+    return _dimacs_loop(text.splitlines())
 
 
 def _dimacs_loop(lines: list[str]) -> Graph:
@@ -446,20 +508,13 @@ def _dimacs_loop(lines: list[str]) -> Graph:
 
 def read_graph(text: str, fmt: str | None = None) -> Graph:
     """Parse a graph; when fmt is None it is sniffed from the content."""
-    lines = text.splitlines()
     if fmt is None:
-        for raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fmt = "dimacs" if line[0] in ("p", "c", "e") else "edge_list"
-            break
-        else:
-            fmt = "edge_list"
+        first = _first_line(text, "#")[1]
+        fmt = "dimacs" if first[:1] in ("p", "c", "e") else "edge_list"
     if fmt == "edge_list":
-        return _read_edge_list(lines)
+        return _read_edge_list(text)
     if fmt == "dimacs":
-        return _read_dimacs(lines)
+        return _read_dimacs(text)
     raise ValueError(f"unknown graph format {fmt!r}")
 
 

@@ -151,6 +151,16 @@ def test_parse_error_exits_1(capsys, tmp_path):
     assert code == 1  # argparse usage errors are parse errors
 
 
+def test_a_graph_file_that_is_not_utf8_exits_1(capsys, tmp_path):
+    gfile = tmp_path / "g.edges"
+    gfile.write_bytes(b"# n=3\n0 1\n\xff 2\n")
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"values": [1, 1, 1]}')
+    for argv in (["bounds"], ["construct"], ["verify", "--witness", str(wfile)]):
+        code, out, err = run_cli(capsys, *argv, "--graph", str(gfile), "--spec", "bracek:1")
+        assert code == 1 and out == "" and err.startswith("multidom: error: ")
+
+
 def test_missing_graph_is_error(capsys):
     code, _, err = run_cli(capsys, "bounds", "--spec", "classical")
     assert code == 1 and "graph is required" in err

@@ -80,6 +80,18 @@ def outcome(read, text):
 @example("0 1\r\n\x0c# n=4\u20282 3")
 @example("# n=x\n0 0\n")  # the earlier of two failing lines
 @example("0 0\n# n=x\n")
+@example("0 1\r\n2\r3\n")  # a lone "\r" breaks the line
+@example("0\t1\n1\t\t2\n")
+@example("007 8\n")
+@example("0 1\n1 2")  # no "\n" after the last line
+@example("0 1\n# n=5\n")  # the header after the data lines
+@example("# café\n0 1\n")
+@example("# n=4 \x0c2 3\n0 1\n")  # a "\x0c" inside a comment breaks it
+@example("# x\u20282 3\n0 1\n")
+@example(f"{'0' * 17}1 2\n{'9' * 18} 0\n")  # 18-digit ids
+@example(f"{'0' * 18}1 2\n0 {'9' * 19}\n")  # 19-digit ids
+@example(f"0 {2**64 + 1}\n")  # an id that int64 arithmetic would wrap to 1
+@example("# only\n# comments\n")
 @settings(max_examples=600, deadline=None)
 def test_edge_list_reader_matches_reference(text):
     assert outcome(lambda t: read_graph(t, "edge_list"), text) == outcome(reference_read_edge_list, text)
@@ -95,6 +107,18 @@ def test_edge_list_reader_matches_reference(text):
 @example(f"p edge {-10**30} 1\ne 1 2\n")
 @example("p edge 3 1\np edge 3 1\n")
 @example("e 1 2\np edge 3 1\n")
+@example("p edge 3 1\ne 1\r2\n")  # a lone "\r" breaks the line
+@example("p edge 3 1\nex 1 2\n")  # a kind token longer than "e"
+@example("p edge 3 1\ne\t1\t\t2\n")
+@example("p edge 8 1\ne 007 8\n")
+@example("p edge 3 1\ne 1 2")  # no "\n" after the last line
+@example("p edge 3 1\ne 1 2\np edge 3 1\n")  # a problem line after the data lines
+@example("c café\np edge 3 1\ne 1 2\n")
+@example("p edge 3 2\ne 1 2\nc x\x0ce 2 3\n")  # a "\x0c" inside a comment breaks it
+@example("p edge 3 2\ne 1 2\nc x\u2028e 2 3\n")
+@example(f"p edge 3 1\ne {'0' * 17}1 2\n")  # an 18-digit id
+@example(f"p edge 3 1\ne {'0' * 18}1 2\n")  # a 19-digit id
+@example("c only\nc comments\n")
 @settings(max_examples=600, deadline=None)
 def test_dimacs_reader_matches_reference(text):
     assert outcome(lambda t: read_graph(t, "dimacs"), text) == outcome(reference_read_dimacs, text)
