@@ -13,9 +13,12 @@ guarantees (verify._guaranteed_witness, the one feasibility checks) is
 returned against the trivial bound, with a note naming the failed
 condition.
 
-A capped trial repairs only the deficiency classes C_m that occur and draws
-its r x n uniforms in chunks of at most TRIAL_BLOCK_CELLS cells, so none of
-its arrays grows with the demand s.
+A capped trial draws its r x n uniforms in chunks of at most
+TRIAL_BLOCK_CELLS cells and finds the short vertices with array passes over
+n; Python then walks only those, class by class, keeping each repair c_m as
+a dict of the vertices it touches, and one scatter adds the max over the
+classes. None of its arrays grows with the demand s, and its Python work
+grows with the short vertices, not with n.
 
 Trials are independent given per-trial seeds derived from (seed, index);
 the winner is the lowest index meeting the target. The trials run in
@@ -24,8 +27,9 @@ blocks of 1, 2, 4, ... trials, each as large as all the trials before it
 and at most TRIAL_BLOCK_CELLS cells, so the trials drawn past the stopping
 one never outnumber those used. A block draws one row per trial from that
 trial's own generator, patches the rows of a set construction in array
-passes (the capped repair and the member completion run row by row) and
-checks every row against the full neighbourhoods with one coverage call.
+passes (the capped repair and the member completion run row by row over
+their short vertices) and checks every row against the full
+neighbourhoods with one coverage call.
 The rows are then taken in index order, exactly as single trials were:
 the blocks change no witness, weight, trace or note, and the rows past the
 stopping trial are discarded unread.
@@ -35,6 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -85,7 +91,8 @@ class ConstructionResult:
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+    # the PCG64 stream of SeedSequence((seed, index)), seeded without the wrapper
+    return np.random.default_rng((seed, index))
 
 
 def _construct(
@@ -130,7 +137,7 @@ def _construct(
     if spec.is_set_variant:
         witness = tuple(np.flatnonzero(row).tolist())
     else:
-        witness = VertexFunction(row.tolist())
+        witness = VertexFunction(row)
     return ConstructionResult(
         witness=witness,
         weight=weight,
@@ -163,14 +170,14 @@ def _witness_plan(g: Graph, spec: DominationSpec, why: str):
     return {"delta": g.min_degree}, notes, target, _fixed(row)
 
 
-def _restricted(g: Graph, closed: bool) -> np.ndarray:
-    """Row v holds N'(v) ascending: the min_degree lowest-indexed
-    neighbours of v (the first entries of its CSR row), plus v iff closed."""
+def _restricted(g: Graph) -> np.ndarray:
+    """Row v holds the open N'(v) ascending: the min_degree lowest-indexed
+    neighbours of v, the first entries of its CSR row. The closed N'(v)
+    adds v itself. The (n, delta) array is the transpose of a C-ordered
+    (delta, n) one, so a gather through ``restricted.T`` sums over its
+    first axis at full speed."""
     indptr, indices = g.csr()
-    picked = indices[indptr[:-1, None] + np.arange(g.min_degree)]
-    if closed:
-        return np.sort(np.column_stack((picked, np.arange(g.n))), axis=1)
-    return picked
+    return indices[np.arange(g.min_degree)[:, None] + indptr[:-1]].T
 
 
 # -- capped-function construction (closed and open variants) --------------------
@@ -178,6 +185,7 @@ def _restricted(g: Graph, closed: bool) -> np.ndarray:
 
 def _capped_trial(
     restricted: np.ndarray,
+    closed: bool,
     r: int,
     s: int,
     p: float,
@@ -187,8 +195,12 @@ def _capped_trial(
     """One randomized trial: cap indicator draws, deficiency classes, repair.
 
     Returns labels f(v) = a(v) + max_m c_m(v) <= r with every restricted
-    neighborhood summing to at least s, hence valid for the full sums too.
-    Only the classes C_m that occur, m < s, are repaired, in ascending m.
+    neighborhood (the open rows of ``_restricted``, plus v iff closed)
+    summing to at least s, hence valid for the full sums too. Only the
+    classes C_m that occur, m < s, are repaired: classes in ascending m,
+    members in ascending index, each patch placed greedily over N'(v) in
+    ascending order. Python walks the short vertices alone; each class
+    keeps its c_m as a dict of the vertices it touches.
     """
     n = len(restricted)
     # (r, n) uniforms in row chunks of at most TRIAL_BLOCK_CELLS cells: the doubles of one draw
@@ -196,38 +208,49 @@ def _capped_trial(
     rows = max(1, TRIAL_BLOCK_CELLS // n)
     for start in range(0, r, rows):
         a += (rng.random((min(rows, r - start), n)) < p).sum(axis=0)
-    msum = a[restricted].sum(axis=1)
-    room = (r - a).tolist()
-    top = np.zeros(n, dtype=np.int64)
+    msum = a[restricted.T].sum(axis=0)
+    if closed:
+        msum += a
+    short = np.flatnonzero(msum < s)
+    short = short[np.argsort(msum[short], kind="stable")]  # by (m, index): trials reproduce
+    nbrs = restricted[short]
+    if closed:
+        nbrs = np.sort(np.column_stack((nbrs, short)), axis=1)
+    top: dict[int, int] = {}  # max over the classes of c_m(u), where positive
     if debug is not None:
         debug["class_sizes"], debug["repair_weights"] = {}, {}
-    for m in sorted(set(msum[msum < s].tolist())):
-        cm = [0] * n
-        members = np.flatnonzero(msum == m).tolist()  # ascending keeps trials reproducible
-        for v in members:
-            nb = restricted[v].tolist()
-            cur = sum(cm[u] for u in nb)
+    members = zip(msum[short].tolist(), short.tolist(), nbrs.tolist(), (r - a)[nbrs].tolist())
+    for m, group in groupby(members, key=itemgetter(0)):
+        cm: dict[int, int] = {}
+        size = 0
+        for _, v, nb, room in group:
+            size += 1
+            cur = sum([cm.get(u, 0) for u in nb])
             if cur >= s - m:
                 continue  # enough repair mass already placed here
             need = s - m - cur
             # spare capacity in N'(v) is (slots*r - m) - cur = need + theta > 0
-            if sum(room[u] - cm[u] for u in nb) < need:
+            if sum(room) - cur < need:
                 raise MultidomError(f"internal: spare-capacity argument violated at vertex {v}")
-            for u in nb:
-                take = min(room[u] - cm[u], need)
+            for u, spare in zip(nb, room):
+                take = min(spare - cm.get(u, 0), need)
                 if take <= 0:
                     continue
-                cm[u] += take
+                cm[u] = cm.get(u, 0) + take
                 need -= take
                 if need == 0:
                     break
             if need:
                 raise MultidomError(f"internal: repair at vertex {v} left {need} unplaced")
-        np.maximum(top, cm, out=top)
+        for u, c in cm.items():
+            if c > top.get(u, 0):
+                top[u] = c
         if debug is not None:
-            debug["class_sizes"][m] = len(members)
-            debug["repair_weights"][m] = sum(cm)
-    return a + top
+            debug["class_sizes"][m] = size
+            debug["repair_weights"][m] = sum(cm.values())
+    if top:
+        a[list(top)] += list(top.values())
+    return a
 
 
 def _capped_plan(g: Graph, spec: DominationSpec):
@@ -250,10 +273,10 @@ def _capped_plan(g: Graph, spec: DominationSpec):
     notes: list[str] = []
     if p == 0.0:
         notes.append("selection probability clamped to 0; the repair step does all the work")
-    restricted = _restricted(g, closed)
+    restricted = _restricted(g)
 
     def draw(rngs: list[np.random.Generator]):
-        rows = [_capped_trial(restricted, params.r, params.s, p, rng) for rng in rngs]
+        rows = [_capped_trial(restricted, closed, params.r, params.s, p, rng) for rng in rngs]
         return np.array(rows), [()] * len(rngs)
 
     return ({"delta": delta, "r": params.r, "s": params.s, "theta": params.theta,
@@ -400,7 +423,7 @@ def _parametric_plan(g: Graph, spec: DominationSpec):
     if target is None:
         target = float(g.n)
         notes.append("no strong bound applicable; target set to the trivial bound n")
-    restricted = _restricted(g, closed=False)
+    restricted = _restricted(g)
     return (
         {"delta": delta, "k": k, "l": l, "phi": params.phi, "p": p}, notes, target,
         lambda rngs: _parametric_block(g, restricted, k, l, p, rngs),

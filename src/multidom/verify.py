@@ -40,13 +40,24 @@ def _integers(values: Iterable, what: str) -> list[int]:
     return list(map(int, values))
 
 
-def _as_vector(values: Sequence[int], what: str) -> tuple[int, ...]:
-    out = tuple(_integers(values, f"{what} entries"))
-    if out and min(out) < 0:
+def _as_vector(values: Sequence[int], what: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """The entries of values as a tuple of Python ints and as a read-only
+    int64 array, each checked to lie in [0, LABEL_LIMIT)."""
+    ints = _integers(values, f"{what} entries")
+    if isinstance(values, np.ndarray):
+        arr = values  # integers by now; checked in its own dtype, so a uint64 never wraps
+    else:
+        try:
+            arr = np.fromiter(ints, dtype=np.int64, count=len(ints))
+        except OverflowError:  # an entry past int64, whose sign the message needs
+            arr = np.array(ints, dtype=object)
+    if arr.size and arr.min() < 0:
         raise ValueError(f"{what} entries must be nonnegative")
-    if out and max(out) >= LABEL_LIMIT:
+    if arr.size and arr.max() >= LABEL_LIMIT:
         raise ValueError(f"{what} entries must be below {LABEL_LIMIT}")
-    return out
+    arr = arr.astype(np.int64)  # a copy, so the caller's array stays its own
+    arr.flags.writeable = False
+    return tuple(ints), arr
 
 
 def _core(g: Graph, d: int) -> np.ndarray:
@@ -109,15 +120,13 @@ class DominationSpec:
                 raise ValueError(f"k and l must be below {LABEL_LIMIT}")
             object.__setattr__(self, name, value)
         if self.r is not None:
-            r, s = _as_vector(self.r, "r"), _as_vector(self.s, "s")
+            (r, caps), (s, demands) = _as_vector(self.r, "r"), _as_vector(self.s, "s")
             if len(r) != len(s):
                 raise ValueError("r and s vectors must have equal length")
             object.__setattr__(self, "r", r)
             object.__setattr__(self, "s", s)
-            # read-only int64 copies that vectors() hands out; not fields, so
-            # equality, hashing and repr still see only the tuples
-            caps, demands = np.array(r, dtype=np.int64), np.array(s, dtype=np.int64)
-            caps.flags.writeable = demands.flags.writeable = False
+            # the read-only int64 copies that vectors() hands out; not fields,
+            # so equality, hashing and repr still see only the tuples
             object.__setattr__(self, "_vectors", (caps, demands))
 
     def __reduce__(self):
@@ -224,9 +233,12 @@ class DominationSpec:
         outside C has at least k neighbours in C, and C is then one.
         Function variants: the (closed or open) neighbourhood caps of every
         vertex must sum to at least its demand; the all-caps function is
-        then a witness. Either way the guaranteed witness is checked with
-        the requirement check verification uses; core members always meet
-        l, so a short vertex lies outside C.
+        then a witness. Each neighbourhood holds delta + 1 caps (delta when
+        open), each at least tau, so tau (delta + 1) >= max s (tau delta
+        when open) settles it at once, as delta >= l - 1 does for sets.
+        Otherwise the guaranteed witness is checked with the requirement
+        check verification uses; core members always meet l, so a short
+        vertex lies outside C.
         """
         if self.is_set_variant:
             l = self.requirements()[1]
@@ -235,6 +247,9 @@ class DominationSpec:
             what = f"neighbours in the {l - 1}-core number"
         else:
             closed = not self.uses_open_neighborhoods
+            tau, s, _ = self.cap_summary(g.n)
+            if tau * (g.min_degree + closed) >= s:
+                return True, ""  # every neighbourhood holds min_degree + closed caps of tau
             what = f"{'closed' if closed else 'open'} neighborhood caps sum to"
         have, need = _sums(g, self, _guaranteed_witness(g, self))
         short = np.flatnonzero(have < need)
@@ -287,7 +302,14 @@ class VertexFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_vector(self.values, "values"))
+        values, array = _as_vector(self.values, "values")
+        object.__setattr__(self, "values", values)
+        # a read-only int64 copy for verification; not a field, as in DominationSpec
+        object.__setattr__(self, "_array", array)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which sets _array
+        return type(self), (self.values,)
 
     @property
     def weight(self) -> int:
@@ -396,7 +418,7 @@ def verify_function(g: Graph, spec: DominationSpec, f: VertexFunction) -> Verify
     caps = spec.vectors(g.n)[0]
     if len(f.values) != g.n:
         raise ValueError(f"function has {len(f.values)} values, graph has n={g.n}")
-    values = np.asarray(f.values, dtype=np.int64)
+    values = f._array
     over = np.flatnonzero(values > caps)
     if over.size:
         v = over[0]

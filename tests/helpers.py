@@ -20,7 +20,7 @@ from multidom.bounds import (
     bound_rs,
     bound_total_rs,
 )
-from multidom.construct import ConstructionResult
+from multidom.construct import TRIAL_BLOCK_CELLS, ConstructionResult
 from multidom.errors import GraphFormatError, MultidomError, ResourceLimitError
 from multidom.graph import MAX_VERTICES
 from multidom.graph import coverage as graph_coverage
@@ -598,3 +598,65 @@ def _parametric_plan(g: Graph, spec: DominationSpec):
 
 
 reference_construct = _construct
+
+
+# -- the capped repair that ran row by row over all n vertices ---------------------
+#
+# multidom.construct._capped_trial as it was before its repair walked only
+# the short vertices: copied verbatim under a new name, taking the closed
+# N' rows of _restricted(g, closed=True) above when closed. The current
+# trial must give the same labels, debug dict and errors on every input.
+
+
+def rowwise_capped_trial(
+    restricted: np.ndarray,
+    r: int,
+    s: int,
+    p: float,
+    rng: np.random.Generator,
+    debug: dict | None = None,
+) -> np.ndarray:
+    """One randomized trial: cap indicator draws, deficiency classes, repair.
+
+    Returns labels f(v) = a(v) + max_m c_m(v) <= r with every restricted
+    neighborhood summing to at least s, hence valid for the full sums too.
+    Only the classes C_m that occur, m < s, are repaired, in ascending m.
+    """
+    n = len(restricted)
+    # (r, n) uniforms in row chunks of at most TRIAL_BLOCK_CELLS cells: the doubles of one draw
+    a = np.zeros(n, dtype=np.int64)
+    rows = max(1, TRIAL_BLOCK_CELLS // n)
+    for start in range(0, r, rows):
+        a += (rng.random((min(rows, r - start), n)) < p).sum(axis=0)
+    msum = a[restricted].sum(axis=1)
+    room = (r - a).tolist()
+    top = np.zeros(n, dtype=np.int64)
+    if debug is not None:
+        debug["class_sizes"], debug["repair_weights"] = {}, {}
+    for m in sorted(set(msum[msum < s].tolist())):
+        cm = [0] * n
+        members = np.flatnonzero(msum == m).tolist()  # ascending keeps trials reproducible
+        for v in members:
+            nb = restricted[v].tolist()
+            cur = sum(cm[u] for u in nb)
+            if cur >= s - m:
+                continue  # enough repair mass already placed here
+            need = s - m - cur
+            # spare capacity in N'(v) is (slots*r - m) - cur = need + theta > 0
+            if sum(room[u] - cm[u] for u in nb) < need:
+                raise MultidomError(f"internal: spare-capacity argument violated at vertex {v}")
+            for u in nb:
+                take = min(room[u] - cm[u], need)
+                if take <= 0:
+                    continue
+                cm[u] += take
+                need -= take
+                if need == 0:
+                    break
+            if need:
+                raise MultidomError(f"internal: repair at vertex {v} left {need} unplaced")
+        np.maximum(top, cm, out=top)
+        if debug is not None:
+            debug["class_sizes"][m] = len(members)
+            debug["repair_weights"][m] = sum(cm)
+    return a + top

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -189,12 +189,48 @@ def test_repair_accounting_invariant():
     from multidom.bounds import RSParams
 
     params = RSParams.derive(2, 2, g.min_degree)
-    restricted = _restricted(g, closed=True)
+    restricted = _restricted(g)
     for seed in range(30):
         debug: dict = {}
-        _capped_trial(restricted, params.r, params.s, params.p, _trial_rng(seed, 0), debug)
+        _capped_trial(restricted, True, params.r, params.s, params.p, _trial_rng(seed, 0), debug)
         for m, wt in debug["repair_weights"].items():
             assert wt <= (params.s - m) * debug["class_sizes"][m]
+
+
+def _trial_outcome(trial, *args):
+    """(labels, debug) of one trial, or the message of the MultidomError it raised."""
+    debug: dict = {}
+    try:
+        return trial(*args, debug).tolist(), debug
+    except MultidomError as err:
+        return str(err)
+
+
+@given(st.integers(2, 40), st.floats(0.05, 1), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=400, deadline=None)
+def test_capped_trial_matches_the_rowwise_reference(n, q, graph_seed, data):
+    # the repair over the short vertices alone places every unit where the
+    # row-by-row repair over all n vertices did, and fails where it failed
+    g = gnp(n, q, graph_seed)
+    assume(g.min_degree >= 1)
+    closed = data.draw(st.booleans())
+    r = data.draw(st.integers(1, 3))
+    s = data.draw(st.integers(1, r * (g.min_degree + 1)))
+    p = data.draw(st.floats(0, 1))
+    seed, index = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(0, 50))
+    want = _trial_outcome(helpers.rowwise_capped_trial, helpers._restricted(g, closed),
+                          r, s, p, _trial_rng(seed, index))
+    got = _trial_outcome(_capped_trial, _restricted(g), closed, r, s, p, _trial_rng(seed, index))
+    assert got == want
+
+
+@pytest.mark.parametrize("seed,index", [(0, 0), (5, 3), (2**31 - 1, 19), (12345, 10**6), (2**40, 7)])
+def test_trial_rng_is_the_seed_sequence_stream(seed, index):
+    # seeding with the tuple gives the stream SeedSequence((seed, index)) gives
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
+    got = _trial_rng(seed, index)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random(5).tolist() == want.random(5).tolist()
 
 
 def test_patch_accounting_invariant():
@@ -203,7 +239,7 @@ def test_patch_accounting_invariant():
     k, l = 2, 3
     if g.min_degree < max(k, l - 1):
         pytest.skip("graph too sparse for the construction")
-    restricted = _restricted(g, closed=False)
+    restricted = _restricted(g)
     debug: list = []
     rows, _ = _parametric_block(g, restricted, k, l, 0.4,
                                 [_trial_rng(seed, 0) for seed in range(30)], debug)
@@ -389,7 +425,7 @@ def test_blocks_match_on_member_completion():
     res = _assert_as_reference(g, DominationSpec.parametric(2, 5), 9, 20)
     assert res["notes"] == ["member coverage completion ran 1 round(s)"]
     g = random_regular(30, 4, 1)
-    restricted = _restricted(g, closed=False)
+    restricted = _restricted(g)
     p = _parametric_plan(g, DominationSpec.parametric(1, 3))[0]["p"]
     pairs = [(s, i) for s in range(20) for i in range(20)]
     rows, notes = _parametric_block(g, restricted, 1, 3, p, [_trial_rng(*si) for si in pairs])
@@ -539,6 +575,6 @@ def test_short_patch_candidates_raise():
     # fill is caught where it is picked: here N' keeps 2 of 5 neighbours
     # and every vertex of the empty set A needs k = 3
     g = complete(6)
-    restricted = _restricted(g, closed=False)[:, :2]
+    restricted = _restricted(g)[:, :2]
     with pytest.raises(MultidomError, match=r"not enough patch candidates in N'\(0\) - A"):
         _parametric_block(g, restricted, 3, 1, 0.0, [np.random.default_rng(0)])

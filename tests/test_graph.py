@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multidom.graph
-from helpers import acceptance_graphs, brute_function_number, dense_gnp
+from helpers import _restricted, acceptance_graphs, brute_function_number, dense_gnp
 from helpers import coverage as brute_coverage
 from multidom import (
     Graph,
@@ -25,7 +25,7 @@ from multidom import (
     read_graph,
     write_graph,
 )
-from multidom.construct import _restricted
+from multidom.construct import _restricted as open_restricted
 from multidom.graph import MAX_VERTICES
 
 
@@ -90,6 +90,8 @@ def test_restricted_neighborhood_examples():
 def test_restricted_is_neighborhood_subset(n, seed):
     g = gnp(n, 0.4, seed)
     d = g.min_degree
+    # the constructions' rows are the open rows of the reference copy
+    assert np.array_equal(open_restricted(g), _restricted(g, closed=False))
     for v in range(g.n):
         open_r = _restricted_row(g, v, closed=False)
         closed_r = _restricted_row(g, v, closed=True)

@@ -5,10 +5,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_set_number, coverage
+from helpers import _restricted, brute_set_number, coverage
 from multidom import (
     CapViolationError,
     DominationSpec,
@@ -25,7 +25,7 @@ from multidom import (
     weight,
 )
 from multidom.bounds import bounds_for_spec
-from multidom.construct import _restricted
+from multidom.verify import LABEL_LIMIT, _guaranteed_witness, _sums
 
 
 def test_verify_set_examples():
@@ -420,3 +420,79 @@ def test_cap_summary_gives_ints_that_reach_json(make):
     assert summary == (2, 2, 12) and all(type(x) is int for x in summary)
     for force in (False, True):
         json.dumps([r.to_dict() for r in bounds_for_spec(spec, 2, 5, c=1.5, force=force)])
+
+
+@pytest.mark.parametrize("entries,message", [
+    ([1, True], "must be integers, got True"),
+    ([1, np.bool_(False)], "must be integers, got np.False_"),
+    ([1, 2.0], "must be integers, got 2.0"),
+    ([1, -1], "must be nonnegative"),
+    ([1, LABEL_LIMIT], f"must be below {LABEL_LIMIT}"),
+    ([1, 2**63], f"must be below {LABEL_LIMIT}"),
+    ([1, -2**63 - 1], "must be nonnegative"),
+    (np.array([1, -3], dtype=np.int32), "must be nonnegative"),
+    # 2**63 wraps to a negative int64: the check reads the value, not a cast
+    (np.array([1, 2**63], dtype=np.uint64), f"must be below {LABEL_LIMIT}"),
+], ids=["bool", "np_bool", "float", "negative", "limit", "past_int64", "below_int64",
+        "int32_array", "uint64_array"])
+def test_vector_checks_keep_their_messages(entries, message):
+    ones = [1] * len(entries)
+    for make, what in ((VertexFunction, "values"),
+                       (lambda v: DominationSpec.rs(v, ones), "r"),
+                       (lambda v: DominationSpec.total_rs(ones, v), "s")):
+        with pytest.raises(ValueError) as err:
+            make(entries)
+        assert str(err.value) == f"{what} entries {message}"
+    with pytest.raises(ValueError) as err:
+        DominationSpec.rs([1, 2], [1])
+    assert str(err.value) == "r and s vectors must have equal length"
+
+
+@pytest.mark.parametrize("entries", [[], np.array([], dtype=np.int64), [3, 0, 2],
+                                     np.array([3, 0, 2], dtype=np.int32),
+                                     [np.uint8(3), 0, np.int64(2)]])
+def test_vectors_stay_tuples_of_python_ints(entries):
+    f = VertexFunction(entries)
+    spec = DominationSpec.rs(entries, entries)
+    want = tuple(int(v) for v in entries)
+    for vector in (f.values, spec.r, spec.s):
+        assert type(vector) is tuple and vector == want
+        assert all(type(v) is int for v in vector)
+    assert f == VertexFunction(want) and hash(f) == hash(VertexFunction(want))
+    assert spec == DominationSpec.rs(want, want) and hash(spec) == hash(DominationSpec.rs(want, want))
+    assert repr(f) == f"VertexFunction(values={want!r})"
+    assert repr(spec) == f"DominationSpec(variant='rs', k=None, l=None, r={want!r}, s={want!r})"
+    for twin in (copy.deepcopy(f), copy.copy(f), pickle.loads(pickle.dumps(f))):
+        assert twin == f and hash(twin) == hash(f) and repr(twin) == repr(f)
+        assert twin._array.dtype == np.int64 and not twin._array.flags.writeable
+        assert twin._array.tolist() == list(want)
+
+
+def _full_feasibility(g, spec):
+    """A function variant's feasibility from the all-caps witness alone."""
+    what = f"{'open' if spec.uses_open_neighborhoods else 'closed'} neighborhood caps sum to"
+    have, need = _sums(g, spec, _guaranteed_witness(g, spec))
+    short = np.flatnonzero(have < need)
+    if short.size:
+        i = short[0]
+        return False, f"vertex {i}: {what} {have[i]} < demand {need[i]}"
+    return True, ""
+
+
+@given(st.integers(1, 14), st.floats(0, 1), st.integers(0, 2**16), st.data())
+@settings(max_examples=150, deadline=None)
+def test_function_feasibility_matches_the_full_check(n, p, seed, data):
+    # the tau (delta + 1) >= max s shortcut never changes a verdict or reason
+    g = gnp(n, p, seed)
+    variant = data.draw(st.sampled_from(["rs", "total_rs", "brace_k"]))
+    if variant == "brace_k":
+        spec = DominationSpec.brace_k(data.draw(st.integers(1, 4)))
+    else:
+        caps = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        slots = g.min_degree + (variant == "rs")  # caps each neighbourhood holds at least
+        # demands up to past the largest neighbourhood, so both sides of the shortcut occur
+        top = data.draw(st.integers(0, 3 * (g.max_degree + 2)))
+        demands = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        spec = getattr(DominationSpec, variant)(caps, demands)
+        event(f"shortcut: {min(caps) * slots >= max(demands)}")
+    assert spec.feasibility(g) == _full_feasibility(g, spec)
