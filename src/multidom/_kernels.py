@@ -3,8 +3,10 @@
 Both searches run over plain Python lists: element access on a list costs a
 fraction of reading a numpy scalar from the interpreter, and the graphs the
 exact oracle accepts (n <= 20 by default) are far too small for array
-operations to pay back their call overhead. ``oracle.py`` cuts the rows
-from the graph's open CSR once per exact call and passes them in.
+operations to pay back their call overhead. ``oracle.py`` takes the rows
+from ``graph._rows``, the builder the core peel in ``verify.py`` shares,
+once per exact call, and the function search's starting capacity sums from
+``coverage``, the neighbourhood sums every other layer uses.
 
 The set search also takes two tables from ``prune_tables``, built once per
 graph and demand pair with numpy: ``gain``, so that one scan over the
@@ -98,7 +100,7 @@ def set_search_fixed_size(nbrs, gain, after, t, k_req, l_req, budget):
         cand = u + 1
 
 
-def function_search_min_weight(nbrs, caps, demands, budget, best_init):
+def function_search_min_weight(nbrs, caps, demands, cap_un, budget, best_init):
     """Minimum-weight integer labeling with per-vertex caps and demands.
 
     Vertex i takes a value in 0..caps[i]; the constraint at w is
@@ -107,6 +109,8 @@ def function_search_min_weight(nbrs, caps, demands, budget, best_init):
     assigns vertices in index order, values ascending, with two admissible
     prunes: residual demand must fit in the unassigned capacity of each
     neighbourhood, and weight + max residual demand must beat the best.
+    cap_un[w] starts as the sum of caps over nbrs[w] (``coverage`` of the
+    caps) and is updated in place.
 
     Returns (status, best_weight, best_values, nodes): status 1 improved on
     best_init / 0 nothing below best_init / -1 budget exceeded.
@@ -114,10 +118,6 @@ def function_search_min_weight(nbrs, caps, demands, budget, best_init):
     n = len(caps)
     val = [-1] * n
     sum_asg = [0] * n
-    cap_un = [0] * n
-    for u in range(n):
-        for w in nbrs[u]:
-            cap_un[w] += caps[u]
     best_w = best_init
     best_vals = list(caps)
     improved = False

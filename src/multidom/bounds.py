@@ -29,7 +29,8 @@ NEG_INF = float("-inf")
 # LOG_BINOMIAL_TOPS tops to be added are kept, each with at most
 # LOG_BINOMIAL_TERMS terms; a longer sum carries on from the last stored one
 # without storing. The lock keeps two threads from extending one list at
-# once; reading needs none, because a list only ever grows.
+# once, and the same loop also runs that unstored tail under it; reading a
+# stored sum needs no lock, because a list only ever grows.
 LOG_BINOMIAL_TOPS = 4
 LOG_BINOMIAL_TERMS = 4096
 _log_binomial_prefixes: dict[int, list[float]] = {}
@@ -52,16 +53,14 @@ def log_binomial(top: int, t: int) -> float:
             if len(_log_binomial_prefixes) >= LOG_BINOMIAL_TOPS:
                 del _log_binomial_prefixes[next(iter(_log_binomial_prefixes))]  # the oldest
             prefix = _log_binomial_prefixes[top] = [0.0]
-        acc = prefix[-1]
-        for i in range(len(prefix) - 1, min(t, LOG_BINOMIAL_TERMS)):
-            acc += math.log(top - i) - math.log(i + 1)
-            prefix.append(acc)
-        if t < len(prefix):
+        if t < len(prefix):  # another thread extended it meanwhile
             return prefix[t]
-        stored = len(prefix) - 1
-    for i in range(stored, t):
-        acc += math.log(top - i) - math.log(i + 1)
-    return acc
+        acc = prefix[-1]
+        for i in range(len(prefix) - 1, t):
+            acc += math.log(top - i) - math.log(i + 1)
+            if i < LOG_BINOMIAL_TERMS:
+                prefix.append(acc)
+        return acc
 
 
 def binomial_exact(top: int, t: int) -> int:
@@ -99,7 +98,6 @@ class RSParams:
     r: int
     theta: int
     rho: float
-    top: int
     log_b: float  # ln B_{s-1}
 
     @classmethod
@@ -109,8 +107,7 @@ class RSParams:
             raise ValueError("total variant needs delta >= 1")
         r = s // slots + 1
         theta = slots * r - s
-        top = slots * r
-        return cls(tau, s, r, theta, 1.0 / theta, top, log_binomial(top, s - 1))
+        return cls(tau, s, r, theta, 1.0 / theta, log_binomial(slots * r, s - 1))
 
     def strong_target(self, n: int) -> float | None:
         """The strong bound's absolute value on n vertices: bound_rs, or
@@ -130,15 +127,14 @@ class RSParams:
 class ParametricParams:
     """Parameters for the (k,l) set bounds.
 
-    phi = max(k, l-1), mu = max(k, l), b_t = C(delta, t) with b_{-1} = 0,
-    delta_bar = delta - phi, delta_hat = delta - mu + 1, and
+    phi = max(k, l-1), b_t = C(delta, t) with b_{-1} = 0,
+    delta_bar = delta - phi, delta_hat = delta - max(k, l) + 1, and
     b_{k-1} + b_{l-2} = C(delta+1, k-1) when l = k (a Pascal identity).
     """
 
     k: int
     l: int
     phi: int
-    mu: int
     delta_bar: int
     delta_hat: int
     log_b_phi: float   # ln b_{phi-1}
@@ -147,10 +143,9 @@ class ParametricParams:
     @classmethod
     def derive(cls, k: int, l: int, delta: int) -> "ParametricParams":
         phi = max(k, l - 1)
-        mu = max(k, l)
         log_b_pair = _log_add(log_binomial(delta, k - 1), log_binomial(delta, l - 2))
         return cls(
-            k, l, phi, mu, delta - phi, delta - mu + 1,
+            k, l, phi, delta - phi, delta - max(k, l) + 1,
             log_binomial(delta, phi - 1), log_b_pair,
         )
 
@@ -483,8 +478,15 @@ def bound_rv(k: int, delta: int, n: int, force: bool = False) -> BoundReport:
     applicable, reason = _gate((delta >= need, f"needs delta >= 2k*ln(delta+1) - 1 = {need:.3f}"))
 
     def coeff() -> float:
-        total = k * math.log(delta + 1) / (delta + 1)
-        for i in range(k):
+        log_d1 = math.log(delta + 1)
+        total = k * log_d1 / (delta + 1)
+        # leading terms whose logs lie 8 below ln ulp(total) are each under
+        # ulp/2000 and cannot change the float sum: skip them unevaluated,
+        # sparing a factorial and a power of delta+1 with up to k digits each
+        floor, i = math.log(math.ulp(total)) - 8, 0
+        while i < k and math.log(k - i) - math.lgamma(i + 1) - (k - i) * log_d1 < floor:
+            i += 1
+        for i in range(i, k):
             total += (k - i) / (math.factorial(i) * (delta + 1) ** (k - i))
         return total
 

@@ -95,9 +95,11 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 def _add_output_args(p: argparse.ArgumentParser, formats=("json", "csv")) -> None:
     p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-    p.add_argument("--format", choices=formats, default=formats[0])
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the generated_at field (for golden-file comparisons)")
+    if len(formats) > 1:
+        p.add_argument("--format", choices=formats, default=formats[0])
+    if "json" in formats:
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit the generated_at field (for golden-file comparisons)")
 
 
 def _resolve_graph(args) -> Graph:

@@ -153,8 +153,9 @@ def coverage(g: Graph, x, closed: bool) -> np.ndarray:
         raise ValueError(f"labels have shape {x.shape}, graph has n={g.n}")
     indptr, indices = g.csr()
     if g.min_degree > 0:
-        # no empty row, so the mask below is not needed; skipping it saves
-        # about 6 us a call, 3% of the median exact-small operation
+        # no empty row, so the mask below is not needed; skipping it takes
+        # a call from about 11 to 5.5 us at n = 12 and from 170 to 140 us
+        # at n = 3 000 (timeit, 2-vCPU VM, numpy 2.4.6)
         sums = np.add.reduceat(x[..., indices], indptr[:-1], axis=-1)
     else:
         # reduceat would give an empty row its successor's first entry
@@ -163,6 +164,18 @@ def coverage(g: Graph, x, closed: bool) -> np.ndarray:
         if nonempty.any():
             sums[..., nonempty] = np.add.reduceat(x[..., indices], indptr[:-1][nonempty], axis=-1)
     return sums + x if closed else sums
+
+
+def _rows(g: Graph, closed: bool) -> list[list[int]]:
+    """Each N(v) from the open CSR as a Python list, v appended when ``closed``."""
+    indptr, indices = g.csr()
+    ptr = indptr.tolist()
+    idx = indices.tolist()
+    rows = [idx[ptr[v] : ptr[v + 1]] for v in range(g.n)]
+    if closed:
+        for v, row in enumerate(rows):
+            row.append(v)
+    return rows
 
 
 # -- deterministic family generators ----------------------------------------

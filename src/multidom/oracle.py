@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import MultidomError, ResourceLimitError
-from .graph import Graph
+from .graph import Graph, _rows, coverage
 from .verify import DominationSpec, VertexFunction, _witness_dict, verify_function, verify_set
 
 
@@ -46,18 +46,6 @@ def _admit(g: Graph, spec: DominationSpec, limit_n: int, node_budget: int) -> No
     if g.n > limit_n:
         raise ResourceLimitError(f"n={g.n} exceeds limit_n={limit_n}; raise the limit explicitly")
     spec.check_feasible(g)
-
-
-def _rows(g: Graph, closed: bool) -> list[list[int]]:
-    """Each N(v) from the open CSR as a Python list, v appended when ``closed``."""
-    indptr, indices = g.csr()
-    ptr = indptr.tolist()
-    idx = indices.tolist()
-    rows = [idx[ptr[v] : ptr[v + 1]] for v in range(g.n)]
-    if closed:
-        for v, row in enumerate(rows):
-            row.append(v)
-    return rows
 
 
 def exact_set_number(
@@ -114,10 +102,10 @@ def exact_function_number(
     perm, inv = order.tolist(), np.argsort(order).tolist()
     rows = _rows(g, closed=not spec.uses_open_neighborhoods)
     nbrs = [[inv[w] for w in rows[v]] for v in perm]
-    caps_perm, demands_perm = caps[order].tolist(), demands[order].tolist()
-    best_init = sum(caps_perm)  # the all-caps function; valid by feasibility
+    cap_sums = coverage(g, caps, closed=not spec.uses_open_neighborhoods)[order].tolist()
+    best_init = spec.cap_summary(g.n)[2]  # the all-caps function; valid by feasibility
     status, best_w, best_vals, nodes = _kernels.function_search_min_weight(
-        nbrs, caps_perm, demands_perm, node_budget, best_init
+        nbrs, caps[order].tolist(), demands[order].tolist(), cap_sums, node_budget, best_init
     )
     if status == -1:
         raise ResourceLimitError(

@@ -105,16 +105,33 @@ def solve_cubic(k: int, delta: int) -> CubicSpec:
 
 
 def _grid_minimum(k: int, delta: int) -> tuple[float, float]:
-    """(c, value) minimizing the threshold coefficient over feasible c."""
+    """(c, value) minimizing the threshold coefficient over feasible c: the
+    first minimum over np.arange(1.001, hi + 0.0005, 0.001) cut at
+    hi = (delta+1)/k, or hi itself when no point is left. The points are
+    built the way np.arange fills them, 2**16 at a time, so memory stays
+    flat however large hi is."""
     step = 1e-3
     hi = (delta + 1) / k
-    cs = np.arange(1.0 + step, hi + step / 2, step)
-    cs = cs[cs <= hi]
-    if cs.size == 0:
-        cs = np.array([hi])
-    vals = (cs / (delta + 1) + np.exp(-0.5 * k * (cs + 1.0 / cs - 2.0))) * k
-    i = int(np.argmin(vals))
-    return float(cs[i]), float(vals[i])
+
+    def coeff(cs: np.ndarray) -> np.ndarray:
+        return (cs / (delta + 1) + np.exp(-0.5 * k * (cs + 1.0 / cs - 2.0))) * k
+
+    start = 1.0 + step
+    gap = (start + step) - start  # np.arange fills start + i * gap
+    size = max(0, math.ceil((hi + step / 2 - start) / step))
+    best_c, best_value = hi, math.inf
+    for lo in range(0, size, 1 << 16):
+        cs = start + np.arange(lo, min(lo + (1 << 16), size)) * gap
+        cs = cs[cs <= hi]
+        if cs.size == 0:
+            break
+        vals = coeff(cs)
+        i = int(np.argmin(vals))
+        if vals[i] < best_value:  # strict, so the first minimum wins
+            best_c, best_value = float(cs[i]), float(vals[i])
+    if best_value == math.inf:
+        best_value = float(coeff(np.array([hi]))[0])
+    return best_c, best_value
 
 
 def _select_root(k: int, delta: int) -> tuple[CubicSpec, list[float], float]:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapViolationError, InfeasibleSpecError
-from .graph import Graph, coverage
+from .graph import Graph, _rows, coverage
 
 SET_VARIANTS = ("classical", "k_dominating", "k_tuple", "total_k", "parametric")
 FUNCTION_VARIANTS = ("brace_k", "rs", "total_rs")
@@ -64,7 +64,7 @@ def _core(g: Graph, d: int) -> np.ndarray:
     """0/1 indicator of the d-core of g, peeled in O(n + m): vertices of
     degree below d are deleted until every remaining one has d neighbours
     among the remaining."""
-    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
+    rows = _rows(g, closed=False)
     deg = g.degrees.tolist()
     stack = [v for v in range(g.n) if deg[v] < d]
     inside = [1] * g.n
@@ -72,7 +72,7 @@ def _core(g: Graph, d: int) -> np.ndarray:
         inside[v] = 0
     while stack:
         v = stack.pop()
-        for u in nbrs[ptr[v]:ptr[v + 1]]:
+        for u in rows[v]:
             deg[u] -= 1
             if inside[u] and deg[u] < d:
                 inside[u] = 0
@@ -313,7 +313,7 @@ class VertexFunction:
 
     @property
     def weight(self) -> int:
-        return sum(self.values)
+        return int(self._array.sum())
 
     @classmethod
     def characteristic(cls, members: Iterable[int], n: int) -> "VertexFunction":

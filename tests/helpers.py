@@ -660,3 +660,30 @@ def rowwise_capped_trial(
             debug["class_sizes"][m] = len(members)
             debug["repair_weights"][m] = sum(cm)
     return a + top
+
+
+# -- bound_rv's coefficient and the grid minimum as they were -------------------
+#
+# The rv coefficient summed every factorial term, and _grid_minimum built its
+# whole np.arange grid at once; both copied verbatim under new names. The
+# current code must give the same floats bit for bit.
+
+
+def reference_rv_coefficient(k: int, delta: int) -> float:
+    total = k * math.log(delta + 1) / (delta + 1)
+    for i in range(k):
+        total += (k - i) / (math.factorial(i) * (delta + 1) ** (k - i))
+    return total
+
+
+def reference_grid_minimum(k: int, delta: int) -> tuple[float, float]:
+    """(c, value) minimizing the threshold coefficient over feasible c."""
+    step = 1e-3
+    hi = (delta + 1) / k
+    cs = np.arange(1.0 + step, hi + step / 2, step)
+    cs = cs[cs <= hi]
+    if cs.size == 0:
+        cs = np.array([hi])
+    vals = (cs / (delta + 1) + np.exp(-0.5 * k * (cs + 1.0 / cs - 2.0))) * k
+    i = int(np.argmin(vals))
+    return float(cs[i]), float(vals[i])

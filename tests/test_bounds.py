@@ -342,6 +342,34 @@ def test_rv_values():
         bound_classical(10, 1).coefficient, rel=1e-14)
 
 
+def test_rv_matches_the_full_factorial_sum():
+    """Skipping the terms too small to change the sum leaves every float
+    as the sum of all k terms makes it."""
+    from helpers import reference_rv_coefficient
+
+    rnd = random.Random(5)
+    pairs = [(k, delta) for k in range(1, 40) for delta in range(0, 40)]
+    pairs += [(k, 1000) for k in range(1, 80)] + [(k, 10**4) for k in range(1, 600, 7)]
+    pairs += [(rnd.randint(1, 300), rnd.randint(0, 10**6)) for _ in range(300)]
+    for k, delta in pairs:
+        got = bound_rv(k, delta, 1, force=True).coefficient
+        assert got.hex() == reference_rv_coefficient(k, delta).hex(), (k, delta)
+
+
+def test_rv_skips_terms_below_the_sums_precision(monkeypatch):
+    """At delta = 10**4 every term of k = 300 lies below ulp(sum)/2000, so no
+    factorial is taken; summing every term takes 300."""
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda i: calls.append(i) or factorial(i))
+    rep = bound_rv(300, 10**4, 1)
+    assert rep.applicable and rep.coefficient is not None
+    assert len(calls) < 30
+    calls.clear()
+    bound_rv(5, 1000, 1)
+    assert calls == [0, 1, 2, 3, 4]  # every term counts here
+
+
 def test_threshold_ktuple_values():
     rep = bound_threshold_ktuple(5, 1000, 1, 3.0)
     assert rep.applicable

@@ -364,3 +364,42 @@ def test_huge_vertex_count_exits_1(capsys, tmp_path, text):
     code, out, err = run_cli(capsys, "gen", "--graph", str(gfile))
     assert code == 1 and out == ""
     assert "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "cycle", "--n", "6", "--spec", "kdom:1", "--format", "json"],
+    ["exact", "--family", "cycle", "--n", "6", "--spec", "kdom:1", "--format", "json"],
+    ["verify", "--family", "cycle", "--n", "6", "--spec", "kdom:1", "--witness", "w.json",
+     "--format", "json"],
+    ["gen", "--family", "cycle", "--n", "6", "--no-timestamp"],
+], ids=["construct-format", "exact-format", "verify-format", "gen-no-timestamp"])
+def test_options_that_select_nothing_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "cycle", "--n", "6", "--format", "dimacs"],
+    ["bounds", "--family", "cycle", "--n", "6", "--spec", "kdom:1", "--format", "csv"],
+    ["compare", "3", "100", "10", "--format", "csv"],
+    ["bounds", "--family", "cycle", "--n", "6", "--spec", "kdom:1", "--no-timestamp"],
+    ["construct", "--family", "cycle", "--n", "6", "--spec", "kdom:1", "--no-timestamp"],
+    ["exact", "--family", "cycle", "--n", "6", "--spec", "kdom:1", "--no-timestamp"],
+    ["verify", "--family", "cycle", "--n", "6", "--spec", "kdom:1", "--witness", "W",
+     "--no-timestamp"],
+    ["compare", "3", "100", "10", "--no-timestamp"],
+], ids=["gen-format", "bounds-format", "compare-format", "bounds-no-timestamp",
+        "construct-no-timestamp", "exact-no-timestamp", "verify-no-timestamp",
+        "compare-no-timestamp"])
+def test_options_that_select_something_still_work(capsys, tmp_path, argv):
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"set": [0, 3]}))
+    code, out, _ = run_cli(capsys, *[str(witness) if a == "W" else a for a in argv])
+    assert code == 0 and out
+    if "--no-timestamp" in argv:
+        assert "generated_at" not in json.loads(out)
+    elif argv[0] == "gen":
+        assert out.startswith("p edge 6 6")
+    else:
+        assert out.splitlines()[0].startswith(("name,", "k,"))

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,35 @@ def test_tune_c_feasible_and_near_grid_optimal():
         assert c > 1.0 and delta >= c * k - 1
         grid_c, grid_val = _grid_minimum(k, delta)
         assert _threshold_coeff(k, delta, c) <= grid_val + 1e-4
+
+
+def test_grid_minimum_matches_the_dense_grid():
+    """The grid scanned in chunks gives the (c, value) of the one np.arange
+    grid, bit for bit: across chunk edges, with no grid point left below
+    hi, and with hi at a grid point."""
+    from helpers import reference_grid_minimum
+
+    rnd = random.Random(11)
+    cases = [(k, delta) for k in range(1, 10) for delta in range(k, 40)]
+    cases += [(1000, 1000), (999, 999), (1999, 2000), (2000, 2001), (1, 300)]
+    # 2**16 - 1 to 2**17 + 1 grid points, around the chunk edges
+    cases += [(43, 2860), (28, 1862), (41, 2727), (14, 1848), (69, 9112), (41, 5414)]
+    cases += [(k, rnd.randint(k, 150 * k)) for k in rnd.sample(range(1, 400), 40)]
+    for k, delta in cases:
+        got, want = _grid_minimum(k, delta), reference_grid_minimum(k, delta)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (k, delta)
+
+
+def test_grid_minimum_memory_is_flat():
+    """The dense grid at (1, 2*10**4) holds four arrays of 2*10**7 doubles,
+    about 610 MiB; the chunked scan needs a few MiB."""
+    tracemalloc.start()
+    try:
+        tune_details(1, 2 * 10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_tuned_no_worse_than_fixed_constants():

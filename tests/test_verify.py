@@ -138,6 +138,10 @@ def test_weight():
     assert weight(VertexFunction((1, 2, 0))) == 3
     chi = VertexFunction.characteristic([1, 3, 4], 6)
     assert weight(chi) == 3
+    # the exact sum as a Python int, past 2**31 too
+    big = VertexFunction([LABEL_LIMIT - 1] * 3000)
+    assert type(big.weight) is int and big.weight == (LABEL_LIMIT - 1) * 3000
+    assert type(VertexFunction(()).weight) is int and VertexFunction(()).weight == 0
 
 
 def test_cap_violation_distinct_from_domination_failure():
