@@ -100,9 +100,10 @@ def exact_function_number(
     # search position i holds vertex perm[i]; vertex v sits at position inv[v]
     order = np.argsort(g.degrees, kind="stable")
     perm, inv = order.tolist(), np.argsort(order).tolist()
-    rows = _rows(g, closed=not spec.uses_open_neighborhoods)
+    closed = not spec.uses_open_neighborhoods
+    rows = _rows(g, closed)
     nbrs = [[inv[w] for w in rows[v]] for v in perm]
-    cap_sums = coverage(g, caps, closed=not spec.uses_open_neighborhoods)[order].tolist()
+    cap_sums = coverage(g, caps, closed)[order].tolist()
     best_init = spec.cap_summary(g.n)[2]  # the all-caps function; valid by feasibility
     status, best_w, best_vals, nodes = _kernels.function_search_min_weight(
         nbrs, caps[order].tolist(), demands[order].tolist(), cap_sums, node_budget, best_init

@@ -30,8 +30,7 @@ def test_importing_the_library_and_its_cli_loads_only_numpy_and_the_stdlib():
     multidom.cli newly loads is numpy, multidom or part of the standard library."""
     code = ("import sys; before = set(sys.modules); import multidom, multidom.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     loaded = {name.partition(".")[0] for name in out.split()}
