@@ -4,7 +4,6 @@ randomized constructions, exact solvers and a threshold-constant tuner."""
 from .bounds import (
     BoundReport,
     applicability_caro_yuster,
-    binomial_exact,
     bound_caro_roditty,
     bound_classical,
     bound_ln_threshold_ktuple,
@@ -42,12 +41,10 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    GraphFamilySpec,
     complete,
     complete_bipartite,
     coverage,
     cycle,
-    generate,
     gnp,
     load_graph,
     path,
@@ -72,7 +69,6 @@ from .verify import (
     VertexFunction,
     verify_function,
     verify_set,
-    weight,
 )
 
 __version__ = "0.1.0"

@@ -4,9 +4,9 @@ Both searches run over plain Python lists: element access on a list costs a
 fraction of reading a numpy scalar from the interpreter, and the graphs the
 exact oracle accepts (n <= 20 by default) are far too small for array
 operations to pay back their call overhead. ``oracle.py`` takes the rows
-from ``graph._rows``, the builder the core peel in ``verify.py`` shares,
-once per exact call, and the function search's starting capacity sums from
-``coverage``, the neighbourhood sums every other layer uses.
+from ``graph._rows`` once per exact call, and the function search's
+starting capacity sums from ``coverage``, the neighbourhood sums every
+other layer uses.
 
 The set search also takes two tables from ``prune_tables``, built once per
 graph and demand pair with numpy: ``gain``, so that one scan over the

@@ -3,8 +3,7 @@
 Every bound is reported as a per-vertex coefficient (bound divided by n)
 plus its absolute value, alongside the applicability predicate of the
 underlying theorem. Binomials are consumed in log space so that the
-formulas stay finite at large minimum degree and demand; exact big-integer
-binomials are available for cross-checking.
+formulas stay finite at large minimum degree and demand.
 
 A bound whose absolute value reaches the trivial one (n for sets, sum of
 caps for functions) is still reported but flagged vacuous.
@@ -61,13 +60,6 @@ def log_binomial(top: int, t: int) -> float:
             if i < LOG_BINOMIAL_TERMS:
                 prefix.append(acc)
         return acc
-
-
-def binomial_exact(top: int, t: int) -> int:
-    """Exact integer C(top, t), 0 outside the valid range."""
-    if t < 0 or t > top:
-        return 0
-    return math.comb(top, t)
 
 
 def _log_add(a: float, b: float) -> float:
@@ -132,8 +124,6 @@ class ParametricParams:
     b_{k-1} + b_{l-2} = C(delta+1, k-1) when l = k (a Pascal identity).
     """
 
-    k: int
-    l: int
     phi: int
     delta_bar: int
     delta_hat: int
@@ -145,7 +135,7 @@ class ParametricParams:
         phi = max(k, l - 1)
         log_b_pair = _log_add(log_binomial(delta, k - 1), log_binomial(delta, l - 2))
         return cls(
-            k, l, phi, delta - phi, delta - max(k, l) + 1,
+            phi, delta - phi, delta - max(k, l) + 1,
             log_binomial(delta, phi - 1), log_b_pair,
         )
 

@@ -14,18 +14,11 @@ import math
 import sys
 from datetime import datetime, timezone
 
+from . import graph
 from .bounds import bounds_for_spec
 from .construct import _construct
 from .errors import InfeasibleSpecError, MultidomError
-from .graph import (
-    FAMILIES,
-    GRAPH_FORMATS,
-    Graph,
-    GraphFamilySpec,
-    generate,
-    load_graph,
-    write_graph,
-)
+from .graph import GRAPH_FORMATS, Graph, load_graph, write_graph
 from .oracle import exact_function_number, exact_set_number
 from .tuner import compare_bounds
 from .verify import DominationSpec, VertexFunction, verify_function, verify_set
@@ -35,6 +28,18 @@ SPEC_HELP = (
     "rs:RFILE,SFILE | totalrs:RFILE,SFILE  (vector files hold one integer "
     "per vertex, whitespace-separated)"
 )
+
+# Each --family choice, the generator of that name in graph.py, and the
+# options it takes, in call order.
+FAMILY_OPTIONS = {
+    "gnp": ("n", "p", "seed"),
+    "random_regular": ("n", "d", "seed"),
+    "path": ("n",),
+    "cycle": ("n",),
+    "complete": ("n",),
+    "complete_bipartite": ("n", "n2"),
+    "petersen": (),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,7 +89,7 @@ def parse_spec(text: str) -> DominationSpec:
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", metavar="FILE", help="read the graph from FILE (edge list or DIMACS)")
-    p.add_argument("--family", choices=FAMILIES, help="generate the graph instead")
+    p.add_argument("--family", choices=FAMILY_OPTIONS, help="generate the graph instead")
     p.add_argument("--n", type=int, help="vertex count (family graphs)")
     p.add_argument("--n2", type=int, help="second part size (complete_bipartite)")
     p.add_argument("--p", type=float, help="edge probability (gnp)")
@@ -108,10 +113,12 @@ def _resolve_graph(args) -> Graph:
     if args.graph:
         return load_graph(args.graph)
     if args.family:
-        spec = GraphFamilySpec(
-            family=args.family, n=args.n, n2=args.n2, p=args.p, d=args.d, seed=args.seed
-        )
-        return generate(spec)
+        names = FAMILY_OPTIONS[args.family]
+        for name in names:
+            if getattr(args, name) is None:
+                raise ValueError(f"family {args.family!r} needs --{name}")
+        # looked up by name on each call, so a wrapper set on the module is used
+        return getattr(graph, args.family)(*(getattr(args, name) for name in names))
     raise ValueError("a graph is required: --graph FILE or --family NAME ...")
 
 

@@ -7,22 +7,11 @@ Vertices are 0-based everywhere inside the library; the DIMACS format is
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import GraphFormatError, ResourceLimitError
-
-FAMILIES = (
-    "gnp",
-    "random_regular",
-    "path",
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "petersen",
-)
 
 # Largest vertex count a graph file may declare or imply. The readers reject
 # more before anything of size n is allocated: a header alone must not make
@@ -241,7 +230,11 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, np.concatenate(blocks))
 
 
-def random_regular(n: int, d: int, seed: int, max_attempts: int = 100_000) -> Graph:
+# random_regular draws at most this many pairings before it gives up.
+RANDOM_REGULAR_ATTEMPTS = 100_000
+
+
+def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular graph via the pairing model with rejection."""
     if not 0 <= d < n:
         raise ValueError("random regular needs 0 <= d < n")
@@ -249,7 +242,7 @@ def random_regular(n: int, d: int, seed: int, max_attempts: int = 100_000) -> Gr
         raise ValueError("random regular needs n*d even")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_attempts):
+    for _ in range(RANDOM_REGULAR_ATTEMPTS):
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
@@ -258,51 +251,8 @@ def random_regular(n: int, d: int, seed: int, max_attempts: int = 100_000) -> Gr
             return Graph(n, pairs)
     raise ResourceLimitError(
         f"pairing model failed to produce a simple {d}-regular graph "
-        f"on {n} vertices in {max_attempts} attempts"
+        f"on {n} vertices in {RANDOM_REGULAR_ATTEMPTS} attempts"
     )
-
-
-@dataclass(frozen=True)
-class GraphFamilySpec:
-    """Seeded recipe for a test graph; identical spec gives identical graph."""
-
-    family: str
-    n: int | None = None
-    n2: int | None = None   # second part size (complete_bipartite only)
-    p: float | None = None  # edge probability (gnp only)
-    d: int | None = None    # degree (random_regular only)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-
-
-def generate(spec: GraphFamilySpec) -> Graph:
-    fam = spec.family
-    if fam == "petersen":
-        return petersen()
-    if spec.n is None:
-        raise ValueError(f"family {fam!r} needs n")
-    if fam == "path":
-        return path(spec.n)
-    if fam == "cycle":
-        return cycle(spec.n)
-    if fam == "complete":
-        return complete(spec.n)
-    if fam == "complete_bipartite":
-        if spec.n2 is None:
-            raise ValueError("complete_bipartite needs n2")
-        return complete_bipartite(spec.n, spec.n2)
-    if fam == "gnp":
-        if spec.p is None:
-            raise ValueError("gnp needs p")
-        return gnp(spec.n, spec.p, spec.seed)
-    if fam == "random_regular":
-        if spec.d is None:
-            raise ValueError("random_regular needs d")
-        return random_regular(spec.n, spec.d, spec.seed)
-    raise ValueError(f"unknown family {fam!r}")
 
 
 # -- file formats ------------------------------------------------------------

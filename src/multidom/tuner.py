@@ -197,6 +197,7 @@ class ComparisonRow:
 class ComparisonReport:
     """Coefficient table over k for the k-tuple threshold bounds.
 
+    rows holds k = 1, 2, ... in order, so the row for k is rows[k - 1].
     rv_cutoff and c3_cutoff are the largest k where the respective bounds
     apply; crossover_k is the first k where the c=3 bound beats rv.
     """
@@ -233,12 +234,6 @@ class ComparisonReport:
                 f"{fmt(r.tuned_value)},{r.best or ''}"
             )
         return "\n".join(lines) + "\n"
-
-    def row(self, k: int) -> ComparisonRow:
-        for r in self.rows:
-            if r.k == k:
-                return r
-        raise KeyError(f"no row for k={k}")
 
 
 def compare_bounds(k: int, delta: int, n: int) -> ComparisonReport:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapViolationError, InfeasibleSpecError
-from .graph import Graph, _rows, coverage
+from .graph import Graph, coverage
 
 SET_VARIANTS = ("classical", "k_dominating", "k_tuple", "total_k", "parametric")
 FUNCTION_VARIANTS = ("brace_k", "rs", "total_rs")
@@ -64,7 +64,6 @@ def _core(g: Graph, d: int) -> np.ndarray:
     """0/1 indicator of the d-core of g, peeled in O(n + m): vertices of
     degree below d are deleted until every remaining one has d neighbours
     among the remaining."""
-    rows = _rows(g, closed=False)
     deg = g.degrees.tolist()
     stack = [v for v in range(g.n) if deg[v] < d]
     inside = [1] * g.n
@@ -72,7 +71,7 @@ def _core(g: Graph, d: int) -> np.ndarray:
         inside[v] = 0
     while stack:
         v = stack.pop()
-        for u in rows[v]:
+        for u in g.neighbors(v):
             deg[u] -= 1
             if inside[u] and deg[u] < d:
                 inside[u] = 0
@@ -326,11 +325,6 @@ class VertexFunction:
 def _witness_dict(witness: VertexFunction | tuple[int, ...]) -> dict:
     """JSON form of a witness: {"set": ids} for a set, {"values": labels}."""
     return {"set": list(witness)} if isinstance(witness, tuple) else witness.to_dict()
-
-
-def weight(f: VertexFunction) -> int:
-    """|f| = sum of the labels."""
-    return f.weight
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,8 @@ def acceptance_graphs():
     for n in range(3, 9):
         graphs.append((f"K{n}", complete(n)))
     graphs.append(("petersen", petersen()))
-    assert len(graphs) == 50
+    if len(graphs) != 50:
+        raise AssertionError(f"acceptance_graphs built {len(graphs)} graphs, not 50")
     return graphs
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from multidom import DominationSpec, cycle, read_graph
+from multidom import DominationSpec, complete_bipartite, cycle, read_graph
 from multidom import cli
 from multidom.bounds import BoundReport
 from multidom.cli import build_parser, main, parse_spec
@@ -45,6 +45,27 @@ def test_gen_writes_and_round_trips(capsys, tmp_path):
     assert read_graph(out.read_text()) == cycle(5)
     code, text, _ = run_cli(capsys, "gen", "--family", "petersen", "--format", "dimacs")
     assert code == 0 and text.startswith("p edge 10 15")
+
+
+@pytest.mark.parametrize("family, given, missing", [
+    ("gnp", ("--n", "5"), "p"),
+    ("gnp", ("--p", "0.5"), "n"),
+    ("random_regular", ("--n", "6"), "d"),
+    ("complete_bipartite", ("--n", "2"), "n2"),
+    ("cycle", (), "n"),
+    ("path", (), "n"),
+    ("complete", (), "n"),
+])
+def test_gen_names_the_missing_family_option(capsys, family, given, missing):
+    code, out, err = run_cli(capsys, "gen", "--family", family, *given)
+    assert code == 1 and out == ""
+    assert err == f"multidom: error: family {family!r} needs --{missing}\n"
+
+
+def test_gen_complete_bipartite(capsys):
+    code, out, _ = run_cli(capsys, "gen", "--family", "complete_bipartite", "--n", "2", "--n2", "3")
+    assert code == 0
+    assert read_graph(out) == complete_bipartite(2, 3)
 
 
 def test_gen_deterministic(capsys):
@@ -174,6 +195,14 @@ def test_exact_param22_on_c4(capsys):
     assert payload["value"] == 3
 
 
+def test_exact_passes_limit_n_through(capsys):
+    argv = ("exact", "--family", "cycle", "--n", "21", "--spec", "classical", "--no-timestamp")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "limit_n=20" in err
+    code, out, _ = run_cli(capsys, *argv, "--limit-n", "21")
+    assert code == 0 and json.loads(out)["value"] == 7
+
+
 def test_exact_rejects_nonpositive_node_budget(capsys):
     code, out, err = run_cli(capsys, "exact", "--family", "petersen", "--spec", "ktuple:2",
                              "--node-budget", "-5")
@@ -284,6 +313,12 @@ def test_compare_csv_and_json(capsys):
     code, out, _ = run_cli(capsys, "compare", "5", "1000", "1", "--no-timestamp")
     payload = json.loads(out)
     assert payload["rv_cutoff"] == 72 and payload["crossover_k"] == 9
+
+
+def test_compare_where_no_constant_is_tuned(capsys):
+    code, out, _ = run_cli(capsys, "compare", "3", "2", "1", "--no-timestamp")
+    assert code == 0
+    assert [row["tuned_c"] for row in json.loads(out)["rows"]] == [1.001, 1.001, None]
 
 
 def test_rs_spec_from_vector_files(capsys, tmp_path):

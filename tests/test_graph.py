@@ -11,13 +11,11 @@ from helpers import _restricted, acceptance_graphs, brute_function_number, dense
 from helpers import coverage as brute_coverage
 from multidom import (
     Graph,
-    GraphFamilySpec,
     GraphFormatError,
     complete,
     complete_bipartite,
     coverage,
     cycle,
-    generate,
     gnp,
     path,
     petersen,
@@ -103,9 +101,9 @@ def test_restricted_is_neighborhood_subset(n, seed):
 
 
 def test_generators():
-    c5 = generate(GraphFamilySpec("cycle", n=5))
+    c5 = cycle(5)
     assert all(c5.degree(v) == 2 for v in range(5))
-    k6 = generate(GraphFamilySpec("complete", n=6))
+    k6 = complete(6)
     assert k6.m == 15
     p = petersen()
     assert p.n == 10 and p.m == 15
@@ -115,11 +113,10 @@ def test_generators():
 
 
 def test_gnp_determinism_and_handshake():
-    spec = GraphFamilySpec("gnp", n=20, p=0.5, seed=42)
-    g1, g2 = generate(spec), generate(spec)
+    g1, g2 = gnp(20, 0.5, 42), gnp(20, 0.5, 42)
     assert g1 == g2
     assert int(g1.degrees.sum()) == 2 * g1.m
-    g3 = generate(GraphFamilySpec("gnp", n=20, p=0.5, seed=43))
+    g3 = gnp(20, 0.5, 43)
     assert g3 != g1  # different seed, different edges (overwhelmingly)
 
 
@@ -189,6 +186,18 @@ def test_format_sniffing():
     g = cycle(5)
     assert read_graph(write_graph(g, "dimacs")) == g
     assert read_graph(write_graph(g, "edge_list")) == g
+
+
+def test_equal_graphs_hash_equal():
+    built = Graph(5, [(3, 4), (0, 4), (1, 2), (0, 1), (2, 3)])
+    assert built == cycle(5) and hash(built) == hash(cycle(5))
+
+
+@pytest.mark.parametrize("call", [lambda: read_graph("0 1\n", "graphml"),
+                                  lambda: write_graph(cycle(3), "graphml")])
+def test_an_unknown_format_is_a_value_error(call):
+    with pytest.raises(ValueError, match="^unknown graph format 'graphml'$"):
+        call()
 
 
 def test_parse_errors_carry_line_numbers():

@@ -11,7 +11,18 @@ from hypothesis import strategies as st
 
 import multidom.graph
 from helpers import reference_random_regular, reference_read_dimacs, reference_read_edge_list
-from multidom import Graph, GraphFormatError, gnp, path, random_regular, read_graph, write_graph
+from multidom import (
+    Graph,
+    GraphFormatError,
+    ResourceLimitError,
+    gnp,
+    load_graph,
+    path,
+    random_regular,
+    read_graph,
+    save_graph,
+    write_graph,
+)
 from multidom.graph import MAX_VERTICES
 from test_golden import DIMACS_FILE, EDGE_LIST_FILE
 
@@ -195,6 +206,21 @@ def test_valid_files_never_reach_the_line_loop(fmt, monkeypatch):
     text, reference = {"edge_list": (EDGE_LIST_FILE, reference_read_edge_list),
                        "dimacs": (DIMACS_FILE, reference_read_dimacs)}[fmt]
     assert read_graph(text, fmt) == reference(text)
+
+
+@pytest.mark.parametrize("fmt", ["edge_list", "dimacs"])
+def test_save_then_load_round_trips(fmt, tmp_path):
+    g = Graph(7, [(0, 1), (1, 4), (2, 4)])  # vertices 3, 5 and 6 isolated
+    target = tmp_path / f"g.{fmt}"
+    save_graph(g, str(target), fmt)
+    assert target.read_text(encoding="utf-8") == write_graph(g, fmt)
+    assert load_graph(str(target)) == load_graph(str(target), fmt) == g
+
+
+def test_random_regular_gives_up_after_its_attempts(monkeypatch):
+    monkeypatch.setattr(multidom.graph, "RANDOM_REGULAR_ATTEMPTS", 3)
+    with pytest.raises(ResourceLimitError, match="8-regular graph on 200 vertices in 3 attempts$"):
+        random_regular(200, 8, 1)
 
 
 @pytest.mark.parametrize("n,d,seed", [(10, 3, 1), (200, 4, 2), (2000, 4, 7), (50, 5, 3), (12, 0, 1)])

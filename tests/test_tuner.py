@@ -107,6 +107,19 @@ def test_one_real_root_and_the_grid_fallback():
     assert tune_details(1, 1)["source"] == "grid"
 
 
+def test_an_empty_grid_falls_back_to_its_upper_end():
+    # hi = (delta + 1)/k = 3001/3000 lies below the first grid point, 1.001
+    det = tune_details(3000, 3000)
+    assert det["source"] == "grid" and det["feasible_roots"] == []
+    assert det["grid_c"] == det["c"] == 3001 / 3000
+
+
+def test_compare_leaves_tuned_c_none_where_no_constant_applies():
+    rep = compare_bounds(3, 2, 1)  # at k = 3, (delta + 1)/k = 1 admits no c > 1
+    assert [r.tuned_c for r in rep.rows] == [1.001, 1.001, None]
+    assert rep.rows[2].tuned_value is None
+
+
 def test_tune_details_reports_grid_truth():
     det = tune_details(5, 1000)
     assert det["source"] == "cubic"
@@ -121,8 +134,9 @@ def test_compare_bounds_delta_1000():
     assert rep.crossover_value == pytest.approx(8.3, abs=0.05)
     assert rep.crossover_k == 9
     # rv rows stop exactly at the cutoff
-    assert rep.row(72).rv is not None and rep.row(73).rv is None
-    assert rep.row(333).c3 is not None
+    assert [r.k for r in rep.rows] == list(range(1, len(rep.rows) + 1))
+    assert rep.rows[72 - 1].rv is not None and rep.rows[73 - 1].rv is None
+    assert rep.rows[333 - 1].c3 is not None
     # c=3 beats rv exactly on 9..72
     beats = {r.k for r in rep.rows if r.rv is not None and r.c3 is not None and r.c3 < r.rv}
     assert beats == set(range(9, 73))
@@ -136,7 +150,8 @@ def test_compare_bounds_delta_1000():
 
 def test_compare_row_for_worked_example():
     rep = compare_bounds(5, 1000, 1)
-    row = rep.row(5)
+    row = rep.rows[5 - 1]
+    assert row.k == 5
     assert row.rv < 0.035
     assert row.tuned_value < 0.027
     assert row.best == "tuned"

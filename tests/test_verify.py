@@ -22,7 +22,6 @@ from multidom import (
     path,
     verify_function,
     verify_set,
-    weight,
 )
 from multidom.bounds import bounds_for_spec
 from multidom.verify import LABEL_LIMIT, _guaranteed_witness, _sums
@@ -54,6 +53,11 @@ def test_verify_set_takes_any_collection_of_ids():
         assert verify_set(g, spec, members) == want
     with pytest.raises(ValueError, match="witness vertex 12 out of range for n=12"):
         verify_set(g, spec, np.array([0, 12]))
+
+
+def test_verify_function_rejects_a_function_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^function has 3 values, graph has n=4$"):
+        verify_function(cycle(4), DominationSpec.brace_k(1), VertexFunction((1, 1, 1)))
 
 
 @pytest.mark.parametrize("bad", [0.9, 2.5, 2.0, "3", True, np.float64(1.0), np.bool_(False), None])
@@ -134,10 +138,10 @@ def test_brace2_c4_minimum_is_three():
 
 
 def test_weight():
-    assert weight(VertexFunction((0,) * 5)) == 0
-    assert weight(VertexFunction((1, 2, 0))) == 3
+    assert VertexFunction((0,) * 5).weight == 0
+    assert VertexFunction((1, 2, 0)).weight == 3
     chi = VertexFunction.characteristic([1, 3, 4], 6)
-    assert weight(chi) == 3
+    assert chi.weight == 3
     # the exact sum as a Python int, past 2**31 too
     big = VertexFunction([LABEL_LIMIT - 1] * 3000)
     assert type(big.weight) is int and big.weight == (LABEL_LIMIT - 1) * 3000
