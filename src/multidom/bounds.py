@@ -132,6 +132,7 @@ class ParametricParams:
 
     @classmethod
     def derive(cls, k: int, l: int, delta: int) -> "ParametricParams":
+        _check_demands(k, l)
         phi = max(k, l - 1)
         log_b_pair = _log_add(log_binomial(delta, k - 1), log_binomial(delta, l - 2))
         return cls(
@@ -251,6 +252,13 @@ def _check_delta(delta: int) -> int:
     if delta < 0:
         raise ValueError("delta must be >= 0")
     return delta
+
+
+def _check_demands(k: int, l: int = 1) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if l < 1:
+        raise ValueError("l must be >= 1")
 
 
 def _strong_coeff(d: int, log_b: float) -> float | None:
@@ -464,6 +472,7 @@ def bound_parametric_alt_log(k: int, l: int, delta: int, n: int, force: bool = F
 def bound_rv(k: int, delta: int, n: int, force: bool = False) -> BoundReport:
     """k-tuple bound under delta >= 2k ln(delta+1) - 1, with exact factorial terms."""
     delta = _check_delta(delta)
+    _check_demands(k)
     need = 2 * k * math.log(delta + 1) - 1
     applicable, reason = _gate((delta >= need, f"needs delta >= 2k*ln(delta+1) - 1 = {need:.3f}"))
 
@@ -500,6 +509,7 @@ def _threshold(name: str, size: int, delta: int, n: int, c: float, cap: float,
 def bound_threshold_ktuple(k: int, delta: int, n: int, c: float, force: bool = False) -> BoundReport:
     """k-tuple bound (c/(delta+1) + e^(-k(c+1/c-2)/2)) k n under delta >= ck-1, c > 1."""
     delta = _check_delta(delta)
+    _check_demands(k)
     return _threshold("ktuple_threshold", k, delta, n, c, float(n),
                       {"delta": delta, "k": k, "c": c}, force,
                       (delta >= c * k - 1, f"needs delta >= ck-1 = {c * k - 1:.3f}"))
@@ -510,6 +520,7 @@ def bound_threshold_parametric(
 ) -> BoundReport:
     """(k,l) threshold bound with mu = max(k, l) under delta >= c*mu - 1, c > 1."""
     delta = _check_delta(delta)
+    _check_demands(k, l)
     mu = max(k, l)
     return _threshold("parametric_threshold", mu, delta, n, c, float(n),
                       {"delta": delta, "k": k, "l": l, "mu": mu, "c": c}, force,
@@ -544,6 +555,7 @@ def _ln_threshold(name: str, size: int, delta: int, n: int, c: float,
 def bound_ln_threshold_ktuple(k: int, delta: int, n: int, c: float, force: bool = False) -> BoundReport:
     """k-tuple bound (ln(delta)/(delta+1) + k/delta^(c^2/2)) n under k <= (1-c) ln delta."""
     delta = _check_delta(delta)
+    _check_demands(k)
     return _ln_threshold("ktuple_ln_threshold", k, delta, n, c, float(n),
                          {"delta": delta, "k": k, "c": c}, force)
 
@@ -553,6 +565,7 @@ def bound_ln_threshold_parametric(
 ) -> BoundReport:
     """(k,l) version with mu = max(k, l) in place of k."""
     delta = _check_delta(delta)
+    _check_demands(k, l)
     mu = max(k, l)
     return _ln_threshold("parametric_ln_threshold", mu, delta, n, c, float(n),
                          {"delta": delta, "k": k, "l": l, "mu": mu, "c": c}, force)

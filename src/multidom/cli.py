@@ -75,7 +75,10 @@ def parse_spec(text: str) -> DominationSpec:
         if head == name:
             return DominationSpec(variant, k=int(arg))
     if head == "param":
-        k, l = (int(x) for x in arg.split(","))
+        try:
+            k, l = (int(x) for x in arg.split(","))
+        except ValueError:  # a count other than two, or a token that is no integer
+            raise ValueError("spec param needs two integers: param:K,L") from None
         return DominationSpec.parametric(k, l)
     if head in ("rs", "totalrs"):
         rfile, _, sfile = arg.partition(",")

@@ -137,7 +137,10 @@ def coverage(g: Graph, x, closed: bool) -> np.ndarray:
     pass. Every domination condition compares these sums with a demand;
     the closed and open sums differ only by the vertex's own label.
     """
-    x = np.asarray(x, dtype=np.int64)
+    dtype = np.asarray(x).dtype
+    if dtype.kind not in "iu":  # a float would truncate, a bool would add as 1
+        raise ValueError(f"labels must be integers, got {dtype} entries")
+    x = np.asarray(x, dtype=np.int64)  # from x itself, so a list entry past int64 raises
     if x.ndim not in (1, 2) or x.shape[-1] != g.n:
         raise ValueError(f"labels have shape {x.shape}, graph has n={g.n}")
     indptr, indices = g.csr()

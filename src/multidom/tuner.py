@@ -4,11 +4,23 @@ The threshold bound (c/(delta+1) + e^(-k(c+1/c-2)/2)) k n is minimized in c
 by a stationarity equation whose ln(1 - 1/c^2) term is replaced by -1/c^2,
 giving the cubic
 
-    k c^3 - 2 (k + ln(0.5 k (delta+1))) c^2 + k c + 2 = 0.
+    P(c) = k c^3 - 2 (k + L) c^2 + k c + 2 = 0,  L = ln(0.5 k (delta+1)).
 
 Because of that substitution the cubic root is only near-optimal, so the
-tuner also reports the direct grid minimum as ground truth and flags any
-disagreement about which feasible root is best.
+tuner also reports the direct grid minimum as ground truth.
+
+The root solver serves this one cubic, at integers k, delta >= 1:
+- L >= 0, as k(delta+1) >= 2, so the depressed cubic's p = 1 - (4/3)(1 + L/k)^2 < 0.
+- If k(delta+1) >= 6, then L >= ln 3 > 1 and P(-inf) < 0 < P(0) = 2, P(1) = 2 - 2L < 0
+  < P(+inf): three simple real roots, in (-inf, 0), (0, 1) and (1, inf). So the
+  discriminant is negative, P' is not 0 at a root, no two roots meet, and at most
+  one root exceeds 1, so at most one is feasible.
+- Five pairs are left. (1, 1) and (1, 2) have one real root, a negative one;
+  (1, 3), (1, 4) and (2, 1) have three simple roots. tune_c refuses (2, 1), where
+  (delta+1)/k = 1; at (1, 3) and (1, 4) both roots above 1 are feasible, and the
+  larger, which tune_c takes, gives the smaller coefficient.
+So the largest feasible root is the feasible root of least coefficient;
+tests/test_tuner.py checks each step.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ import numpy as np
 
 from .bounds import _threshold_coeff, bound_parametric_alt_log, bound_rv, bound_threshold_ktuple
 from .errors import NotApplicableError
+from .verify import _integers
 
 
 def _cbrt(x: float) -> float:
@@ -27,45 +40,33 @@ def _cbrt(x: float) -> float:
 
 
 def _real_roots_monic(b: float, c: float, d: float) -> list[float]:
-    """Real roots of x^3 + b x^2 + c x + d, ascending, Newton-polished."""
+    """Real roots of x^3 + b x^2 + c x + d, ascending, Newton-polished. Only
+    for solve_cubic's cubic, whose p < 0, discriminant != 0 and simple roots
+    (module docstring) leave no other case."""
     p = c - b * b / 3.0
     q = d - b * c / 3.0 + 2.0 * b ** 3 / 27.0
-    if p == 0.0:
-        roots = [_cbrt(-q)]
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if disc > 0.0:
+        s = math.sqrt(disc)
+        roots = [_cbrt(-q / 2.0 + s) + _cbrt(-q / 2.0 - s)]
     else:
-        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-        if disc > 0.0:
-            s = math.sqrt(disc)
-            roots = [_cbrt(-q / 2.0 + s) + _cbrt(-q / 2.0 - s)]
-        elif disc == 0.0:
-            r = 3.0 * q / p
-            roots = [r, -r / 2.0]
-        else:
-            arg = (3.0 * q / (2.0 * p)) * math.sqrt(-3.0 / p)
-            arg = max(-1.0, min(1.0, arg))
-            t = 2.0 * math.sqrt(-p / 3.0)
-            s = math.acos(arg) / 3.0
-            u = 2.0 * math.pi / 3.0
-            roots = [t * math.cos(s - u * i) for i in range(3)]
+        arg = (3.0 * q / (2.0 * p)) * math.sqrt(-3.0 / p)
+        arg = max(-1.0, min(1.0, arg))
+        t = 2.0 * math.sqrt(-p / 3.0)
+        s = math.acos(arg) / 3.0
+        u = 2.0 * math.pi / 3.0
+        roots = [t * math.cos(s - u * i) for i in range(3)]
     out = []
     for r in roots:
         x = r - b / 3.0
         for _ in range(3):  # one polish pass is enough; extras cost nothing
             f = ((x + b) * x + c) * x + d
-            fp = (3.0 * x + 2.0 * b) * x + c
-            if fp == 0.0:
-                break
-            step = f / fp
+            step = f / ((3.0 * x + 2.0 * b) * x + c)
             x -= step
             if abs(step) <= 1e-15 * max(1.0, abs(x)):
                 break
         out.append(x)
-    out.sort()
-    dedup: list[float] = []
-    for x in out:
-        if not dedup or abs(x - dedup[-1]) > 1e-9 * max(1.0, abs(x)):
-            dedup.append(x)
-    return dedup
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,11 @@ class CubicSpec:
 
 
 def solve_cubic(k: int, delta: int) -> CubicSpec:
-    """Real roots of k c^3 - 2(k + ln(0.5 k (delta+1))) c^2 + k c + 2 = 0."""
+    """Real roots of k c^3 - 2(k + ln(0.5 k (delta+1))) c^2 + k c + 2 = 0
+    for integers k, delta >= 1; bools and floats are refused."""
+    k, delta = _integers((k, delta), "k and delta")
     if k < 1 or delta < 1:
-        raise ValueError("solve_cubic needs k >= 1 and delta >= 1")
+        raise ValueError("the tuning cubic needs k >= 1 and delta >= 1")
     a = float(k)
     b = -2.0 * (k + math.log(0.5 * k * (delta + 1)))
     c = float(k)
@@ -137,11 +140,9 @@ def _grid_minimum(k: int, delta: int) -> tuple[float, float]:
 def _select_root(k: int, delta: int) -> tuple[CubicSpec, list[float], float]:
     """The cubic, its feasible roots (c > 1 with delta >= ck - 1) and the
     chosen c: the largest feasible root, else the grid minimum."""
-    if k < 1 or delta < 1:
-        raise ValueError("tune_c needs k >= 1 and delta >= 1")
+    cub = solve_cubic(k, delta)
     if (delta + 1) / k <= 1.0:
         raise NotApplicableError(f"no feasible c > 1: (delta+1)/k = {(delta + 1) / k:.3f}")
-    cub = solve_cubic(k, delta)
     feasible = [r for r in cub.roots if r > 1.0 and delta >= r * k - 1.0]
     return cub, feasible, max(feasible) if feasible else _grid_minimum(k, delta)[0]
 
@@ -153,12 +154,13 @@ def tune_c(k: int, delta: int) -> float:
 
 
 def tune_details(k: int, delta: int) -> dict:
-    """tune_c plus the grid ground truth and any root-selection discrepancy."""
+    """tune_c plus its cubic, feasible roots and the grid ground truth. The
+    chosen root has the least coefficient of the feasible ones (module docstring)."""
     cub, feasible, chosen = _select_root(k, delta)
     source = "cubic" if feasible else "grid"
     grid_c, grid_value = _grid_minimum(k, delta)
     value = _threshold_coeff(k, delta, chosen)
-    out = {
+    return {
         "k": k,
         "delta": delta,
         "cubic": cub.to_dict(),
@@ -169,14 +171,6 @@ def tune_details(k: int, delta: int) -> dict:
         "grid_c": grid_c,
         "grid_value": grid_value,
     }
-    if feasible:
-        by_value = min(feasible, key=lambda r: _threshold_coeff(k, delta, r))
-        if by_value != chosen:
-            out["discrepancy"] = (
-                f"root {by_value:.6f} gives a smaller coefficient than the "
-                f"largest root {chosen:.6f}; the largest-root rule is kept"
-            )
-    return out
 
 
 @dataclass(frozen=True)

@@ -688,3 +688,51 @@ def reference_grid_minimum(k: int, delta: int) -> tuple[float, float]:
     vals = (cs / (delta + 1) + np.exp(-0.5 * k * (cs + 1.0 / cs - 2.0))) * k
     i = int(np.argmin(vals))
     return float(cs[i]), float(vals[i])
+
+
+def _cbrt(x: float) -> float:
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+def reference_real_roots_monic(b: float, c: float, d: float) -> list[float]:
+    """Real roots of x^3 + b x^2 + c x + d, ascending, Newton-polished: the
+    general cubic solver with every branch, kept as the reference for the
+    tuner's solver fitted to its one cubic."""
+    p = c - b * b / 3.0
+    q = d - b * c / 3.0 + 2.0 * b ** 3 / 27.0
+    if p == 0.0:
+        roots = [_cbrt(-q)]
+    else:
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+        if disc > 0.0:
+            s = math.sqrt(disc)
+            roots = [_cbrt(-q / 2.0 + s) + _cbrt(-q / 2.0 - s)]
+        elif disc == 0.0:
+            r = 3.0 * q / p
+            roots = [r, -r / 2.0]
+        else:
+            arg = (3.0 * q / (2.0 * p)) * math.sqrt(-3.0 / p)
+            arg = max(-1.0, min(1.0, arg))
+            t = 2.0 * math.sqrt(-p / 3.0)
+            s = math.acos(arg) / 3.0
+            u = 2.0 * math.pi / 3.0
+            roots = [t * math.cos(s - u * i) for i in range(3)]
+    out = []
+    for r in roots:
+        x = r - b / 3.0
+        for _ in range(3):  # one polish pass is enough; extras cost nothing
+            f = ((x + b) * x + c) * x + d
+            fp = (3.0 * x + 2.0 * b) * x + c
+            if fp == 0.0:
+                break
+            step = f / fp
+            x -= step
+            if abs(step) <= 1e-15 * max(1.0, abs(x)):
+                break
+        out.append(x)
+    out.sort()
+    dedup: list[float] = []
+    for x in out:
+        if not dedup or abs(x - dedup[-1]) > 1e-9 * max(1.0, abs(x)):
+            dedup.append(x)
+    return dedup

@@ -34,6 +34,7 @@ from multidom import (
     log_binomial,
 )
 from multidom import bounds
+from multidom.bounds import ParametricParams, RSParams
 from multidom.verify import DominationSpec
 
 # -- log binomial --------------------------------------------------------------
@@ -45,6 +46,11 @@ def test_log_binomial_basics():
     assert log_binomial(6, 6) == 0.0
     assert log_binomial(6, -1) == float("-inf")
     assert log_binomial(6, 7) == float("-inf")
+
+
+def test_log_binomial_rejects_a_negative_top():
+    with pytest.raises(ValueError, match="top >= 0"):
+        log_binomial(-1, 0)
 
 
 def test_log_binomial_against_big_integers():
@@ -268,6 +274,53 @@ def test_a_negative_delta_is_rejected():
 def test_total_rs_rejects_delta_zero():
     g_rep = bound_total_rs(1, 1, 3, 0, 3)
     assert not g_rep.applicable and "delta" in g_rep.reason
+    with pytest.raises(ValueError, match="delta >= 1"):
+        RSParams.derive(1, 1, 0, closed=False)
+
+
+def test_a_bound_needs_at_least_one_vertex():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        bound_classical(3, 0)
+
+
+_KL_BOUNDS = [bound_parametric, bound_parametric_log, bound_parametric_alt,
+              bound_parametric_alt_log]
+
+
+@pytest.mark.parametrize("k, l, message", [(0, 1, "^k must"), (1, 0, "^l must"),
+                                           (0, 0, "^k must"), (-2, 3, "^k must")])
+def test_the_kl_bounds_reject_k_or_l_below_1(k, l, message):
+    for bound in _KL_BOUNDS:
+        with pytest.raises(ValueError, match=message):
+            bound(k, l, 10, 5)
+    with pytest.raises(ValueError, match=message):
+        ParametricParams.derive(k, l, 10)
+    with pytest.raises(ValueError, match=message):
+        bound_threshold_parametric(k, l, 10, 5, 2.0)
+    with pytest.raises(ValueError, match=message):
+        bound_ln_threshold_parametric(k, l, 10, 5, 0.5)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_the_k_bounds_reject_k_below_1(k):
+    for call in (lambda: bound_rv(k, 10, 5), lambda: bound_threshold_ktuple(k, 10, 5, 2.0),
+                 lambda: bound_ln_threshold_ktuple(k, 10, 5, 0.5)):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            call()
+
+
+def test_every_applicable_kl_bound_has_a_finite_coefficient():
+    for k in range(1, 7):
+        for delta in range(0, 31):
+            reports = [bound_rv(k, delta, 7), bound_threshold_ktuple(k, delta, 7, 3.0),
+                       bound_ln_threshold_ktuple(k, delta, 7, 0.2)]
+            for l in range(1, 7):
+                reports += [bound(k, l, delta, 7) for bound in _KL_BOUNDS]
+                reports += [bound_threshold_parametric(k, l, delta, 7, 3.0),
+                            bound_ln_threshold_parametric(k, l, delta, 7, 0.2)]
+            for rep in reports:
+                if rep.applicable:
+                    assert math.isfinite(rep.coefficient), (rep.name, k, delta, rep.params)
 
 
 # -- (k,l) bounds ---------------------------------------------------------------------
@@ -458,6 +511,7 @@ def test_caro_yuster_predicate():
     assert not applicability_caro_yuster(3, 1000)
     assert applicability_caro_yuster(1, 3)
     assert not applicability_caro_yuster(1, 1)
+    assert not applicability_caro_yuster(1, 0)
 
 
 # -- dominance and vacuity ----------------------------------------------------------------

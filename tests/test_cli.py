@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,15 @@ def test_parse_spec_strings(tmp_path):
         parse_spec("nonsense")
     with pytest.raises(ValueError):
         parse_spec("rs:only_one_file")
+
+
+@pytest.mark.parametrize("spec", ["param:1", "param:1,2,3", "param:1,x"])
+def test_a_malformed_param_spec_gets_its_usage(capsys, spec):
+    with pytest.raises(ValueError, match="^spec param needs two integers: param:K,L$"):
+        parse_spec(spec)
+    code, out, err = run_cli(capsys, "bounds", "--family", "cycle", "--n", "4", "--spec", spec)
+    assert code == 1 and out == ""
+    assert err == "multidom: error: spec param needs two integers: param:K,L\n"
 
 
 def test_gen_writes_and_round_trips(capsys, tmp_path):
@@ -185,6 +198,25 @@ def test_a_graph_file_that_is_not_utf8_exits_1(capsys, tmp_path):
 def test_missing_graph_is_error(capsys):
     code, _, err = run_cli(capsys, "bounds", "--spec", "classical")
     assert code == 1 and "graph is required" in err
+
+
+def test_a_graph_file_and_a_family_together_are_an_error(capsys, tmp_path):
+    gfile = tmp_path / "g.edges"
+    gfile.write_text("0 1\n1 2\n2 0\n")
+    code, out, err = run_cli(capsys, "bounds", "--graph", str(gfile), "--family", "petersen",
+                             "--spec", "classical")
+    assert code == 1 and out == "" and "not both" in err
+
+
+def test_the_module_runs_as_a_script():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-m", "multidom.cli", "compare", "2", "10", "1",
+                           "--format", "csv"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("k,rv,c3,tuned_c,tuned_value,best\n")
 
 
 def test_exact_param22_on_c4(capsys):

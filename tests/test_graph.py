@@ -45,6 +45,8 @@ def test_rejects_bad_edges():
         Graph(3, [(0, 5)])
     with pytest.raises(ValueError):
         Graph(0, [])
+    with pytest.raises(ValueError, match="pairs"):
+        Graph(3, [(0, 1, 2)])
     # the same three faults given as numpy edge arrays
     for edges in ([[1, 1]], [[0, 2], [2, 0]], [[1, 3]]):
         with pytest.raises(ValueError):
@@ -110,6 +112,13 @@ def test_generators():
     assert all(p.degree(v) == 3 for v in range(10))
     kb = complete_bipartite(2, 3)
     assert kb.m == 6 and kb.min_degree == 2
+
+
+@pytest.mark.parametrize("make", [lambda: path(0), lambda: cycle(2), lambda: complete(0),
+                                  lambda: complete_bipartite(0, 1), lambda: gnp(0, 0.5, 1)])
+def test_generators_reject_too_few_vertices(make):
+    with pytest.raises(ValueError, match="needs"):
+        make()
 
 
 def test_gnp_determinism_and_handshake():
@@ -264,6 +273,13 @@ def test_coverage_rejects_wrong_length():
         coverage(cycle(4), [1, 1, 1], closed=False)
     with pytest.raises(ValueError):
         coverage(cycle(4), [[[1, 1, 1, 1]]], closed=False)
+    # a float label would truncate and a bool would add as 1
+    with pytest.raises(ValueError, match="integers"):
+        coverage(cycle(6), [0.7] * 6, closed=True)
+    with pytest.raises(ValueError, match="integers"):
+        coverage(cycle(6), np.ones(6, dtype=bool), closed=False)
+    with pytest.raises(ValueError, match="integers"):
+        coverage(cycle(6), [True] * 6, closed=True)
 
 
 @given(small_graphs(), st.data())

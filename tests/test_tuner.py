@@ -16,6 +16,20 @@ from multidom import (
 from multidom.bounds import _threshold_coeff
 from multidom.tuner import _grid_minimum
 
+from helpers import reference_real_roots_monic
+
+
+def _proof_grid() -> list[tuple[int, int]]:
+    """(k, delta) pairs: every small pair, then k up to 5 000 and delta up
+    to 10**7 on a log-spaced lattice with random pairs between."""
+    rnd = random.Random(20)
+    cases = [(k, delta) for k in range(1, 13) for delta in range(1, 61)]
+    ks = sorted({round(10 ** (e / 4)) for e in range(0, 15)} | {4999, 5000})
+    deltas = sorted({round(10 ** (e / 2)) for e in range(0, 15)} | {10**7 - 1})
+    cases += [(k, delta) for k in ks for delta in deltas]
+    cases += [(rnd.randint(1, 5000), rnd.randint(1, 10**7)) for _ in range(200)]
+    return cases
+
 
 def test_worked_example_cubic():
     cub = solve_cubic(5, 1000)
@@ -186,3 +200,79 @@ def test_validation():
         solve_cubic(0, 100)
     with pytest.raises(ValueError):
         compare_bounds(1, 0, 5)
+    with pytest.raises(ValueError, match="integers"):
+        compare_bounds(2, 10.0, 5)
+
+
+def test_roots_are_those_of_the_general_solver():
+    """The solver fitted to the tuning cubic gives the roots, bit for bit,
+    of the general solver with its p = 0, zero-discriminant, P' = 0 and
+    merge branches; and tune_c picks the same root from them."""
+    for k, delta in _proof_grid():
+        cub = solve_cubic(k, delta)
+        want = reference_real_roots_monic(*cub.monic)
+        assert [r.hex() for r in cub.roots] == [r.hex() for r in want], (k, delta)
+        feasible = [r for r in want if r > 1.0 and delta >= r * k - 1.0]
+        if feasible and (delta + 1) / k > 1.0:
+            assert tune_c(k, delta).hex() == max(feasible).hex(), (k, delta)
+
+
+def test_the_proof_of_the_root_structure():
+    """The facts the module docstring proves: p < 0 everywhere; from
+    k(delta+1) >= 6 on, a negative discriminant and three roots, one
+    negative, one in (0, 1) and one above 1; and the chosen c has the
+    least coefficient among the feasible roots."""
+    for k, delta in _proof_grid():
+        cub = solve_cubic(k, delta)
+        b, c, d = cub.monic
+        p = c - b * b / 3.0
+        q = d - b * c / 3.0 + 2.0 * b ** 3 / 27.0
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+        assert p < 0.0, (k, delta)
+        if k * (delta + 1) >= 6:
+            assert disc < 0.0, (k, delta)
+            lo, mid, hi = cub.roots
+            assert lo < 0.0 < mid < 1.0 < hi, (k, delta)
+        feasible = [r for r in cub.roots if r > 1.0 and delta >= r * k - 1.0]
+        if feasible and (delta + 1) / k > 1.0:
+            best = min(feasible, key=lambda r: _threshold_coeff(k, delta, r))
+            assert tune_c(k, delta) == best, (k, delta)
+
+
+def test_the_five_small_pairs():
+    # (1, 1) and (1, 2): one real root, a negative one
+    for delta in (1, 2):
+        (root,) = solve_cubic(1, delta).roots
+        assert root < 0.0
+        assert tune_details(1, delta)["source"] == "grid"
+    # (1, 3) and (1, 4): two feasible roots, and the larger has the smaller coefficient
+    for delta, (small, large) in ((3, (1.2185, 2.7621)), (4, (1.0452, 3.3573))):
+        cub = solve_cubic(1, delta)
+        assert len(cub.roots) == 3 and cub.roots[0] < 0.0
+        assert cub.roots[1:] == pytest.approx((small, large), abs=1e-4)
+        det = tune_details(1, delta)
+        assert det["feasible_roots"] == list(cub.roots[1:])
+        assert det["c"] == cub.roots[2]
+        assert _threshold_coeff(1, delta, cub.roots[2]) < _threshold_coeff(1, delta, cub.roots[1])
+    # (2, 1): three simple roots, but (delta+1)/k = 1 admits no c > 1
+    assert len(solve_cubic(2, 1).roots) == 3
+    with pytest.raises(NotApplicableError):
+        tune_c(2, 1)
+
+
+@pytest.mark.parametrize("k, delta", [(2.0, 10), (True, 10), (5, 1000.0), (5, False), (5, "10")])
+def test_the_tuner_takes_integers_only(k, delta):
+    for call in (solve_cubic, tune_c, tune_details):
+        with pytest.raises(ValueError, match="integers"):
+            call(k, delta)
+
+
+def test_numpy_integers_tune_like_ints():
+    assert tune_c(np.int64(5), np.int32(1000)) == tune_c(5, 1000)
+    assert solve_cubic(np.int64(5), 1000) == solve_cubic(5, 1000)
+
+
+@pytest.mark.parametrize("k, delta", [(0, 5), (1, 0), (-3, 10)])
+def test_tune_c_needs_k_and_delta_at_least_1(k, delta):
+    with pytest.raises(ValueError, match=">= 1"):
+        tune_c(k, delta)

@@ -178,6 +178,18 @@ def test_infeasible_spec_errors():
     assert not rep.valid and rep.deficiencies == tuple((v, 4, 3) for v in range(4))
 
 
+def test_set_and_function_specs_refuse_each_others_calls():
+    c4 = cycle(4)
+    with pytest.raises(ValueError, match="not a set variant"):
+        DominationSpec.brace_k(2).requirements()
+    with pytest.raises(ValueError, match="not a function variant"):
+        DominationSpec.k_tuple(2).vectors(3)
+    with pytest.raises(ValueError, match="verify_set needs a set variant"):
+        verify_set(c4, DominationSpec.brace_k(1), [0, 2])
+    with pytest.raises(ValueError, match="verify_function needs a function variant"):
+        verify_function(c4, DominationSpec.classical(), VertexFunction((1, 0, 1, 0)))
+
+
 def _k4_with_pendant():
     # K4 on {0, 1, 2, 3} plus vertex 4 hanging off 0
     return Graph(5, [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(0, 4)])
