@@ -16,7 +16,8 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .verify import DominationSpec
+from .errors import _integer
+from .verify import LABEL_LIMIT, DominationSpec
 
 NEG_INF = float("-inf")
 
@@ -38,8 +39,7 @@ _log_binomial_lock = threading.Lock()
 
 def log_binomial(top: int, t: int) -> float:
     """ln C(top, t); -inf when t < 0 or t > top (the binomial is 0)."""
-    if top < 0:
-        raise ValueError("binomial needs top >= 0")
+    top, t = _integer(top, "top", 0, owner="binomial"), _integer(t, "t")
     if t < 0 or t > top:
         return NEG_INF
     t = min(t, top - t)
@@ -122,8 +122,12 @@ class ParametricParams:
     phi = max(k, l-1), b_t = C(delta, t) with b_{-1} = 0,
     delta_bar = delta - phi, delta_hat = delta - max(k, l) + 1, and
     b_{k-1} + b_{l-2} = C(delta+1, k-1) when l = k (a Pascal identity).
+    derive() checks k, l and delta, and keeps them as Python ints.
     """
 
+    k: int
+    l: int
+    delta: int
     phi: int
     delta_bar: int
     delta_hat: int
@@ -132,11 +136,12 @@ class ParametricParams:
 
     @classmethod
     def derive(cls, k: int, l: int, delta: int) -> "ParametricParams":
-        _check_demands(k, l)
+        k, l = _integer(k, "k", 1, LABEL_LIMIT - 1), _integer(l, "l", 1, LABEL_LIMIT - 1)
+        delta = _integer(delta, "delta", 0)
         phi = max(k, l - 1)
         log_b_pair = _log_add(log_binomial(delta, k - 1), log_binomial(delta, l - 2))
         return cls(
-            phi, delta - phi, delta - max(k, l) + 1,
+            k, l, delta, phi, delta - phi, delta - max(k, l) + 1,
             log_binomial(delta, phi - 1), log_b_pair,
         )
 
@@ -200,18 +205,19 @@ class BoundReport:
 def _report(
     name: str,
     n: int,
-    cap_absolute: float,
+    cap_absolute: float | None,
     params: dict,
     applicable: bool,
     reason: str,
     coeff_fn: Callable[[], float | None],
     force: bool = False,
 ) -> BoundReport:
-    """The one evaluation of a bound's formula. A forced one that raises an
-    ArithmeticError or ValueError, or any non-finite result, gives no
-    coefficient; non-finite params become None, so to_dict() is strict JSON."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """The one evaluation of a bound's formula, and the one check of n. A
+    forced one that raises an ArithmeticError or ValueError, or any
+    non-finite result, gives no coefficient; non-finite params become None,
+    so to_dict() is strict JSON. cap_absolute is the trivial bound, n when None."""
+    n = _integer(n, "n", 1)
+    cap_absolute = n if cap_absolute is None else cap_absolute
     coefficient = absolute = None
     if applicable or force:
         try:
@@ -247,20 +253,6 @@ def _gate(*checks: tuple[bool, str]) -> tuple[bool, str]:
     return True, ""
 
 
-def _check_delta(delta: int) -> int:
-    delta = int(delta)
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    return delta
-
-
-def _check_demands(k: int, l: int = 1) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if l < 1:
-        raise ValueError("l must be >= 1")
-
-
 def _strong_coeff(d: int, log_b: float) -> float | None:
     """1 - d/((1+d)^(1+1/d) b^(1/d)) with ln b = log_b; None when d < 1 or b = 0."""
     if d < 1 or not math.isfinite(log_b):
@@ -280,19 +272,19 @@ def _log_coeff(d1: int, log_b: float) -> float | None:
 
 def bound_classical(delta: int, n: int) -> BoundReport:
     """gamma(G) <= (ln(delta+1) + 1)/(delta+1) * n."""
-    delta = _check_delta(delta)
+    delta = _integer(delta, "delta", 0)
     return _report(
-        "classical", n, float(n), {"delta": delta},
+        "classical", n, None, {"delta": delta},
         True, "", lambda: _log_coeff(delta + 1, 0.0),
     )
 
 
 def bound_caro_roditty(delta: int, n: int, force: bool = False) -> BoundReport:
     """gamma(G) <= (1 - delta/(1+delta)^(1+1/delta)) * n for delta >= 1."""
-    delta = _check_delta(delta)
+    delta = _integer(delta, "delta", 0)
     applicable, reason = _gate((delta >= 1, "needs delta >= 1"))
     return _report(
-        "caro_roditty", n, float(n), {"delta": delta}, applicable, reason,
+        "caro_roditty", n, None, {"delta": delta}, applicable, reason,
         lambda: _strong_coeff(delta, 0.0), force,
     )
 
@@ -322,6 +314,13 @@ def _rs_gate(p: RSParams) -> tuple[bool, str]:
                  (p.r <= p.tau, f"derived r={p.r} exceeds min cap tau={p.tau}"))
 
 
+def _caps(tau: int, s: int, cap_sum: int) -> tuple[int, int, int]:
+    """The three numbers a capped-function bound reads, as Python ints:
+    tau and s in [0, LABEL_LIMIT), like every cap and demand."""
+    return (_integer(tau, "tau", 0, LABEL_LIMIT - 1), _integer(s, "s", 0, LABEL_LIMIT - 1),
+            _integer(cap_sum, "cap_sum", 0))
+
+
 def _capped_report(
     name: str,
     coeff: Callable[[RSParams], float],
@@ -335,7 +334,8 @@ def _capped_report(
 ) -> BoundReport:
     """A capped-function bound over closed (delta+1 slots) or open (delta
     slots) neighborhoods; the open parameters are reported as r~, theta~."""
-    delta = _check_delta(delta)
+    tau, s, cap_sum = _caps(tau, s, cap_sum)
+    delta = _integer(delta, "delta", 0)
     params = {"delta": delta}
     p = None
     if not closed and delta < 1:
@@ -347,7 +347,7 @@ def _capped_report(
         params.update({"tau": p.tau, "s": p.s, r_key: p.r, theta_key: p.theta,
                        "log_B_s1": p.log_b})
     return _report(
-        name, n, float(cap_sum), params, applicable, reason,
+        name, n, cap_sum, params, applicable, reason,
         lambda: coeff(p) if p is not None else None, force,
     )
 
@@ -378,7 +378,8 @@ def bound_rs_log_optimized(
     tau: int, s: int, cap_sum: int, delta: int, n: int, force: bool = False
 ) -> BoundReport:
     """Log-form bound minimized over every admissible integer r in [s/(delta+1), tau]."""
-    delta = _check_delta(delta)
+    tau, s, cap_sum = _caps(tau, s, cap_sum)
+    delta = _integer(delta, "delta", 0)
     lo = max(1, -(-s // (delta + 1)))  # ceil(s/(delta+1))
     applicable, reason = _gate((s >= 1, _ZERO_DEMAND), (
         lo <= tau, f"no admissible integer r: ceil(s/(delta+1))={lo} exceeds tau={tau}"))
@@ -392,7 +393,7 @@ def bound_rs_log_optimized(
     params = {"delta": delta, "tau": tau, "s": s,
               "argmin_r": best[1] if best else None}
     return _report(
-        "rs_log_optimized", n, float(cap_sum), params, applicable, reason,
+        "rs_log_optimized", n, cap_sum, params, applicable, reason,
         lambda: best[0] if best else None, force,
     )
 
@@ -418,26 +419,39 @@ def bound_total_rs_log(
 # -- (k,l) set bounds ------------------------------------------------------------
 
 
+def _kl_report(name: str, k: int, l: int, delta: int, n: int, force: bool,
+               alt: bool, strong: bool) -> BoundReport:
+    """One of the four (k,l) set bounds, on b = b_{phi-1} with the margin
+    d = delta_bar, or on b = b_{k-1} + b_{l-2} with d = delta_hat when alt;
+    in the strong form when strong, else in the log form (ln(d+1) + ln b + 1)/(d+1).
+    ParametricParams.derive checks k, l and delta."""
+    p = ParametricParams.derive(k, l, delta)
+    params = {"delta": p.delta, "k": p.k, "l": p.l}
+    if alt:
+        d, log_b, margin = p.delta_hat, p.log_b_pair, "max(k, l) + 1"
+        params.update(delta_hat=d, log_b_pair=log_b)
+    else:
+        d, log_b, margin = p.delta_bar, p.log_b_phi, "max(k, l-1)"
+        params["phi"] = p.phi
+        if strong:
+            params["delta_bar"] = d
+        params["log_b_phi1"] = log_b
+    if strong:
+        gate, coeff = (d >= 1, f"needs delta - {margin} > 0, got {d}"), _strong_coeff(d, log_b)
+    else:
+        gate = (p.delta >= p.phi, f"needs delta >= max(k, l-1) = {p.phi}")
+        coeff = _log_coeff(d + 1, log_b)
+    return _report(name, n, None, params, *_gate(gate), lambda: coeff, force)
+
+
 def bound_parametric(k: int, l: int, delta: int, n: int, force: bool = False) -> BoundReport:
     """Strong (k,l) bound: (1 - dbar/((1+dbar)^(1+1/dbar) b_{phi-1}^(1/dbar))) n, dbar = delta - phi."""
-    delta = _check_delta(delta)
-    p = ParametricParams.derive(k, l, delta)
-    applicable, reason = _gate((p.delta_bar >= 1, f"needs delta - max(k, l-1) > 0, got {p.delta_bar}"))
-    params = {"delta": delta, "k": k, "l": l, "phi": p.phi, "delta_bar": p.delta_bar,
-              "log_b_phi1": p.log_b_phi}
-    return _report("parametric_strong", n, float(n), params, applicable, reason,
-                   lambda: p.coeff_phi, force)
+    return _kl_report("parametric_strong", k, l, delta, n, force, alt=False, strong=True)
 
 
 def bound_parametric_log(k: int, l: int, delta: int, n: int, force: bool = False) -> BoundReport:
     """Log-form (k,l) bound: (ln(delta-phi+1) + ln b_{phi-1} + 1)/(delta-phi+1) n."""
-    delta = _check_delta(delta)
-    p = ParametricParams.derive(k, l, delta)
-    applicable, reason = _gate((delta >= p.phi, f"needs delta >= max(k, l-1) = {p.phi}"))
-    params = {"delta": delta, "k": k, "l": l, "phi": p.phi,
-              "log_b_phi1": p.log_b_phi}
-    return _report("parametric_log", n, float(n), params, applicable, reason,
-                   lambda: _log_coeff(p.delta_bar + 1, p.log_b_phi), force)
+    return _kl_report("parametric_log", k, l, delta, n, force, alt=False, strong=False)
 
 
 def bound_parametric_alt(k: int, l: int, delta: int, n: int, force: bool = False) -> BoundReport:
@@ -446,24 +460,12 @@ def bound_parametric_alt(k: int, l: int, delta: int, n: int, force: bool = False
     Better than the phi-based strong form for small l; specializes to the
     known k-domination (l=1) and k-tuple (l=k) bounds.
     """
-    delta = _check_delta(delta)
-    p = ParametricParams.derive(k, l, delta)
-    applicable, reason = _gate((p.delta_hat >= 1, f"needs delta - max(k, l) + 1 > 0, got {p.delta_hat}"))
-    params = {"delta": delta, "k": k, "l": l, "delta_hat": p.delta_hat,
-              "log_b_pair": p.log_b_pair}
-    return _report("parametric_alt_strong", n, float(n), params, applicable, reason,
-                   lambda: p.coeff_alt, force)
+    return _kl_report("parametric_alt_strong", k, l, delta, n, force, alt=True, strong=True)
 
 
 def bound_parametric_alt_log(k: int, l: int, delta: int, n: int, force: bool = False) -> BoundReport:
     """Log form of the alternative (k,l) bound: (ln(dhat+1) + ln(b_{k-1}+b_{l-2}) + 1)/(dhat+1) n."""
-    delta = _check_delta(delta)
-    p = ParametricParams.derive(k, l, delta)
-    applicable, reason = _gate((delta >= p.phi, f"needs delta >= max(k, l-1) = {p.phi}"))
-    params = {"delta": delta, "k": k, "l": l, "delta_hat": p.delta_hat,
-              "log_b_pair": p.log_b_pair}
-    return _report("parametric_alt_log", n, float(n), params, applicable, reason,
-                   lambda: _log_coeff(p.delta_hat + 1, p.log_b_pair), force)
+    return _kl_report("parametric_alt_log", k, l, delta, n, force, alt=True, strong=False)
 
 
 # -- threshold-function bounds ----------------------------------------------------
@@ -471,8 +473,7 @@ def bound_parametric_alt_log(k: int, l: int, delta: int, n: int, force: bool = F
 
 def bound_rv(k: int, delta: int, n: int, force: bool = False) -> BoundReport:
     """k-tuple bound under delta >= 2k ln(delta+1) - 1, with exact factorial terms."""
-    delta = _check_delta(delta)
-    _check_demands(k)
+    k, delta = _integer(k, "k", 1, LABEL_LIMIT - 1), _integer(delta, "delta", 0)
     need = 2 * k * math.log(delta + 1) - 1
     applicable, reason = _gate((delta >= need, f"needs delta >= 2k*ln(delta+1) - 1 = {need:.3f}"))
 
@@ -489,86 +490,84 @@ def bound_rv(k: int, delta: int, n: int, force: bool = False) -> BoundReport:
             total += (k - i) / (math.factorial(i) * (delta + 1) ** (k - i))
         return total
 
-    return _report("rv", n, float(n), {"delta": delta, "k": k}, applicable, reason, coeff, force)
+    return _report("rv", n, None, {"delta": delta, "k": k}, applicable, reason, coeff, force)
 
 
 def _threshold_coeff(size: int, delta: int, c: float) -> float:
     return (c / (delta + 1) + math.exp(-0.5 * size * (c + 1.0 / c - 2.0))) * size
 
 
-def _threshold(name: str, size: int, delta: int, n: int, c: float, cap: float,
-               params: dict, force: bool, degree_gate: tuple[bool, str],
+def _threshold(name: str, size: int, delta: int, n: int, c: float, cap: int | None,
+               params: dict, force: bool, degree_gate: Callable[[int], tuple[bool, str]],
                extra_gate: tuple[bool, str] = (True, "")) -> BoundReport:
     """The c-form (c/(delta+1) + e^(-size(c+1/c-2)/2)) size n, gated on c > 1,
-    then extra_gate, then degree_gate; force does not pass a failed extra_gate."""
-    applicable, reason = _gate((c > 1, f"needs c > 1, got c={c}"), extra_gate, degree_gate)
-    return _report(name, n, cap, params, applicable, reason,
+    then extra_gate, then degree_gate(delta); force does not pass a failed
+    extra_gate. Checks delta, which leads the params."""
+    delta = _integer(delta, "delta", 0)
+    applicable, reason = _gate((c > 1, f"needs c > 1, got c={c}"), extra_gate, degree_gate(delta))
+    return _report(name, n, cap, {"delta": delta, **params}, applicable, reason,
                    lambda: _threshold_coeff(size, delta, c) if extra_gate[0] else None, force)
 
 
 def bound_threshold_ktuple(k: int, delta: int, n: int, c: float, force: bool = False) -> BoundReport:
     """k-tuple bound (c/(delta+1) + e^(-k(c+1/c-2)/2)) k n under delta >= ck-1, c > 1."""
-    delta = _check_delta(delta)
-    _check_demands(k)
-    return _threshold("ktuple_threshold", k, delta, n, c, float(n),
-                      {"delta": delta, "k": k, "c": c}, force,
-                      (delta >= c * k - 1, f"needs delta >= ck-1 = {c * k - 1:.3f}"))
+    k = _integer(k, "k", 1, LABEL_LIMIT - 1)
+    return _threshold("ktuple_threshold", k, delta, n, c, None, {"k": k, "c": c}, force,
+                      lambda delta: (delta >= c * k - 1, f"needs delta >= ck-1 = {c * k - 1:.3f}"))
 
 
 def bound_threshold_parametric(
     k: int, l: int, delta: int, n: int, c: float, force: bool = False
 ) -> BoundReport:
     """(k,l) threshold bound with mu = max(k, l) under delta >= c*mu - 1, c > 1."""
-    delta = _check_delta(delta)
-    _check_demands(k, l)
+    k, l = _integer(k, "k", 1, LABEL_LIMIT - 1), _integer(l, "l", 1, LABEL_LIMIT - 1)
     mu = max(k, l)
-    return _threshold("parametric_threshold", mu, delta, n, c, float(n),
-                      {"delta": delta, "k": k, "l": l, "mu": mu, "c": c}, force,
-                      (delta >= c * mu - 1, f"needs delta >= c*mu-1 = {c * mu - 1:.3f}"))
+    return _threshold(
+        "parametric_threshold", mu, delta, n, c, None, {"k": k, "l": l, "mu": mu, "c": c}, force,
+        lambda delta: (delta >= c * mu - 1, f"needs delta >= c*mu-1 = {c * mu - 1:.3f}"))
 
 
 def bound_threshold_rs(
     tau: int, s: int, cap_sum: int, delta: int, n: int, c: float, force: bool = False
 ) -> BoundReport:
     """Capped-function threshold bound with s = max demand under (delta+1)tau >= cs, c > 1."""
-    delta = _check_delta(delta)
-    return _threshold("rs_threshold", s, delta, n, c, float(cap_sum),
-                      {"delta": delta, "tau": tau, "s": s, "c": c}, force,
-                      ((delta + 1) * tau >= c * s, f"needs (delta+1)*tau >= c*s = {c * s:.3f}"),
-                      (s >= 1, _ZERO_DEMAND))
+    tau, s, cap_sum = _caps(tau, s, cap_sum)
+    return _threshold(
+        "rs_threshold", s, delta, n, c, cap_sum, {"tau": tau, "s": s, "c": c}, force,
+        lambda delta: ((delta + 1) * tau >= c * s, f"needs (delta+1)*tau >= c*s = {c * s:.3f}"),
+        (s >= 1, _ZERO_DEMAND))
 
 
 def _ln_threshold(name: str, size: int, delta: int, n: int, c: float,
-                  cap: float, params: dict, force: bool,
+                  cap: int | None, params: dict, force: bool,
                   extra_gate: tuple[bool, str] = (True, "")) -> BoundReport:
     """The ln-form (ln(delta)/(delta+1) + size/delta^(c^2/2)) n, gated on
-    extra_gate, then 0 < c < 1, then size <= (1-c) ln delta."""
+    extra_gate, then 0 < c < 1, then size <= (1-c) ln delta. Checks delta,
+    which leads the params."""
+    delta = _integer(delta, "delta", 0)
     log_delta = math.log(delta) if delta >= 1 else NEG_INF
     applicable, reason = _gate(
         extra_gate, (0.0 < c < 1.0, f"needs 0 < c < 1, got c={c}"),
         (size <= (1.0 - c) * log_delta,
          f"needs parameter <= (1-c)*ln(delta) = {(1 - c) * log_delta:.3f}"))
-    return _report(name, n, cap, params, applicable, reason,
+    return _report(name, n, cap, {"delta": delta, **params}, applicable, reason,
                    lambda: log_delta / (delta + 1) + size / delta ** (0.5 * c * c), force)
 
 
 def bound_ln_threshold_ktuple(k: int, delta: int, n: int, c: float, force: bool = False) -> BoundReport:
     """k-tuple bound (ln(delta)/(delta+1) + k/delta^(c^2/2)) n under k <= (1-c) ln delta."""
-    delta = _check_delta(delta)
-    _check_demands(k)
-    return _ln_threshold("ktuple_ln_threshold", k, delta, n, c, float(n),
-                         {"delta": delta, "k": k, "c": c}, force)
+    k = _integer(k, "k", 1, LABEL_LIMIT - 1)
+    return _ln_threshold("ktuple_ln_threshold", k, delta, n, c, None, {"k": k, "c": c}, force)
 
 
 def bound_ln_threshold_parametric(
     k: int, l: int, delta: int, n: int, c: float, force: bool = False
 ) -> BoundReport:
     """(k,l) version with mu = max(k, l) in place of k."""
-    delta = _check_delta(delta)
-    _check_demands(k, l)
+    k, l = _integer(k, "k", 1, LABEL_LIMIT - 1), _integer(l, "l", 1, LABEL_LIMIT - 1)
     mu = max(k, l)
-    return _ln_threshold("parametric_ln_threshold", mu, delta, n, c, float(n),
-                         {"delta": delta, "k": k, "l": l, "mu": mu, "c": c}, force)
+    return _ln_threshold("parametric_ln_threshold", mu, delta, n, c, None,
+                         {"k": k, "l": l, "mu": mu, "c": c}, force)
 
 
 def bound_ln_threshold_rs(
@@ -576,18 +575,15 @@ def bound_ln_threshold_rs(
 ) -> BoundReport:
     """Capped-function version with s = max demand; s <= (1-c) ln delta already
     implies the existence condition (delta+1)tau >= s when tau >= 1."""
-    delta = _check_delta(delta)
-    gate = (tau >= 1, "needs min cap tau >= 1")
-    return _ln_threshold("rs_ln_threshold", s, delta, n, c, float(cap_sum),
-                         {"delta": delta, "tau": tau, "s": s, "c": c}, force, gate)
+    tau, s, cap_sum = _caps(tau, s, cap_sum)
+    return _ln_threshold("rs_ln_threshold", s, delta, n, c, cap_sum,
+                         {"tau": tau, "s": s, "c": c}, force, (tau >= 1, "needs min cap tau >= 1"))
 
 
 def applicability_caro_yuster(k: int, delta: int) -> bool:
     """Predicate k < sqrt(ln delta); the asymptotic bound itself is out of scope."""
-    delta = _check_delta(delta)
-    if delta < 1:
-        return False
-    return k < math.sqrt(math.log(delta))
+    k, delta = _integer(k, "k", 1, LABEL_LIMIT - 1), _integer(delta, "delta", 0)
+    return delta >= 1 and k < math.sqrt(math.log(delta))
 
 
 # -- catalogue per spec ------------------------------------------------------------
@@ -602,6 +598,7 @@ def bounds_for_spec(
     gets the four (k,l) bounds; the classical, k-tuple and total variants
     add their own specializations around them.
     """
+    delta, n = _integer(delta, "delta", 0), _integer(n, "n", 1)
     v = spec.variant
     if spec.is_function_variant:
         caps = spec.cap_summary(n)
@@ -659,7 +656,7 @@ def bounds_for_spec(
         ]
     if v == "total_k":
         out.append(_report(
-            "caro_yuster", n, float(n), {"delta": delta, "k": k},
+            "caro_yuster", n, None, {"delta": delta, "k": k},
             applicability_caro_yuster(k, delta),
             "predicate only; the asymptotic bound is out of scope",
             lambda: None,

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import RSParams, ParametricParams
-from .errors import MultidomError
+from .errors import MultidomError, _integer
 from .graph import Graph, coverage
 from .verify import DominationSpec, VertexFunction, _guaranteed_witness, _rows_valid, _witness_dict
 
@@ -104,10 +104,8 @@ def _construct(
 
     A plan's draw maps a list of generators to a (T, n) int64 array, one
     row per trial, and the notes of each row."""
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    if max_trials < 1:
-        raise ValueError("max_trials must be >= 1")
+    seed = _integer(seed, "seed", 0)
+    max_trials = _integer(max_trials, "max_trials", 1)
     spec.check_feasible(g)  # once; the trials are checked without repeating it
     plan = _parametric_plan if spec.is_set_variant else _capped_plan
     params, notes, target, draw = plan(g, spec)

@@ -1,4 +1,46 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer checks shared across the package."""
+
+from typing import Iterable
+
+import numpy as np
+
+
+def _integer(value, name: str, low: int | None = None, high: int = 2**63 - 1, *,
+             owner: str | None = None) -> int:
+    """value as a Python int in [low, high]. It must be an int or a numpy
+    integer; anything else, bools included, raises ValueError rather than
+    being cast. A value out of range reads "<name> must be >= <low>", or
+    "<owner> needs <name> >= <low>" when an owner is given."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} takes integers only, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        bad = f">= {low}"
+    elif value > high:
+        bad = f"<= {high}"
+    else:
+        return value
+    raise ValueError(f"{owner} needs {name} {bad}" if owner else f"{name} must be {bad}")
+
+
+def _integers(values: Iterable, what: str) -> list[int]:
+    """The entries of values as Python ints. Each must be an int or a numpy
+    integer; anything else, bools included, raises rather than being cast."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        return values.tolist()
+    try:
+        values = list(values)
+    except TypeError:  # not a collection at all
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    for kind in kinds:
+        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+            bad = next(v for v in values if type(v) is kind)
+            raise ValueError(f"{what} must be integers, got {bad!r}")
+    return list(map(int, values))
 
 
 class MultidomError(Exception):

@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GraphFormatError, ResourceLimitError
+from .errors import GraphFormatError, ResourceLimitError, _integer
 
 # Largest vertex count a graph file may declare or imply. The readers reject
 # more before anything of size n is allocated: a header alone must not make
@@ -34,17 +34,19 @@ class Graph:
     __slots__ = ("n", "m", "indptr", "indices", "degrees", "min_degree", "max_degree")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
-        e = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        n = _integer(n, "n", 1, MAX_VERTICES, owner="graph")
+        e = edges if isinstance(edges, np.ndarray) else np.array(list(edges))
         if e.size == 0:
-            e = e.reshape(0, 2)
+            e = np.zeros((0, 2), dtype=np.int64)
+        elif e.dtype.kind not in "iu":  # a float would truncate, a bool would read as 0 or 1
+            raise ValueError(f"edges must be integer pairs, got {e.dtype} entries")
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
         u, v = e[:, 0], e[:, 1]
-        if e.size and (e.min() < 0 or e.max() >= n):
+        if e.size and (e.min() < 0 or e.max() >= n):  # in e's own dtype, so a uint64 never wraps
             i = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))[0]
             raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
         if (u == v).any():
             raise ValueError(f"self-loop at vertex {u[u == v][0]}")
         # both orientations of every edge, sorted by (source, target)
@@ -72,7 +74,7 @@ class Graph:
     # -- basic accessors ---------------------------------------------------
 
     def _check_vertex(self, v: int) -> int:
-        v = int(v)
+        v = _integer(v, "vertex id")
         if not 0 <= v < self.n:
             raise ValueError(f"vertex id {v} out of range for n={self.n}")
         return v
@@ -89,7 +91,8 @@ class Graph:
 
     def closed_neighborhood(self, v: int) -> tuple[int, ...]:
         """N[v] = N(v) ∪ {v}, sorted ascending."""
-        return tuple(sorted(self.neighbors(v) + (int(v),)))
+        v = self._check_vertex(v)
+        return tuple(sorted(self.neighbors(v) + (v,)))
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self._row(u)
@@ -137,10 +140,12 @@ def coverage(g: Graph, x, closed: bool) -> np.ndarray:
     pass. Every domination condition compares these sums with a demand;
     the closed and open sums differ only by the vertex's own label.
     """
-    dtype = np.asarray(x).dtype
-    if dtype.kind not in "iu":  # a float would truncate, a bool would add as 1
-        raise ValueError(f"labels must be integers, got {dtype} entries")
-    x = np.asarray(x, dtype=np.int64)  # from x itself, so a list entry past int64 raises
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":  # a float would truncate, a bool would add as 1
+        raise ValueError(f"labels must be integers, got {x.dtype} entries")
+    if x.dtype == np.uint64 and x.size and x.max() >= 2**63:  # would wrap to a negative int64
+        raise ValueError(f"labels must be below 2**63, got {x.max()}")
+    x = x.astype(np.int64, copy=False)
     if x.ndim not in (1, 2) or x.shape[-1] != g.n:
         raise ValueError(f"labels have shape {x.shape}, graph has n={g.n}")
     indptr, indices = g.csr()
@@ -174,26 +179,23 @@ def _rows(g: Graph, closed: bool) -> list[list[int]]:
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("path needs n >= 1")
+    n = _integer(n, "n", 1, MAX_VERTICES, owner="path")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
+    n = _integer(n, "n", 3, MAX_VERTICES, owner="cycle")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
+    n = _integer(n, "n", 1, MAX_VERTICES, owner="complete graph")
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(n1: int, n2: int) -> Graph:
-    if n1 < 1 or n2 < 1:
-        raise ValueError("complete bipartite needs both part sizes >= 1")
+    n1 = _integer(n1, "n1", 1, MAX_VERTICES, owner="complete bipartite")
+    n2 = _integer(n2, "n2", 1, MAX_VERTICES, owner="complete bipartite")
     return Graph(n1 + n2, [(i, n1 + j) for i in range(n1) for j in range(n2)])
 
 
@@ -215,11 +217,10 @@ GNP_BLOCK_PAIRS = 2**20
 
 def gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p); identical (n, p, seed) gives an identical graph."""
-    if n < 1:
-        raise ValueError("gnp needs n >= 1")
+    n = _integer(n, "n", 1, MAX_VERTICES, owner="gnp")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     # pair (i, j), i < j, takes draw number start[i] + j - i - 1 of one stream
     start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     blocks = [np.empty((0, 2), dtype=np.int64)]
@@ -239,11 +240,11 @@ RANDOM_REGULAR_ATTEMPTS = 100_000
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular graph via the pairing model with rejection."""
-    if not 0 <= d < n:
-        raise ValueError("random regular needs 0 <= d < n")
+    n = _integer(n, "n", 1, MAX_VERTICES, owner="random regular")
+    d = _integer(d, "d", 0, n - 1, owner="random regular")
     if (n * d) % 2 != 0:
         raise ValueError("random regular needs n*d even")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     stubs = np.repeat(np.arange(n), d)
     for _ in range(RANDOM_REGULAR_ATTEMPTS):
         rng.shuffle(stubs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import MultidomError, ResourceLimitError
+from .errors import MultidomError, ResourceLimitError, _integer
 from .graph import Graph, _rows, coverage
 from .verify import DominationSpec, VertexFunction, _witness_dict, verify_function, verify_set
 
@@ -37,15 +37,15 @@ class ExactResult:
         }
 
 
-def _admit(g: Graph, spec: DominationSpec, limit_n: int, node_budget: int) -> None:
-    """Refuse a search the limits forbid or the spec makes infeasible."""
-    if limit_n < 1:
-        raise ValueError(f"limit_n must be >= 1, got {limit_n}")
-    if node_budget < 1:
-        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
+def _admit(g: Graph, spec: DominationSpec, limit_n: int, node_budget: int) -> int:
+    """Refuse a search the limits forbid or the spec makes infeasible;
+    returns node_budget as a Python int."""
+    limit_n = _integer(limit_n, "limit_n", 1)
+    node_budget = _integer(node_budget, "node_budget", 1)
     if g.n > limit_n:
         raise ResourceLimitError(f"n={g.n} exceeds limit_n={limit_n}; raise the limit explicitly")
     spec.check_feasible(g)
+    return node_budget
 
 
 def exact_set_number(
@@ -57,7 +57,7 @@ def exact_set_number(
     """Minimum cardinality of a witness set for a set-type spec."""
     if not spec.is_set_variant:
         raise ValueError(f"exact_set_number needs a set variant, got {spec.variant}")
-    _admit(g, spec, limit_n, node_budget)
+    node_budget = _admit(g, spec, limit_n, node_budget)
     k_req, l_req = spec.requirements()
     nbrs = _rows(g, closed=True)
     gain, after = _kernels.prune_tables(g, k_req, l_req)
@@ -95,7 +95,7 @@ def exact_function_number(
     """Minimum weight of a witness function for brace_k / rs / total_rs."""
     if not spec.is_function_variant:
         raise ValueError(f"exact_function_number needs a function variant, got {spec.variant}")
-    _admit(g, spec, limit_n, node_budget)
+    node_budget = _admit(g, spec, limit_n, node_budget)
     caps, demands = spec.vectors(g.n)
     # search position i holds vertex perm[i]; vertex v sits at position inv[v]
     order = np.argsort(g.degrees, kind="stable")

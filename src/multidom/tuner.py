@@ -31,8 +31,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import _threshold_coeff, bound_parametric_alt_log, bound_rv, bound_threshold_ktuple
-from .errors import NotApplicableError
-from .verify import _integers
+from .errors import NotApplicableError, _integer
+from .verify import LABEL_LIMIT
 
 
 def _cbrt(x: float) -> float:
@@ -94,9 +94,7 @@ class CubicSpec:
 def solve_cubic(k: int, delta: int) -> CubicSpec:
     """Real roots of k c^3 - 2(k + ln(0.5 k (delta+1))) c^2 + k c + 2 = 0
     for integers k, delta >= 1; bools and floats are refused."""
-    k, delta = _integers((k, delta), "k and delta")
-    if k < 1 or delta < 1:
-        raise ValueError("the tuning cubic needs k >= 1 and delta >= 1")
+    k, delta = _integer(k, "k", 1, LABEL_LIMIT - 1), _integer(delta, "delta", 1)
     a = float(k)
     b = -2.0 * (k + math.log(0.5 * k * (delta + 1)))
     c = float(k)
@@ -140,7 +138,8 @@ def _grid_minimum(k: int, delta: int) -> tuple[float, float]:
 def _select_root(k: int, delta: int) -> tuple[CubicSpec, list[float], float]:
     """The cubic, its feasible roots (c > 1 with delta >= ck - 1) and the
     chosen c: the largest feasible root, else the grid minimum."""
-    cub = solve_cubic(k, delta)
+    cub = solve_cubic(k, delta)  # checks k and delta
+    k, delta = cub.k, cub.delta
     if (delta + 1) / k <= 1.0:
         raise NotApplicableError(f"no feasible c > 1: (delta+1)/k = {(delta + 1) / k:.3f}")
     feasible = [r for r in cub.roots if r > 1.0 and delta >= r * k - 1.0]
@@ -157,6 +156,7 @@ def tune_details(k: int, delta: int) -> dict:
     """tune_c plus its cubic, feasible roots and the grid ground truth. The
     chosen root has the least coefficient of the feasible ones (module docstring)."""
     cub, feasible, chosen = _select_root(k, delta)
+    k, delta = cub.k, cub.delta
     source = "cubic" if feasible else "grid"
     grid_c, grid_value = _grid_minimum(k, delta)
     value = _threshold_coeff(k, delta, chosen)
@@ -233,8 +233,8 @@ class ComparisonReport:
 def compare_bounds(k: int, delta: int, n: int) -> ComparisonReport:
     """Tabulate rv, the c=3 threshold bound, the tuned threshold bound and the
     k-tuple log bound over k = 1..floor((delta+1)/3), including the given k."""
-    if delta < 1 or n < 1 or k < 1:
-        raise ValueError("compare_bounds needs k, delta, n >= 1")
+    k, delta = _integer(k, "k", 1, LABEL_LIMIT - 1), _integer(delta, "delta", 1)
+    n = _integer(n, "n", 1)
     log_d1 = math.log(delta + 1)
     rv_cutoff = int((delta + 1) / (2 * log_d1))
     c3_cutoff = int((delta + 1) / 3)

@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapViolationError, InfeasibleSpecError
-from .graph import Graph, coverage
+from .errors import CapViolationError, InfeasibleSpecError, _integer, _integers
+from .graph import MAX_VERTICES, Graph, coverage
 
 SET_VARIANTS = ("classical", "k_dominating", "k_tuple", "total_k", "parametric")
 FUNCTION_VARIANTS = ("brace_k", "rs", "total_rs")
@@ -22,22 +22,6 @@ FUNCTION_VARIANTS = ("brace_k", "rs", "total_rs")
 # Labels, caps, demands, k and l stay below this, so that every
 # neighbourhood sum of them fits the int64 arrays coverage() adds in.
 LABEL_LIMIT = 2**31
-
-
-def _integers(values: Iterable, what: str) -> list[int]:
-    """The entries of values as Python ints. Each must be an int or a numpy
-    integer; anything else, bools included, raises rather than being cast."""
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
-        return values.tolist()
-    values = list(values)
-    kinds = set(map(type, values))
-    if kinds <= {int}:
-        return values
-    for kind in kinds:
-        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
-            bad = next(v for v in values if type(v) is kind)
-            raise ValueError(f"{what} must be integers, got {bad!r}")
-    return list(map(int, values))
 
 
 def _as_vector(values: Sequence[int], what: str) -> tuple[tuple[int, ...], np.ndarray]:
@@ -112,12 +96,7 @@ class DominationSpec:
             raise ValueError(f"{self.variant} takes {', '.join(wanted) or 'no parameters'}, "
                              f"got {', '.join(given) or 'none'}")
         for name in [name for name in given if name in ("k", "l")]:
-            value = _integers((getattr(self, name),), name)[0]
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-            if value >= LABEL_LIMIT:
-                raise ValueError(f"k and l must be below {LABEL_LIMIT}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1, LABEL_LIMIT - 1))
         if self.r is not None:
             (r, caps), (s, demands) = _as_vector(self.r, "r"), _as_vector(self.s, "s")
             if len(r) != len(s):
@@ -202,6 +181,7 @@ class DominationSpec:
     def vectors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(caps, demands) of length n as read-only int64 arrays, the same
         objects on every call for rs and total_rs. Function variants only."""
+        n = _integer(n, "n", 1, MAX_VERTICES)
         if self.variant == "brace_k":
             ks = np.full(n, self.k, dtype=np.int64)
             ks.flags.writeable = False
@@ -217,7 +197,7 @@ class DominationSpec:
         vertices, the three numbers the capped-function bounds read, as
         Python ints. Function variants only."""
         if self.variant == "brace_k":
-            return self.k, self.k, self.k * n
+            return self.k, self.k, self.k * _integer(n, "n", 1)
         caps, demands = self.vectors(n)
         return int(caps.min()), int(demands.max()), int(caps.sum())
 
@@ -316,7 +296,7 @@ class VertexFunction:
 
     @classmethod
     def characteristic(cls, members: Iterable[int], n: int) -> "VertexFunction":
-        return cls(_indicator(members, n))
+        return cls(_indicator(members, _integer(n, "n", 1, MAX_VERTICES)))
 
     def to_dict(self) -> dict:
         return {"values": list(self.values)}

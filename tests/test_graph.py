@@ -53,6 +53,22 @@ def test_rejects_bad_edges():
             Graph(3, np.array(edges))
 
 
+@pytest.mark.parametrize("edges", [[(0.5, 1.7)], np.array([[0.9, 2.2]]), np.array([[True, False]]),
+                                   [(False, True)], [(0, 2**70)], [("0", "1")]])
+def test_non_integer_edges_are_refused_not_truncated(edges):
+    with pytest.raises(ValueError, match="^edges must be integer pairs, got "):
+        Graph(3, edges)
+
+
+def test_integer_edge_arrays_of_any_dtype_are_read_in_their_own_dtype():
+    want = Graph(3, [(0, 2)])
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+        assert Graph(3, np.array([[0, 2]], dtype=dtype)) == want
+    # 2**63 would wrap to a negative int64; the range check reads the value
+    with pytest.raises(ValueError, match=f"^edge \\(0,{2**63}\\) out of range for n=3$"):
+        Graph(3, np.array([[0, 2**63]], dtype=np.uint64))
+
+
 def test_immutable():
     g = path(3)
     with pytest.raises(AttributeError):
@@ -280,6 +296,14 @@ def test_coverage_rejects_wrong_length():
         coverage(cycle(6), np.ones(6, dtype=bool), closed=False)
     with pytest.raises(ValueError, match="integers"):
         coverage(cycle(6), [True] * 6, closed=True)
+
+
+def test_coverage_refuses_unsigned_labels_past_int64():
+    c3 = cycle(3)
+    assert coverage(c3, np.array([2**62, 0, 0], dtype=np.uint64), closed=True).tolist() == [2**62] * 3
+    for labels in (np.array([2**63, 0, 0], dtype=np.uint64), [2**63, 0, 0], [2**64, 0, 0]):
+        with pytest.raises(ValueError):
+            coverage(c3, labels, closed=True)
 
 
 @given(small_graphs(), st.data())

@@ -10,13 +10,12 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_declared_dependencies_import():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     with PYPROJECT.open("rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert deps
