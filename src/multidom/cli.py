@@ -1,8 +1,14 @@
 """Command-line front end: gen | bounds | construct | exact | verify | compare.
 
-All randomness is seeded explicitly; with fixed seeds (and --no-timestamp
-for reports) outputs are byte-identical across runs. Exit codes: 0 success,
+Each subcommand is a function from the parsed arguments to its document:
+text for gen and for CSV output, a dict for a JSON report. It writes
+nothing. ``main`` alone owns output: it adds ``generated_at`` to a dict
+unless --no-timestamp is given, encodes it as strict JSON, writes the
+document to --out or stdout, and maps errors to exit codes: 0 success,
 2 infeasible spec (no witness exists on the graph), 1 I/O or parse errors.
+
+All randomness is seeded explicitly; with fixed seeds (and --no-timestamp
+for reports) outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -125,85 +131,52 @@ def _resolve_graph(args) -> Graph:
     raise ValueError("a graph is required: --graph FILE or --family NAME ...")
 
 
-def _graph_summary(g: Graph) -> dict:
-    return {"n": g.n, "m": g.m, "min_degree": g.min_degree, "max_degree": g.max_degree}
+def _about(g: Graph, spec: DominationSpec | None = None) -> dict:
+    """The report fields naming the input: the graph's summary, and the
+    spec's label when one is given."""
+    about = {"graph": {"n": g.n, "m": g.m, "min_degree": g.min_degree, "max_degree": g.max_degree}}
+    return about if spec is None else {**about, "spec": spec.label()}
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# -- subcommands: each returns its document ----------------------------------
 
 
-def _emit_json(args, payload: dict) -> None:
-    if not args.no_timestamp:
-        payload = dict(payload)
-        payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+def _cmd_gen(args) -> str:
+    return write_graph(_resolve_graph(args), args.format)
 
 
-# -- subcommands ---------------------------------------------------------------
-
-
-def _cmd_gen(args) -> int:
-    g = _resolve_graph(args)
-    _emit(args, write_graph(g, args.format))
-    return 0
-
-
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> str | dict:
     g = _resolve_graph(args)
     spec = parse_spec(args.spec)
     spec.check_feasible(g)
     reports = bounds_for_spec(spec, g.min_degree, g.n, c=args.c, force=args.force)
-    if args.format == "csv":
-        lines = ["name,applicable,coefficient,absolute,vacuous,reason"]
-        for r in reports:
-            coeff = "" if r.coefficient is None else repr(r.coefficient)
-            absolute = "" if r.absolute is None else repr(r.absolute)
-            vac = "" if r.vacuous is None else str(r.vacuous).lower()
-            lines.append(f"{r.name},{str(r.applicable).lower()},{coeff},{absolute},"
-                         f"{vac},\"{r.reason}\"")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, {
-            "graph": _graph_summary(g),
-            "spec": spec.label(),
-            "bounds": [r.to_dict() for r in reports],
-        })
-    return 0
+    if args.format == "json":
+        return {**_about(g, spec), "bounds": [r.to_dict() for r in reports]}
+    lines = ["name,applicable,coefficient,absolute,vacuous,reason"]
+    for r in reports:
+        coeff = "" if r.coefficient is None else repr(r.coefficient)
+        absolute = "" if r.absolute is None else repr(r.absolute)
+        vac = "" if r.vacuous is None else str(r.vacuous).lower()
+        lines.append(f"{r.name},{str(r.applicable).lower()},{coeff},{absolute},"
+                     f"{vac},\"{r.reason}\"")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> dict:
     g = _resolve_graph(args)
     spec = parse_spec(args.spec)
     # the trial loop every construct_* runs; it checks feasibility once
     result = _construct(g, spec, args.seed, args.trials, args.trace)
-    payload = result.to_dict()
-    payload["graph"] = _graph_summary(g)
-    payload["spec"] = spec.label()
-    _emit_json(args, payload)
-    return 0
+    return {**result.to_dict(), **_about(g, spec)}
 
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args) -> dict:
     g = _resolve_graph(args)
     spec = parse_spec(args.spec)
-    kwargs = {}
-    if args.limit_n is not None:
-        kwargs["limit_n"] = args.limit_n
-    if args.node_budget is not None:
-        kwargs["node_budget"] = args.node_budget
-    if spec.is_set_variant:
-        result = exact_set_number(g, spec, **kwargs)
-    else:
-        result = exact_function_number(g, spec, **kwargs)
-    payload = result.to_dict()
-    payload["graph"] = _graph_summary(g)
-    _emit_json(args, payload)
-    return 0
+    limits = {name: getattr(args, name) for name in ("limit_n", "node_budget")
+              if getattr(args, name) is not None}
+    search = exact_set_number if spec.is_set_variant else exact_function_number
+    return {**search(g, spec, **limits).to_dict(), **_about(g)}
 
 
 def _witness_list(witness, key: str) -> list[int]:
@@ -214,7 +187,7 @@ def _witness_list(witness, key: str) -> list[int]:
     return items
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     g = _resolve_graph(args)
     spec = parse_spec(args.spec)
     with open(args.witness, "r", encoding="utf-8") as fh:
@@ -225,21 +198,13 @@ def _cmd_verify(args) -> int:
         verify, w = verify_function, VertexFunction(_witness_list(witness, "values"))
     # verify_* report an infeasible spec as deficiencies; the CLI exits 2
     spec.check_feasible(g)
-    report = verify(g, spec, w)
-    payload = report.to_dict()
-    payload["graph"] = _graph_summary(g)
-    payload["spec"] = spec.label()
-    _emit_json(args, payload)
-    return 0  # an invalid witness is data, not an error
+    # an invalid witness is data, not an error: the report says so and the exit is 0
+    return {**verify(g, spec, w).to_dict(), **_about(g, spec)}
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> str | dict:
     report = compare_bounds(args.k, args.delta, args.n)
-    if args.format == "csv":
-        _emit(args, report.to_csv())
-    else:
-        _emit_json(args, report.to_dict())
-    return 0
+    return report.to_csv() if args.format == "csv" else report.to_dict()
 
 
 @functools.cache
@@ -305,7 +270,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        doc = args.func(args)
+        if isinstance(doc, dict):
+            if not args.no_timestamp:
+                doc["generated_at"] = datetime.now(timezone.utc).isoformat()
+            doc = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        # encoded before --out is opened, so a failure leaves any file there as it was
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        else:
+            sys.stdout.write(doc)
+        return 0
     except InfeasibleSpecError as exc:
         print(f"multidom: infeasible spec: {exc}", file=sys.stderr)
         return 2

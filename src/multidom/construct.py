@@ -238,8 +238,7 @@ def _capped_trial(
                 need -= take
                 if need == 0:
                     break
-            if need:
-                raise MultidomError(f"internal: repair at vertex {v} left {need} unplaced")
+            # need is 0 here: cm[u] <= room[u] on distinct nb, so sum(room) - cur >= need all fit
         for u, c in cm.items():
             if c > top.get(u, 0):
                 top[u] = c

@@ -7,11 +7,12 @@ Vertices are 0-based everywhere inside the library; the DIMACS format is
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .errors import GraphFormatError, ResourceLimitError, _integer
+from .errors import GraphFormatError, ResourceLimitError, _integer, _integers
 
 # Largest vertex count a graph file may declare or imply. The readers reject
 # more before anything of size n is allocated: a header alone must not make
@@ -20,6 +21,16 @@ from .errors import GraphFormatError, ResourceLimitError, _integer
 # int64 arrays and the per-vertex arrays built from them already take
 # hundreds of megabytes.
 MAX_VERTICES = 10**7
+
+
+def _integer_array(values, what: str) -> np.ndarray:
+    """np.array(values) for values that are not an ndarray. numpy reads a
+    bool among ints as 0 or 1, so when it infers an integer dtype, each entry
+    of a vector or of each row of a table must pass errors._integers."""
+    a = np.array(values)
+    if a.dtype.kind in "iu" and a.ndim in (1, 2):
+        _integers(values if a.ndim == 1 else chain.from_iterable(values), what)
+    return a
 
 
 class Graph:
@@ -35,7 +46,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         n = _integer(n, "n", 1, MAX_VERTICES, owner="graph")
-        e = edges if isinstance(edges, np.ndarray) else np.array(list(edges))
+        e = edges if isinstance(edges, np.ndarray) else _integer_array(list(edges), "edges")
         if e.size == 0:
             e = np.zeros((0, 2), dtype=np.int64)
         elif e.dtype.kind not in "iu":  # a float would truncate, a bool would read as 0 or 1
@@ -140,7 +151,7 @@ def coverage(g: Graph, x, closed: bool) -> np.ndarray:
     pass. Every domination condition compares these sums with a demand;
     the closed and open sums differ only by the vertex's own label.
     """
-    x = np.asarray(x)
+    x = x if isinstance(x, np.ndarray) else _integer_array(x, "labels")
     if x.dtype.kind not in "iu":  # a float would truncate, a bool would add as 1
         raise ValueError(f"labels must be integers, got {x.dtype} entries")
     if x.dtype == np.uint64 and x.size and x.max() >= 2**63:  # would wrap to a negative int64
@@ -180,23 +191,26 @@ def _rows(g: Graph, closed: bool) -> list[list[int]]:
 
 def path(n: int) -> Graph:
     n = _integer(n, "n", 1, MAX_VERTICES, owner="path")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    v = np.arange(n - 1)
+    return Graph(n, np.column_stack((v, v + 1)))
 
 
 def cycle(n: int) -> Graph:
     n = _integer(n, "n", 3, MAX_VERTICES, owner="cycle")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    v = np.arange(n)
+    return Graph(n, np.column_stack((v, (v + 1) % n)))
 
 
 def complete(n: int) -> Graph:
     n = _integer(n, "n", 1, MAX_VERTICES, owner="complete graph")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def complete_bipartite(n1: int, n2: int) -> Graph:
     n1 = _integer(n1, "n1", 1, MAX_VERTICES, owner="complete bipartite")
     n2 = _integer(n2, "n2", 1, MAX_VERTICES, owner="complete bipartite")
-    return Graph(n1 + n2, [(i, n1 + j) for i in range(n1) for j in range(n2)])
+    i, j = np.divmod(np.arange(n1 * n2), n2)
+    return Graph(n1 + n2, np.column_stack((i, n1 + j)))
 
 
 def petersen() -> Graph:
@@ -205,7 +219,7 @@ def petersen() -> Graph:
         edges.append((i, (i + 1) % 5))        # outer cycle
         edges.append((i, i + 5))              # spokes
         edges.append((5 + i, 5 + (i + 2) % 5))  # inner pentagram
-    return Graph(10, edges)
+    return Graph(10, np.array(edges))
 
 
 # gnp draws its n(n-1)/2 uniforms in blocks of whole rows holding about this
@@ -413,7 +427,7 @@ def _edge_list_loop(lines: list[str]) -> Graph:
     _check_vertex_count(n)
     if max_seen >= n:
         raise GraphFormatError(f"vertex id {max_seen} exceeds declared n={n}")
-    return Graph(n, edges)
+    return Graph(n, np.array(edges, dtype=np.int64))
 
 
 def _read_dimacs(text: str) -> Graph:
@@ -470,7 +484,7 @@ def _dimacs_loop(lines: list[str]) -> Graph:
         raise GraphFormatError("missing problem line")
     if m != len(edges):
         raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    return Graph(n, np.array(edges, dtype=np.int64))
 
 
 def read_graph(text: str, fmt: str | None = None) -> Graph:

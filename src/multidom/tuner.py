@@ -69,6 +69,11 @@ def _real_roots_monic(b: float, c: float, d: float) -> list[float]:
     return sorted(out)
 
 
+def _listed(report) -> dict:
+    """asdict(report), nested dataclasses included, with each tuple field as a list."""
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(report).items()}
+
+
 @dataclass(frozen=True)
 class CubicSpec:
     """The tuning cubic for given (k, delta), with its real roots."""
@@ -81,14 +86,7 @@ class CubicSpec:
     residuals: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "delta": self.delta,
-            "coefficients": list(self.coefficients),
-            "monic": list(self.monic),
-            "roots": list(self.roots),
-            "residuals": list(self.residuals),
-        }
+        return _listed(self)
 
 
 def solve_cubic(k: int, delta: int) -> CubicSpec:
@@ -183,9 +181,6 @@ class ComparisonRow:
     ktuple_log: float | None
     best: str | None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -206,16 +201,7 @@ class ComparisonReport:
     crossover_k: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "n": self.n,
-            "highlight_k": self.highlight_k,
-            "rv_cutoff": self.rv_cutoff,
-            "c3_cutoff": self.c3_cutoff,
-            "crossover_value": self.crossover_value,
-            "crossover_k": self.crossover_k,
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        return _listed(self)  # rows become a list of row dicts
 
     def to_csv(self) -> str:
         def fmt(x) -> str:

@@ -470,3 +470,70 @@ def test_options_that_select_something_still_work(capsys, tmp_path, argv):
         assert out.startswith("p edge 6 6")
     else:
         assert out.splitlines()[0].startswith(("name,", "k,"))
+
+
+# Each subcommand's argv (W stands for a witness file) and the type of its document.
+DOCUMENTS = {
+    "gen": (["gen", "--family", "cycle", "--n", "6"], str),
+    "gen-dimacs": (["gen", "--family", "cycle", "--n", "6", "--format", "dimacs"], str),
+    "bounds-json": (["bounds", "--family", "cycle", "--n", "6", "--spec", "kdom:1"], dict),
+    "bounds-csv": (["bounds", "--family", "cycle", "--n", "6", "--spec", "kdom:1",
+                    "--format", "csv"], str),
+    "construct": (["construct", "--family", "cycle", "--n", "6", "--spec", "kdom:1",
+                   "--trials", "5"], dict),
+    "exact": (["exact", "--family", "cycle", "--n", "6", "--spec", "kdom:1"], dict),
+    "verify": (["verify", "--family", "cycle", "--n", "6", "--spec", "kdom:1",
+                "--witness", "W"], dict),
+    "compare-json": (["compare", "3", "100", "10"], dict),
+    "compare-csv": (["compare", "3", "100", "10", "--format", "csv"], str),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("argv,kind", DOCUMENTS.values(), ids=DOCUMENTS.keys())
+def test_a_subcommand_returns_its_document_and_main_writes_it(capsys, tmp_path, argv, kind,
+                                                              to_file):
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"set": [0, 3]}))
+    target = tmp_path / "doc.out"
+    argv = [str(witness) if a == "W" else a for a in argv]
+    argv += ["--out", str(target)] if to_file else []
+    args = build_parser().parse_args(argv)
+    doc = args.func(args)
+    assert type(doc) is kind
+    assert capsys.readouterr() == ("", "") and not target.exists()
+    if kind is dict:
+        assert "generated_at" not in doc
+        argv.append("--no-timestamp")
+        doc = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert (target.read_text() if to_file else out) == doc
+
+
+@pytest.mark.parametrize("case", ["infeasible-bounds", "infeasible-verify", "nan"])
+def test_a_failing_command_leaves_an_existing_out_file_as_it_was(capsys, tmp_path, monkeypatch,
+                                                                 case):
+    witness = tmp_path / "w.json"
+    witness.write_text('{"set": [0, 1, 2, 3]}')
+    target = tmp_path / "out.json"
+    before = b"an earlier report\r\n\x00\xff"
+    target.write_bytes(before)
+    if case == "nan":
+        nan_row = BoundReport("nan_row", True, "", math.nan, math.nan, None, False, {})
+        monkeypatch.setattr(cli, "bounds_for_spec", lambda *args, **kwargs: [nan_row])
+        argv, want = ["bounds", "--family", "petersen", "--spec", "classical"], 1
+    else:
+        argv = [case.removeprefix("infeasible-"), "--family", "cycle", "--n", "4",
+                "--spec", "totalk:3"] + (["--witness", str(witness)] if "verify" in case else [])
+        want = 2
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == want and out == ""
+    assert target.read_bytes() == before
+
+
+def test_an_unwritable_out_exits_1_and_leaves_no_file(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "compare", "3", "100", "10", "--out", str(target))
+    assert code == 1 and out == "" and err.startswith("multidom: error: ")
+    assert not target.parent.exists()

@@ -67,6 +67,9 @@ def vectors(lo: int, hi: int, size: int = 5) -> st.SearchStrategy:
         st.just(np.array([1.0, 0.0, 1.0, 0.0, 1.0])),
         st.just(np.ones(size, dtype=bool)),
         st.just(np.ones((2, size), dtype=np.int64)),
+        # numpy infers int64 for a list that mixes bools with ints
+        st.lists(st.integers(max(lo, 0), hi), min_size=size - 1, max_size=size - 1).map(
+            lambda v: [True, *v]),
         integers(lo, hi),
     )
 
@@ -112,7 +115,8 @@ STRATEGIES = {
             lambda v: np.array(v[: len(v) // 2 * 2]).reshape(-1, 2)),
         st.sampled_from([np.array([[0.5, 1.7]]), np.array([[True, False]]),
                          np.array([[0, 2**63]], dtype=np.uint64), np.array([[0, 1]], dtype=np.uint8),
-                         [(0, 1, 2)], [], np.zeros((0, 3), dtype=np.int64), [(0, 2**70)]]),
+                         [(0, 1, 2)], [], np.zeros((0, 3), dtype=np.int64), [(0, 2**70)],
+                         [(True, 2)], [(0, 1), (np.int64(1), False)]]),
     ),
     # everything else
     "p": st.floats(-0.5, 1.5) | st.just(math.nan),

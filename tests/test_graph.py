@@ -60,6 +60,36 @@ def test_non_integer_edges_are_refused_not_truncated(edges):
         Graph(3, edges)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Graph(3, [(True, 2)]),
+    lambda: Graph(3, [(0, 1), (np.True_, 2)]),
+    lambda: Graph(3, iter([(0, 1), (1, False)])),
+    lambda: coverage(cycle(3), [True, 2, 0], closed=True),
+    lambda: coverage(cycle(3), [[1, 2, 0], (0, False, 1)], closed=False),
+])
+def test_a_bool_among_ints_in_a_list_is_refused(call):
+    # numpy infers int64 for such a list, which would read the bool as 0 or 1
+    bad = r"^(edges|labels) must be integers, got (True|False|np\.True_)$"
+    with pytest.raises(ValueError, match=bad):
+        call()
+
+
+def test_numpy_integers_in_a_list_are_still_read():
+    assert Graph(3, [(np.int64(0), 2), (np.uint8(1), 2)]).edges() == [(0, 2), (1, 2)]
+    assert coverage(cycle(3), [np.int32(1), 2, 0], closed=True).tolist() == [3, 3, 3]
+
+
+def test_array_inputs_and_the_generators_skip_the_list_scan(monkeypatch):
+    def scanned(*args):
+        raise AssertionError("a list scan ran")
+
+    monkeypatch.setattr(multidom.graph, "_integers", scanned)
+    for g in (path(4), cycle(5), complete(4), complete_bipartite(2, 3), petersen(),
+              gnp(30, 0.2, 1), random_regular(10, 3, 2), Graph(3, np.array([[0, 2]])),
+              read_graph("0 1\n1 2\n"), read_graph("p edge 3 1\ne 1 3\n")):
+        coverage(g, np.ones(g.n, dtype=np.int64), closed=True)
+
+
 def test_integer_edge_arrays_of_any_dtype_are_read_in_their_own_dtype():
     want = Graph(3, [(0, 2)])
     for dtype in (np.int8, np.uint8, np.int32, np.uint64):

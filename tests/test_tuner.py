@@ -276,3 +276,21 @@ def test_numpy_integers_tune_like_ints():
 def test_tune_c_needs_k_and_delta_at_least_1(k, delta):
     with pytest.raises(ValueError, match=">= 1"):
         tune_c(k, delta)
+
+
+def test_reports_serialise_every_field_with_tuples_as_lists():
+    cubic = solve_cubic(2, 10)
+    assert cubic.to_dict() == {"k": 2, "delta": 10, "coefficients": list(cubic.coefficients),
+                               "monic": list(cubic.monic), "roots": list(cubic.roots),
+                               "residuals": list(cubic.residuals)}
+    report = compare_bounds(3, 100, 10)
+    doc = report.to_dict()
+    assert type(doc["rows"]) is list and len(doc["rows"]) == len(report.rows)
+    assert doc["rows"][2] == {"k": 3, "rv": report.rows[2].rv, "c3": report.rows[2].c3,
+                              "tuned_c": report.rows[2].tuned_c,
+                              "tuned_value": report.rows[2].tuned_value,
+                              "ktuple_log": report.rows[2].ktuple_log, "best": report.rows[2].best}
+    assert {name: doc[name] for name in doc if name != "rows"} == {
+        "delta": 100, "n": 10, "highlight_k": 3, "rv_cutoff": report.rv_cutoff,
+        "c3_cutoff": report.c3_cutoff, "crossover_value": report.crossover_value,
+        "crossover_k": report.crossover_k}

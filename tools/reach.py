@@ -30,8 +30,6 @@ SRC = ROOT / "src" / "multidom"
 
 # Lines no test reaches, each for a stated reason.
 ALLOWED = {
-    # an internal guard: the repair step places every unit it is short
-    ("construct.py", 'raise MultidomError(f"internal: repair at vertex {v} left {need} unplaced")'),
     # an internal guard: the (l-1)-core of a feasible instance meets its own demand
     ("oracle.py",
      'raise MultidomError("internal: the (l-1)-core of G should satisfy any feasible set spec")'),
