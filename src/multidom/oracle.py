@@ -18,7 +18,14 @@ import numpy as np
 from . import _kernels
 from .errors import MultidomError, ResourceLimitError, _integer
 from .graph import Graph, _rows, coverage
-from .verify import DominationSpec, VertexFunction, _witness_dict, verify_function, verify_set
+from .verify import (
+    DominationSpec,
+    VertexFunction,
+    _guaranteed_witness,
+    _witness_dict,
+    verify_function,
+    verify_set,
+)
 
 
 @dataclass(frozen=True)
@@ -54,20 +61,23 @@ def exact_set_number(
     limit_n: int = 20,
     node_budget: int = 10_000_000,
 ) -> ExactResult:
-    """Minimum cardinality of a witness set for a set-type spec."""
+    """Minimum cardinality of a witness set for a set-type spec.
+
+    Running out of node_budget raises ResourceLimitError; its ``partial``
+    brackets the value with ``lower_bound`` (the size reached) and
+    ``upper_bound`` (the size of the (l-1)-core, always a witness)."""
     if not spec.is_set_variant:
         raise ValueError(f"exact_set_number needs a set variant, got {spec.variant}")
     node_budget = _admit(g, spec, limit_n, node_budget)
     k_req, l_req = spec.requirements()
-    nbrs = _rows(g, closed=True)
-    gain, after = _kernels.prune_tables(g, k_req, l_req)
+    tables = _kernels.prune_tables(g, k_req, l_req)
     # every vertex needs min(k_req, l_req) coverage and one pick covers at
     # most max_degree+1 vertices
     t_start = max(0, math.ceil(g.n * min(k_req, l_req) / (g.max_degree + 1)))
     nodes_total = 0
     for t in range(t_start, g.n + 1):
         status, membership, nodes = _kernels.set_search_fixed_size(
-            nbrs, gain, after, t, k_req, l_req, node_budget - nodes_total
+            *tables, t, k_req, node_budget - nodes_total
         )
         nodes_total += nodes
         if status == -1:
@@ -76,7 +86,8 @@ def exact_set_number(
             raise ResourceLimitError(
                 f"node budget {node_budget} exhausted at size {t}; "
                 f"the domination number is at least {t}",
-                partial={"size_reached": t, "nodes": nodes_total, "lower_bound": t},
+                partial={"size_reached": t, "nodes": nodes_total, "lower_bound": t,
+                         "upper_bound": int(_guaranteed_witness(g, spec).sum())},
             )
         if status == 1:
             witness = tuple(v for v in range(g.n) if membership[v])
@@ -92,7 +103,12 @@ def exact_function_number(
     limit_n: int = 12,
     node_budget: int = 10_000_000,
 ) -> ExactResult:
-    """Minimum weight of a witness function for brace_k / rs / total_rs."""
+    """Minimum weight of a witness function for brace_k / rs / total_rs.
+
+    Running out of node_budget raises ResourceLimitError; its ``partial``
+    brackets the value with ``lower_bound`` = max(max s, ceil(sum s / w)),
+    w = Δ+1 closed or Δ open, and ``upper_bound``, the weight of the
+    incumbent ``witness`` (also ``best_weight_so_far``)."""
     if not spec.is_function_variant:
         raise ValueError(f"exact_function_number needs a function variant, got {spec.variant}")
     node_budget = _admit(g, spec, limit_n, node_budget)
@@ -108,12 +124,17 @@ def exact_function_number(
     status, best_w, best_vals, nodes = _kernels.function_search_min_weight(
         nbrs, caps[order].tolist(), demands[order].tolist(), cap_sums, node_budget, best_init
     )
+    witness = VertexFunction([best_vals[i] for i in inv])
     if status == -1:
+        # a unit of label at u enters at most w = Δ+1 closed (Δ open) sums;
+        # w = 0 only with open rows and no edges, where every demand is 0
+        w = max(g.max_degree + closed, 1)
+        lower = max(int(demands.max()), -(-int(demands.sum()) // w))
         raise ResourceLimitError(
             f"node budget {node_budget} exhausted",
-            partial={"best_weight_so_far": best_w, "nodes": nodes},
+            partial={"best_weight_so_far": best_w, "nodes": nodes, "lower_bound": lower,
+                     "upper_bound": best_w, "witness": witness},
         )
-    witness = VertexFunction([best_vals[i] for i in inv])
     report = verify_function(g, spec, witness)
     if not report.valid or report.weight != best_w:
         raise MultidomError("internal: search returned an invalid witness")

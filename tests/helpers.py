@@ -313,6 +313,87 @@ def reference_set_search(nbrs, suf, t, k_req, l_req, budget):
         cand = u + 1
 
 
+# -- the function-search kernel before packed fields -------------------------
+#
+# _kernels.function_search_min_weight must return the same (status,
+# best_weight, best_values, nodes) as this loop on every input, budget stops
+# included. Copied verbatim from the list kernel it replaced.
+
+
+def reference_function_search(nbrs, caps, demands, cap_un, budget, best_init):
+    """Minimum-weight integer labeling with per-vertex caps and demands.
+
+    Vertex i takes a value in 0..caps[i]; the constraint at w is
+    sum of values over nbrs[w] >= demands[w] (pass closed or open
+    neighbourhoods as appropriate; the relation must be symmetric). DFS
+    assigns vertices in index order, values ascending, with two admissible
+    prunes: residual demand must fit in the unassigned capacity of each
+    neighbourhood, and weight + max residual demand must beat the best.
+    cap_un[w] starts as the sum of caps over nbrs[w] (``coverage`` of the
+    caps) and is updated in place.
+
+    Returns (status, best_weight, best_values, nodes): status 1 improved on
+    best_init / 0 nothing below best_init / -1 budget exceeded.
+    """
+    n = len(caps)
+    val = [-1] * n
+    sum_asg = [0] * n
+    best_w = best_init
+    best_vals = list(caps)
+    improved = False
+    weight = 0
+    nodes = 0
+    pos = 0
+    while pos >= 0:
+        x = val[pos]
+        nb = nbrs[pos]
+        if x >= 0:
+            weight -= x
+            for w in nb:
+                sum_asg[w] -= x
+        else:
+            cap = caps[pos]
+            for w in nb:
+                cap_un[w] -= cap
+        x += 1
+        val[pos] = x
+        if x > caps[pos]:
+            cap = caps[pos]
+            for w in nb:
+                cap_un[w] += cap
+            val[pos] = -1
+            pos -= 1
+            continue
+        weight += x
+        for w in nb:
+            sum_asg[w] += x
+        nodes += 1
+        if nodes > budget:
+            return -1, best_w, best_vals, nodes
+        lb = 0
+        infeasible = False
+        for w in range(n):
+            resid = demands[w] - sum_asg[w]
+            if resid > cap_un[w]:
+                infeasible = True
+                break
+            if resid > lb:
+                lb = resid
+        if infeasible:
+            continue
+        if weight + lb >= best_w:
+            continue
+        if pos == n - 1:
+            # cap_un is all zero here, so the feasibility sweep above
+            # certifies every demand is met.
+            best_w = weight
+            best_vals = val[:]
+            improved = True
+            continue
+        pos += 1
+    return (1 if improved else 0), best_w, best_vals, nodes
+
+
 # -- the construction before trial blocks ------------------------------------
 #
 # The trial loop, plans and trials of multidom.construct as they were when

@@ -1,11 +1,19 @@
 """The exact-search kernels: suffix table, pinned search order, budget stop."""
 
+import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import multidom
-from helpers import reference_set_search
-from multidom import DominationSpec, exact_function_number, exact_set_number, gnp
-from multidom._kernels import prune_tables, set_search_fixed_size, suffix_counts
+from helpers import reference_function_search, reference_set_search
+from multidom import DominationSpec, cycle, exact_function_number, exact_set_number, gnp, petersen
+from multidom._kernels import (
+    function_search_min_weight,
+    prune_tables,
+    set_search_fixed_size,
+    suffix_counts,
+)
+from multidom.verify import LABEL_LIMIT
 from test_graph import small_graphs
 
 # (value, witness, nodes_explored) of every variant on seven seeded graphs.
@@ -147,9 +155,27 @@ def test_suffix_counts():
 
 def test_budget_exhaustion_status():
     g, suffix = _setup(12, 0.3, 2)
-    nbrs = [list(g.closed_neighborhood(v)) for v in range(g.n)]
-    status, _, nodes = set_search_fixed_size(nbrs, *prune_tables(g, 2, 2), 6, 2, 2, 3)
+    status, _, nodes = set_search_fixed_size(*prune_tables(g, 2, 2), 6, 2, 3)
     assert status == -1 and nodes == 4  # stopped right after crossing the budget
+
+
+def _budget_ladder(full, top):
+    """Budgets around the node count ``full`` of a search run with budget
+    ``top``, and top itself."""
+    return sorted({1, 2, 3, full // 3, full - 1, full, full + 1, top})
+
+
+def _set_search_matches_reference(g, k_req, l_req):
+    nbrs = [list(g.closed_neighborhood(v)) for v in range(g.n)]
+    suf = suffix_counts(g).T.tolist()
+    tables = prune_tables(g, k_req, l_req)
+    for t in range(g.n + 1):
+        full = reference_set_search(nbrs, suf, t, k_req, l_req, 10**9)[2]
+        for budget in _budget_ladder(full, 10**9):
+            want = reference_set_search(nbrs, suf, t, k_req, l_req, budget)
+            got = set_search_fixed_size(*tables, t, k_req, budget)
+            assert got == want, (k_req, l_req, t, budget)
+    return tables
 
 
 @given(small_graphs(max_n=12))
@@ -160,17 +186,75 @@ def test_budget_exhaustion_status():
 def test_set_search_matches_reference(g):
     """Same (status, membership, nodes) as the loop before the prune tables for
     every demand pair, size and a ladder of budgets around the unbudgeted count."""
-    nbrs = [list(g.closed_neighborhood(v)) for v in range(g.n)]
-    suf = suffix_counts(g).T.tolist()
     for k_req in range(4):
         for l_req in range(5):
-            gain, after = prune_tables(g, k_req, l_req)
-            for t in range(g.n + 1):
-                full = reference_set_search(nbrs, suf, t, k_req, l_req, 10**9)[2]
-                for budget in sorted({1, 2, 3, full // 3, full - 1, full, full + 1, 10**9}):
-                    want = reference_set_search(nbrs, suf, t, k_req, l_req, budget)
-                    got = set_search_fixed_size(nbrs, gain, after, t, k_req, l_req, budget)
-                    assert got == want, (k_req, l_req, t, budget)
+            _set_search_matches_reference(g, k_req, l_req)
+
+
+# (k_req, l_req, field bits): the smallest width whose bias exceeds
+# 2n + 1 + 2(k_req + l_req) on each graph below, of 5 to 10 vertices
+WIDTHS = [(3, 1, 8), (2, 60, 16), (100, 1, 16), (40_000, 2, 32),
+          (LABEL_LIMIT - 1, 1, 64), (1, LABEL_LIMIT - 1, 64), (LABEL_LIMIT - 1, LABEL_LIMIT, 64)]
+
+
+@pytest.mark.parametrize("k_req, l_req, bits", WIDTHS)
+def test_set_search_matches_reference_at_every_field_width(k_req, l_req, bits):
+    for g in (gnp(9, 0.5, 1), gnp(8, 0.3, 2), cycle(5), petersen()):
+        assert _set_search_matches_reference(g, k_req, l_req)[0] == bits
+
+
+def test_largest_k_dominating_takes_every_vertex():
+    # k = 2**31 - 1 needs 64-bit fields; no vertex outside D can be covered
+    # that often, so D is all of V
+    for g in (gnp(9, 0.5, 1), cycle(6), petersen()):
+        res = exact_set_number(g, DominationSpec.k_dominating(LABEL_LIMIT - 1))
+        assert (res.value, res.witness) == (g.n, tuple(range(g.n)))
+
+
+def _function_search_matches_reference(nbrs, caps, demands, top):
+    """Same (status, best_weight, best_values, nodes) as the list loop, for a
+    ladder of budgets around its count capped at top; cap_un is not changed."""
+    cap_un = [sum(caps[w] for w in row) for row in nbrs]
+    args = (nbrs, caps, demands)
+    full = reference_function_search(*args, list(cap_un), top, sum(caps))[3]
+    for budget in _budget_ladder(full, top):
+        want = reference_function_search(*args, list(cap_un), budget, sum(caps))
+        got = function_search_min_weight(*args, cap_un, budget, sum(caps))
+        assert got == want, budget
+        assert cap_un == [sum(caps[w] for w in row) for row in nbrs]
+
+
+# mostly small labels, so that searches finish; now and then one near 2**31,
+# which only a budget stops
+LABELS = st.integers(0, 3) | st.sampled_from([LABEL_LIMIT - 2, LABEL_LIMIT - 1])
+
+
+@given(small_graphs(max_n=9), st.data())
+@example(petersen(), None)
+@example(gnp(9, 0.5, 1), None)
+@settings(max_examples=60, deadline=None)
+def test_function_search_matches_reference(g, data):
+    """Closed and open rows, caps and demands up to LABEL_LIMIT - 1, and a
+    ladder of budgets around the full count."""
+    if data is None:
+        caps = [2 + v % 2 for v in range(g.n)]
+        demands = [1 + v % 3 for v in range(g.n)]
+    else:
+        caps = data.draw(st.lists(LABELS, min_size=g.n, max_size=g.n))
+        demands = data.draw(st.lists(LABELS, min_size=g.n, max_size=g.n))
+    for rows in (g.closed_neighborhood, g.neighbors):
+        nbrs = [list(rows(v)) for v in range(g.n)]
+        _function_search_matches_reference(nbrs, caps, demands, 4_000)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 300])
+def test_function_search_matches_reference_with_caps_near_the_label_limit(budget):
+    g = gnp(8, 0.5, 3)
+    caps = [LABEL_LIMIT - 1 - v for v in range(g.n)]
+    for demands in ([LABEL_LIMIT - 1] * g.n, [1] * g.n):
+        for rows in (g.closed_neighborhood, g.neighbors):
+            nbrs = [list(rows(v)) for v in range(g.n)]
+            _function_search_matches_reference(nbrs, caps, demands, budget)
 
 
 def test_numba_flag_is_exposed():

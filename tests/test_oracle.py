@@ -11,6 +11,8 @@ from multidom import (
     MultidomError,
     ResourceLimitError,
     VerifyReport,
+    VertexFunction,
+    coverage,
     cycle,
     exact_function_number,
     exact_set_number,
@@ -171,7 +173,65 @@ def test_node_budget_must_be_positive(budget):
 def test_function_search_budget_stop_reports_its_partial():
     with pytest.raises(ResourceLimitError, match="^node budget 5 exhausted$") as exc:
         exact_function_number(petersen(), DominationSpec.brace_k(2), node_budget=5)
-    assert exc.value.partial == {"best_weight_so_far": 20, "nodes": 6}
+    # lower bound max(max s, ceil(sum s / (Δ+1))) = max(2, ceil(20 / 4)); the
+    # incumbent is still the all-caps function
+    assert exc.value.partial == {"best_weight_so_far": 20, "nodes": 6, "lower_bound": 5,
+                                 "upper_bound": 20, "witness": VertexFunction((2,) * 10)}
+
+
+def _bracket_spec(label, g, data):
+    """One of the eight variants. rs and totalrs draw their vectors, and a
+    demand never exceeds its neighbourhood's caps, so they are feasible."""
+    if label in ("rs", "totalrs"):
+        caps = [2 + v % 2 for v in range(g.n)]
+        demands = [1 + v % 3 for v in range(g.n)]
+        if data is not None:
+            caps = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+            demands = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+        room = coverage(g, caps, closed=label == "rs").tolist()
+        make = DominationSpec.rs if label == "rs" else DominationSpec.total_rs
+        return make(caps, [min(d, r) for d, r in zip(demands, room)])
+    return {
+        "classical": DominationSpec.classical(),
+        "kdom:2": DominationSpec.k_dominating(2),
+        "ktuple:2": DominationSpec.k_tuple(2),
+        "totalk:1": DominationSpec.total_k(1),
+        "param:1,2": DominationSpec.parametric(1, 2),
+        "bracek:2": DominationSpec.brace_k(2),
+    }[label]
+
+
+@given(uneven_graphs(max_n=9), st.sampled_from(
+    ["classical", "kdom:2", "ktuple:2", "totalk:1", "param:1,2", "bracek:2", "rs", "totalrs"]),
+    st.data())
+@example(petersen(), "bracek:2", None)
+@example(petersen(), "totalrs", None)
+@example(gnp(9, 0.5, 2), "ktuple:2", None)
+@settings(max_examples=80, deadline=None)
+def test_budget_stop_brackets_the_optimum(g, label, data):
+    """A search stops on its budget iff the budget is below its full node
+    count; then lower_bound <= optimum <= upper_bound, and a function search's
+    incumbent is a valid witness of weight upper_bound."""
+    spec = _bracket_spec(label, g, data)
+    if not spec.feasibility(g)[0]:
+        return
+    search = exact_set_number if spec.is_set_variant else exact_function_number
+    full = search(g, spec, limit_n=g.n)
+    budgets = [1, 2, full.nodes_explored - 1, full.nodes_explored]
+    if data is not None:
+        budgets.append(data.draw(st.integers(1, full.nodes_explored + 1)))
+    for budget in [b for b in budgets if b >= 1]:
+        try:
+            res = search(g, spec, limit_n=g.n, node_budget=budget)
+        except ResourceLimitError as exc:
+            partial = exc.partial
+            assert budget < full.nodes_explored
+            assert partial["lower_bound"] <= full.value <= partial["upper_bound"]
+            if spec.is_function_variant:
+                report = verify_function(g, spec, partial["witness"])
+                assert report.valid and report.weight == partial["upper_bound"]
+        else:
+            assert budget >= full.nodes_explored and res == full
 
 
 @pytest.mark.parametrize("limit", [0, -1])
