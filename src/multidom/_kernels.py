@@ -35,6 +35,7 @@ def _ones(bits, n):
 
 
 def _members(chosen, n):
+    """n bools, True at the vertices in chosen."""
     in_d = [False] * n
     for u in chosen:
         in_d[u] = True
