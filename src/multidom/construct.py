@@ -172,10 +172,10 @@ def _restricted(g: Graph) -> np.ndarray:
     """Row v holds the open N'(v) ascending: the min_degree lowest-indexed
     neighbours of v, the first entries of its CSR row. The closed N'(v)
     adds v itself. The (n, delta) array is the transpose of a C-ordered
-    (delta, n) one, so a gather through ``restricted.T`` sums over its
-    first axis at full speed."""
+    (delta, n) one, so ``take`` through ``restricted.T`` gathers a
+    C-contiguous block that sums over its first axis at full speed."""
     indptr, indices = g.csr()
-    return indices[np.arange(g.min_degree)[:, None] + indptr[:-1]].T
+    return indices.take(np.arange(g.min_degree)[:, None] + indptr[:-1]).T
 
 
 # -- capped-function construction (closed and open variants) --------------------
@@ -206,7 +206,7 @@ def _capped_trial(
     rows = max(1, TRIAL_BLOCK_CELLS // n)
     for start in range(0, r, rows):
         a += (rng.random((min(rows, r - start), n)) < p).sum(axis=0)
-    msum = a[restricted.T].sum(axis=0)
+    msum = a.take(restricted.T).sum(axis=0)
     if closed:
         msum += a
     short = np.flatnonzero(msum < s)
@@ -331,14 +331,14 @@ def _parametric_block(
     could pass a vertex whose patch from N'(v) fell short.
     """
     in_a = np.array([rng.random(g.n) for rng in rngs]) < p
-    slots = in_a[:, restricted.T]  # slots[t, j, v]: is the j-th vertex of N'(v) in A
+    slots = in_a.take(restricted.T, axis=1)  # slots[t, j, v]: is the j-th vertex of N'(v) in A
     msum = slots.sum(axis=1)
     take = np.where(in_a, l - 1, k) - msum  # > 0 exactly at the short vertices
     t, v = (take > 0).nonzero()
     x = in_a.astype(np.int64)  # rows: indicators of D
     picked = np.zeros((0, restricted.shape[1]), dtype=bool)
     if t.size:
-        outside = ~slots[t, :, v]  # one row per short vertex
+        outside = ~slots.transpose(0, 2, 1)[t, v]  # one row per short vertex
         picked = outside & (outside.cumsum(axis=1) <= take[t, v][:, None])
         short_of = picked.sum(axis=1) < take[t, v]
         if short_of.any():

@@ -310,8 +310,23 @@ def test_coverage_of_a_block_is_row_by_row(g, data):
     if data is not None:
         rows = data.draw(st.lists(
             st.lists(st.integers(0, 9), min_size=g.n, max_size=g.n), min_size=1, max_size=4))
+    block = np.array(rows, dtype=np.int64)
+    # the same block in every memory layout and integer dtype a caller may pass
+    layouts = {
+        "list": rows,
+        "C-ordered": block,
+        "Fortran-ordered": np.asfortranarray(block),
+        ".T of (n, T)": np.ascontiguousarray(block.T).T,
+        "reversed-column view": np.ascontiguousarray(block[:, ::-1])[:, ::-1],
+        "int32": block.astype(np.int32),
+        "uint16": block.astype(np.uint16),
+    }
     for closed in (True, False):
-        assert coverage(g, rows, closed).tolist() == [coverage(g, r, closed).tolist() for r in rows]
+        expected = [coverage(g, r, closed).tolist() for r in rows]
+        for name, x in layouts.items():
+            sums = coverage(g, x, closed)
+            assert sums.tolist() == expected, name
+            assert sums.dtype == np.int64 and sums.flags.c_contiguous, name
 
 
 def test_coverage_rejects_wrong_length():
