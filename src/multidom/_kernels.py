@@ -17,8 +17,8 @@ and demand pair with numpy: ``pick``, what a pick adds to the slack of every
 vertex, ``gain``, so that one add decides whether a pick survives, and
 ``after``, so that a pick pruned at a vertex v skips at once every later
 sibling that misses N[v]. The function search packs its demands, assigned
-sums and unassigned capacities itself, from the rows ``oracle.py`` takes
-from ``graph._rows`` and the starting capacity sums from ``coverage``, the
+sums and unassigned capacities itself, from the rows ``oracle.py`` cuts
+from the CSR arrays and the starting capacity sums from ``coverage``, the
 neighbourhood sums every other layer uses.
 """
 
@@ -32,14 +32,6 @@ import numpy as np
 def _ones(bits, n):
     """The packed int with 1 in each of n fields of the given width."""
     return ((1 << bits * n) - 1) // ((1 << bits) - 1)
-
-
-def _members(chosen, n):
-    """n bools, True at the vertices in chosen."""
-    in_d = [False] * n
-    for u in chosen:
-        in_d[u] = True
-    return in_d
 
 
 def set_search_fixed_size(bits, pick, gain, after, t, k_req, budget):
@@ -60,15 +52,16 @@ def set_search_fixed_size(bits, pick, gain, after, t, k_req, budget):
     after[v][u] and counts the skipped picks as nodes, so ``nodes`` is the
     count of the loop that visits every sibling, budget stops included.
 
-    Returns (status, membership, nodes): status 1 found / 0 exhausted /
-    -1 node budget exceeded; membership is a list of n bools, the picks made
-    so far on a budget stop. Lexicographic DFS, so the witness is the
-    lexicographically smallest valid set of size t.
+    Returns (status, picks, nodes): status 1 found / 0 exhausted / -1 node
+    budget exceeded; picks is the ascending list of vertices in D, the
+    picks made so far on a budget stop and empty when exhausted.
+    Lexicographic DFS, so the witness is the lexicographically smallest
+    valid set of size t.
     """
     n = len(pick)
     nodes = 0
     if t == 0:
-        return (1 if k_req <= 0 else 0), [False] * n, nodes
+        return (1 if k_req <= 0 else 0), [], nodes
     ones = _ones(bits, n)
     high = ones << (bits - 1)
     slack = -k_req * ones
@@ -83,7 +76,7 @@ def set_search_fixed_size(bits, pick, gain, after, t, k_req, budget):
             u = cand
             nodes += 1
             if nodes > budget:
-                return -1, _members(chosen[:depth], n), nodes
+                return -1, chosen[:depth], nodes
             fail = high & ~(slack + rows[u])
             if not fail:
                 break
@@ -96,12 +89,12 @@ def set_search_fixed_size(bits, pick, gain, after, t, k_req, budget):
                 cand = limit + 1
             nodes += cand - u - 1
             if nodes > budget:
-                return -1, _members(chosen[:depth], n), budget + 1
+                return -1, chosen[:depth], budget + 1
         else:
             # no candidate left at this depth: drop the last pick u and go
             # on from u + 1
             if depth == 0:
-                return 0, [False] * n, nodes
+                return 0, [], nodes
             depth -= 1
             u = chosen[depth]
             slack -= pick[u]
@@ -109,7 +102,7 @@ def set_search_fixed_size(bits, pick, gain, after, t, k_req, budget):
             continue
         chosen[depth] = u
         if rem == 0:
-            return 1, _members(chosen, n), nodes
+            return 1, chosen, nodes
         slack += pick[u]
         depth += 1
         cand = u + 1

@@ -437,7 +437,8 @@ def _kl_report(name: str, k: int, l: int, delta: int, n: int, force: bool,
             params["delta_bar"] = d
         params["log_b_phi1"] = log_b
     if strong:
-        gate, coeff = (d >= 1, f"needs delta - {margin} > 0, got {d}"), _strong_coeff(d, log_b)
+        gate = (d >= 1, f"needs delta - {margin} > 0, got {d}")
+        coeff = p.coeff_alt if alt else p.coeff_phi
     else:
         gate = (p.delta >= p.phi, f"needs delta >= max(k, l-1) = {p.phi}")
         coeff = _log_coeff(d + 1, log_b)
@@ -588,6 +589,16 @@ def applicability_caro_yuster(k: int, delta: int) -> bool:
 
 # -- catalogue per spec ------------------------------------------------------------
 
+# The form groups. Each group takes one argument tuple ahead of (delta, n):
+# the caps summary (tau, s, cap_sum), (k, l) or (k,); a threshold pair takes
+# c after n.
+_RS_FORMS = (bound_rs, bound_rs_log, bound_rs_log_optimized)
+_TOTAL_RS_FORMS = (bound_total_rs, bound_total_rs_log)
+_KL_FORMS = (bound_parametric, bound_parametric_log, bound_parametric_alt, bound_parametric_alt_log)
+_RS_THRESHOLDS = (bound_threshold_rs, bound_ln_threshold_rs)
+_KL_THRESHOLDS = (bound_threshold_parametric, bound_ln_threshold_parametric)
+_KTUPLE_THRESHOLDS = (bound_threshold_ktuple, bound_ln_threshold_ktuple)
+
 
 def bounds_for_spec(
     spec: DominationSpec, delta: int, n: int, c: float | None = None, force: bool = False
@@ -595,70 +606,39 @@ def bounds_for_spec(
     """Every bound in the catalogue that speaks about the given variant.
 
     A set variant is the (k,l) instance given by its requirements(), so it
-    gets the four (k,l) bounds; the classical, k-tuple and total variants
-    add their own specializations around them.
+    gets the four (k,l) bounds. Classical and k-tuple sets are also <1,k>
+    functions (caps 1, demand k, cap sum n), and total k-sets total <1,k>
+    functions; these and the other specializations stand around the (k,l)
+    bounds. A threshold pair is added only when c is given.
     """
     delta, n = _integer(delta, "delta", 0), _integer(n, "n", 1)
+
+    def forms(group, args, *c_arg):
+        return [bound(*args, delta, n, *c_arg, force) for bound in group]
+
     v = spec.variant
+    if v == "total_rs":
+        return forms(_TOTAL_RS_FORMS, spec.cap_summary(n))
     if spec.is_function_variant:
         caps = spec.cap_summary(n)
-        if v == "total_rs":
-            return [
-                bound_total_rs(*caps, delta, n, force=force),
-                bound_total_rs_log(*caps, delta, n, force=force),
-            ]
-        out = [
-            bound_rs(*caps, delta, n, force=force),
-            bound_rs_log(*caps, delta, n, force=force),
-            bound_rs_log_optimized(*caps, delta, n, force=force),
-        ]
-        if c is not None:
-            out += [
-                bound_threshold_rs(*caps, delta, n, c, force=force),
-                bound_ln_threshold_rs(*caps, delta, n, c, force=force),
-            ]
-        return out
-    k, l = spec.requirements()
-    out = [
-        bound_parametric(k, l, delta, n, force=force),
-        bound_parametric_log(k, l, delta, n, force=force),
-        bound_parametric_alt(k, l, delta, n, force=force),
-        bound_parametric_alt_log(k, l, delta, n, force=force),
-    ]
-    if v == "classical":
-        return [
-            bound_classical(delta, n),
-            bound_caro_roditty(delta, n, force=force),
-            bound_rs(1, 1, n, delta, n, force=force),
-            bound_rs_log(1, 1, n, delta, n, force=force),
-        ] + out
-    if v == "k_tuple":
-        out = [
-            bound_rs(1, k, n, delta, n, force=force),
-            bound_rs_log(1, k, n, delta, n, force=force),
-            bound_rs_log_optimized(1, k, n, delta, n, force=force),
-        ] + out + [bound_rv(k, delta, n, force=force)]
-        if c is not None:
-            out += [
-                bound_threshold_ktuple(k, delta, n, c, force=force),
-                bound_ln_threshold_ktuple(k, delta, n, c, force=force),
-            ]
-        return out
-    if v == "total_k":
-        out += [
-            bound_total_rs(1, k, n, delta, n, force=force),
-            bound_total_rs_log(1, k, n, delta, n, force=force),
-        ]
+        out, thresholds, tail = forms(_RS_FORMS, caps), (_RS_THRESHOLDS, caps), []
+    else:
+        kl = spec.requirements()
+        k = kl[0]
+        one_k = (1, k, n)  # the <1,k> embedding
+        out, thresholds, tail = forms(_KL_FORMS, kl), (_KL_THRESHOLDS, kl), []
+        if v == "classical":
+            return [bound_classical(delta, n), bound_caro_roditty(delta, n, force=force),
+                    *forms(_RS_FORMS[:2], one_k), *out]
+        if v == "k_tuple":
+            out = [*forms(_RS_FORMS, one_k), *out, bound_rv(k, delta, n, force=force)]
+            thresholds = _KTUPLE_THRESHOLDS, (k,)
+        elif v == "total_k":
+            out += forms(_TOTAL_RS_FORMS, one_k)
+            tail = [_report("caro_yuster", n, None, {"delta": delta, "k": k},
+                            applicability_caro_yuster(k, delta),
+                            "predicate only; the asymptotic bound is out of scope",
+                            lambda: None)]
     if c is not None:
-        out += [
-            bound_threshold_parametric(k, l, delta, n, c, force=force),
-            bound_ln_threshold_parametric(k, l, delta, n, c, force=force),
-        ]
-    if v == "total_k":
-        out.append(_report(
-            "caro_yuster", n, None, {"delta": delta, "k": k},
-            applicability_caro_yuster(k, delta),
-            "predicate only; the asymptotic bound is out of scope",
-            lambda: None,
-        ))
-    return out
+        out += forms(*thresholds, c)
+    return out + tail

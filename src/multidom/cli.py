@@ -23,11 +23,11 @@ from datetime import datetime, timezone
 from . import graph
 from .bounds import bounds_for_spec
 from .construct import _construct
-from .errors import InfeasibleSpecError, MultidomError
+from .errors import InfeasibleSpecError, MultidomError, ResourceLimitError
 from .graph import GRAPH_FORMATS, Graph, load_graph, write_graph
 from .oracle import exact_function_number, exact_set_number
 from .tuner import compare_bounds
-from .verify import DominationSpec, VertexFunction, verify_function, verify_set
+from .verify import DominationSpec, VertexFunction, _witness_dict, verify_function, verify_set
 
 SPEC_HELP = (
     "classical | kdom:K | ktuple:K | totalk:K | bracek:K | param:K,L | "
@@ -68,7 +68,14 @@ def _finite(text: str) -> float:
 
 def _read_vector(path: str) -> tuple[int, ...]:
     with open(path, "r", encoding="utf-8") as fh:
-        return tuple(int(tok) for tok in fh.read().split())
+        tokens = fh.read().split()
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"vector file {path!r} holds {tok!r}, which is not an integer") from None
+    return tuple(values)
 
 
 def parse_spec(text: str) -> DominationSpec:
@@ -79,7 +86,11 @@ def parse_spec(text: str) -> DominationSpec:
     head, _, arg = text.partition(":")
     for variant, name in DominationSpec.K_LABELS.items():
         if head == name:
-            return DominationSpec(variant, k=int(arg))
+            try:
+                k = int(arg)
+            except ValueError:
+                raise ValueError(f"spec {head} needs an integer: {head}:K") from None
+            return DominationSpec(variant, k=k)
     if head == "param":
         try:
             k, l = (int(x) for x in arg.split(","))
@@ -176,7 +187,17 @@ def _cmd_exact(args) -> dict:
     limits = {name: getattr(args, name) for name in ("limit_n", "node_budget")
               if getattr(args, name) is not None}
     search = exact_set_number if spec.is_set_variant else exact_function_number
-    return {**search(g, spec, **limits).to_dict(), **_about(g)}
+    try:
+        result = search(g, spec, **limits)
+    except ResourceLimitError as exc:
+        if exc.partial is None:  # refused before the search began
+            raise
+        # a budget stop: main writes this bracket to stdout and exits 1
+        bracket = {key: exc.partial[key] for key in ("lower_bound", "upper_bound", "nodes")}
+        raise ResourceLimitError(str(exc), partial={
+            "status": "budget", **bracket, "witness": _witness_dict(exc.partial["witness"]),
+            **_about(g)}) from None
+    return {**result.to_dict(), **_about(g)}
 
 
 def _witness_list(witness, key: str) -> list[int]:
@@ -285,6 +306,12 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleSpecError as exc:
         print(f"multidom: infeasible spec: {exc}", file=sys.stderr)
         return 2
+    except ResourceLimitError as exc:
+        print(f"multidom: error: {exc}", file=sys.stderr)
+        if exc.partial is not None:
+            # exact's budget stop: its bracket goes to stdout, never to --out
+            sys.stdout.write(json.dumps(exc.partial, indent=2, sort_keys=True) + "\n")
+        return 1
     except (MultidomError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"multidom: error: {exc}", file=sys.stderr)
         return 1

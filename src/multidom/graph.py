@@ -181,18 +181,6 @@ def coverage(g: Graph, x, closed: bool) -> np.ndarray:
     return sums + x if closed else sums
 
 
-def _rows(g: Graph, closed: bool) -> list[list[int]]:
-    """Each N(v) from the open CSR as a Python list, v appended when ``closed``."""
-    indptr, indices = g.csr()
-    ptr = indptr.tolist()
-    idx = indices.tolist()
-    rows = [idx[ptr[v] : ptr[v + 1]] for v in range(g.n)]
-    if closed:
-        for v, row in enumerate(rows):
-            row.append(v)
-    return rows
-
-
 # -- deterministic family generators ----------------------------------------
 
 

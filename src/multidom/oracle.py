@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import MultidomError, ResourceLimitError, _integer
-from .graph import Graph, _rows, coverage
+from .graph import Graph, coverage
 from .verify import (
     DominationSpec,
     VertexFunction,
@@ -65,7 +65,8 @@ def exact_set_number(
 
     Running out of node_budget raises ResourceLimitError; its ``partial``
     brackets the value with ``lower_bound`` (the size reached) and
-    ``upper_bound`` (the size of the (l-1)-core, always a witness)."""
+    ``upper_bound``, the size of ``witness``: the (l-1)-core as a tuple,
+    always a witness."""
     if not spec.is_set_variant:
         raise ValueError(f"exact_set_number needs a set variant, got {spec.variant}")
     node_budget = _admit(g, spec, limit_n, node_budget)
@@ -76,21 +77,22 @@ def exact_set_number(
     t_start = max(0, math.ceil(g.n * min(k_req, l_req) / (g.max_degree + 1)))
     nodes_total = 0
     for t in range(t_start, g.n + 1):
-        status, membership, nodes = _kernels.set_search_fixed_size(
+        status, picks, nodes = _kernels.set_search_fixed_size(
             *tables, t, k_req, node_budget - nodes_total
         )
         nodes_total += nodes
         if status == -1:
             # every size below t is ruled out: from t_start up by exhausted
             # searches, below t_start by the counting bound
+            core = tuple(np.flatnonzero(_guaranteed_witness(g, spec)).tolist())
             raise ResourceLimitError(
                 f"node budget {node_budget} exhausted at size {t}; "
                 f"the domination number is at least {t}",
                 partial={"size_reached": t, "nodes": nodes_total, "lower_bound": t,
-                         "upper_bound": int(_guaranteed_witness(g, spec).sum())},
+                         "upper_bound": len(core), "witness": core},
             )
         if status == 1:
-            witness = tuple(v for v in range(g.n) if membership[v])
+            witness = tuple(picks)
             if not verify_set(g, spec, witness).valid:
                 raise MultidomError("internal: search returned an invalid witness")
             return ExactResult(t, witness, nodes_total, spec)
@@ -115,16 +117,18 @@ def exact_function_number(
     caps, demands = spec.vectors(g.n)
     # search position i holds vertex perm[i]; vertex v sits at position inv[v]
     order = np.argsort(g.degrees, kind="stable")
-    perm, inv = order.tolist(), np.argsort(order).tolist()
+    perm, inv = order.tolist(), np.argsort(order)
     closed = not spec.uses_open_neighborhoods
-    rows = _rows(g, closed)
-    nbrs = [[inv[w] for w in rows[v]] for v in perm]
+    indptr, indices = g.csr()
+    ptr, idx = indptr.tolist(), inv.take(indices).tolist()
+    # the open row of perm[i] in search positions, and i itself when closed
+    nbrs = [idx[ptr[v] : ptr[v + 1]] + [i] * closed for i, v in enumerate(perm)]
     cap_sums = coverage(g, caps, closed)[order].tolist()
     best_init = spec.cap_summary(g.n)[2]  # the all-caps function; valid by feasibility
     status, best_w, best_vals, nodes = _kernels.function_search_min_weight(
         nbrs, caps[order].tolist(), demands[order].tolist(), cap_sums, node_budget, best_init
     )
-    witness = VertexFunction([best_vals[i] for i in inv])
+    witness = VertexFunction(np.take(best_vals, inv))
     if status == -1:
         # a unit of label at u enters at most w = Δ+1 closed (Δ open) sums;
         # w = 0 only with open rows and no edges, where every demand is 0

@@ -13,15 +13,32 @@ import math
 
 from multidom import Graph, cycle, complete, gnp, path, petersen
 from multidom.bounds import (
+    BoundReport,
     ParametricParams,
     RSParams,
+    _report,
+    applicability_caro_yuster,
+    bound_caro_roditty,
+    bound_classical,
+    bound_ln_threshold_ktuple,
+    bound_ln_threshold_parametric,
+    bound_ln_threshold_rs,
     bound_parametric,
     bound_parametric_alt,
+    bound_parametric_alt_log,
+    bound_parametric_log,
     bound_rs,
+    bound_rs_log,
+    bound_rs_log_optimized,
+    bound_rv,
+    bound_threshold_ktuple,
+    bound_threshold_parametric,
+    bound_threshold_rs,
     bound_total_rs,
+    bound_total_rs_log,
 )
 from multidom.construct import TRIAL_BLOCK_CELLS, ConstructionResult
-from multidom.errors import GraphFormatError, MultidomError, ResourceLimitError
+from multidom.errors import GraphFormatError, MultidomError, ResourceLimitError, _integer
 from multidom.graph import MAX_VERTICES
 from multidom.graph import coverage as graph_coverage
 from multidom.verify import DominationSpec, VertexFunction, _core, verify_function, verify_set
@@ -232,8 +249,9 @@ def reference_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_
 
 # -- the set-search kernel before its prune tables --------------------------
 #
-# _kernels.set_search_fixed_size must return the same (status, membership,
-# nodes) as this loop on every input, budget stops included.
+# _kernels.set_search_fixed_size must return the same status and nodes as
+# this loop on every input, budget stops included, and as its picks the
+# members of this loop's membership, in ascending order.
 
 
 def reference_set_search(nbrs, suf, t, k_req, l_req, budget):
@@ -817,3 +835,84 @@ def reference_real_roots_monic(b: float, c: float, d: float) -> list[float]:
         if not dedup or abs(x - dedup[-1]) > 1e-9 * max(1.0, abs(x)):
             dedup.append(x)
     return dedup
+
+
+# -- the bound catalogue as it was spelled out branch by branch ---------------
+#
+# bounds.bounds_for_spec must return the same reports as this copy for
+# every spec, degree, c and force, and raise the same errors.
+
+
+def reference_bounds_for_spec(
+    spec: DominationSpec, delta: int, n: int, c: float | None = None, force: bool = False
+) -> list[BoundReport]:
+    """Every bound in the catalogue that speaks about the given variant.
+
+    A set variant is the (k,l) instance given by its requirements(), so it
+    gets the four (k,l) bounds; the classical, k-tuple and total variants
+    add their own specializations around them.
+    """
+    delta, n = _integer(delta, "delta", 0), _integer(n, "n", 1)
+    v = spec.variant
+    if spec.is_function_variant:
+        caps = spec.cap_summary(n)
+        if v == "total_rs":
+            return [
+                bound_total_rs(*caps, delta, n, force=force),
+                bound_total_rs_log(*caps, delta, n, force=force),
+            ]
+        out = [
+            bound_rs(*caps, delta, n, force=force),
+            bound_rs_log(*caps, delta, n, force=force),
+            bound_rs_log_optimized(*caps, delta, n, force=force),
+        ]
+        if c is not None:
+            out += [
+                bound_threshold_rs(*caps, delta, n, c, force=force),
+                bound_ln_threshold_rs(*caps, delta, n, c, force=force),
+            ]
+        return out
+    k, l = spec.requirements()
+    out = [
+        bound_parametric(k, l, delta, n, force=force),
+        bound_parametric_log(k, l, delta, n, force=force),
+        bound_parametric_alt(k, l, delta, n, force=force),
+        bound_parametric_alt_log(k, l, delta, n, force=force),
+    ]
+    if v == "classical":
+        return [
+            bound_classical(delta, n),
+            bound_caro_roditty(delta, n, force=force),
+            bound_rs(1, 1, n, delta, n, force=force),
+            bound_rs_log(1, 1, n, delta, n, force=force),
+        ] + out
+    if v == "k_tuple":
+        out = [
+            bound_rs(1, k, n, delta, n, force=force),
+            bound_rs_log(1, k, n, delta, n, force=force),
+            bound_rs_log_optimized(1, k, n, delta, n, force=force),
+        ] + out + [bound_rv(k, delta, n, force=force)]
+        if c is not None:
+            out += [
+                bound_threshold_ktuple(k, delta, n, c, force=force),
+                bound_ln_threshold_ktuple(k, delta, n, c, force=force),
+            ]
+        return out
+    if v == "total_k":
+        out += [
+            bound_total_rs(1, k, n, delta, n, force=force),
+            bound_total_rs_log(1, k, n, delta, n, force=force),
+        ]
+    if c is not None:
+        out += [
+            bound_threshold_parametric(k, l, delta, n, c, force=force),
+            bound_ln_threshold_parametric(k, l, delta, n, c, force=force),
+        ]
+    if v == "total_k":
+        out.append(_report(
+            "caro_yuster", n, None, {"delta": delta, "k": k},
+            applicability_caro_yuster(k, delta),
+            "predicate only; the asymptotic bound is out of scope",
+            lambda: None,
+        ))
+    return out

@@ -33,9 +33,10 @@ from multidom import (
     bounds_for_spec,
     log_binomial,
 )
+from helpers import reference_bounds_for_spec
 from multidom import bounds
 from multidom.bounds import ParametricParams, RSParams
-from multidom.verify import DominationSpec
+from multidom.verify import LABEL_LIMIT, DominationSpec
 
 # -- log binomial --------------------------------------------------------------
 
@@ -569,6 +570,42 @@ def test_bounds_for_spec_catalogue():
 
     rows = bounds_for_spec(DominationSpec.brace_k(2), 5, 8)
     assert {"rs_strong", "rs_log", "rs_log_optimized"} <= {r.name for r in rows}
+
+
+def _catalogue_specs(n):
+    """All eight variants, with vector specs of length n, and a few more k;
+    total_k at the label limit makes l = k + 1 too large, so both raise."""
+    caps = [1 + v % 3 for v in range(n)]
+    demands = [v % 4 for v in range(n)]
+    return [
+        DominationSpec.classical(), DominationSpec.k_dominating(2), DominationSpec.k_dominating(3),
+        DominationSpec.k_tuple(2), DominationSpec.k_tuple(5), DominationSpec.total_k(1),
+        DominationSpec.total_k(2), DominationSpec.parametric(1, 3), DominationSpec.parametric(3, 1),
+        DominationSpec.brace_k(2), DominationSpec.rs(caps, demands),
+        DominationSpec.total_rs(caps, demands), DominationSpec.total_k(LABEL_LIMIT - 1),
+    ]
+
+
+def _catalogue(fn, *args, **kwargs):
+    """fn's reports as dicts, or the error it raised."""
+    try:
+        return [r.to_dict() for r in fn(*args, **kwargs)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [4, 100])
+def test_bounds_for_spec_matches_the_branch_by_branch_catalogue(n):
+    """The same reports, in the same order, as the catalogue spelled out
+    branch by branch (kept in helpers), over every variant, degree, c and force."""
+    for spec in _catalogue_specs(n):
+        for delta in (0, 1, 2, 3, 8, 50, 2000):
+            for c in (None, 0.5, 1.5, 3.0):
+                for force in (False, True):
+                    args = (spec, delta, n)
+                    want = _catalogue(reference_bounds_for_spec, *args, c=c, force=force)
+                    assert _catalogue(bounds_for_spec, *args, c=c, force=force) == want, \
+                        (spec.label(), delta, c, force)
 
 
 # -- forced evaluation outside a formula's domain ------------------------------------

@@ -50,6 +50,29 @@ def test_a_malformed_param_spec_gets_its_usage(capsys, spec):
     assert err == "multidom: error: spec param needs two integers: param:K,L\n"
 
 
+@pytest.mark.parametrize("spec", ["kdom:x", "ktuple:", "totalk:1,2", "bracek:2.5"])
+def test_a_k_spec_without_an_integer_gets_its_usage(capsys, spec):
+    head = spec.partition(":")[0]
+    usage = f"spec {head} needs an integer: {head}:K"
+    with pytest.raises(ValueError, match=f"^{usage}$"):
+        parse_spec(spec)
+    code, out, err = run_cli(capsys, "bounds", "--family", "cycle", "--n", "4", "--spec", spec)
+    assert code == 1 and out == ""
+    assert err == f"multidom: error: {usage}\n"
+
+
+@pytest.mark.parametrize("bad", ["caps", "demands"])
+def test_a_vector_file_with_a_bad_token_is_named(capsys, tmp_path, bad):
+    files = {"caps": tmp_path / "caps.txt", "demands": tmp_path / "demands.txt"}
+    files["caps"].write_text("1 1 1 1\n")
+    files["demands"].write_text("1 1 1 1\n")
+    files[bad].write_text("1 1\nx 1\n")
+    spec = f"rs:{files['caps']},{files['demands']}"
+    code, out, err = run_cli(capsys, "bounds", "--family", "cycle", "--n", "4", "--spec", spec)
+    assert code == 1 and out == ""
+    assert err == f"multidom: error: vector file {str(files[bad])!r} holds 'x', which is not an integer\n"
+
+
 def test_gen_writes_and_round_trips(capsys, tmp_path):
     out = tmp_path / "c5.edges"
     code, _, _ = run_cli(capsys, "gen", "--family", "cycle", "--n", "5",
@@ -245,8 +268,34 @@ def test_exact_rejects_nonpositive_node_budget(capsys):
 def test_exact_budget_stop_reports_lower_bound(capsys):
     code, out, err = run_cli(capsys, "exact", "--family", "gnp", "--n", "14", "--p", "0.3",
                              "--seed", "1", "--spec", "classical", "--node-budget", "3")
-    assert code == 1 and out == ""
+    assert code == 1 and json.loads(out)["lower_bound"] == 2
     assert err.rstrip().endswith("; the domination number is at least 2")  # gamma is 3
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("ktuple:2", "node budget 50 exhausted at size 5; the domination number is at least 5"),
+    ("bracek:2", "node budget 50 exhausted"),
+])
+def test_exact_budget_stop_writes_its_bracket_to_stdout(capsys, tmp_path, spec, message):
+    """The bracket goes to stdout as JSON, never to --out, which keeps what it
+    held; the message stays on stderr and the exit code is 1."""
+    target = tmp_path / "out.json"
+    target.write_bytes(b"an earlier report")
+    graph_args = ("--family", "petersen", "--spec", spec)
+    code, out, err = run_cli(capsys, "exact", *graph_args, "--node-budget", "50",
+                             "--out", str(target))
+    assert code == 1 and err == f"multidom: error: {message}\n"
+    assert target.read_bytes() == b"an earlier report"
+    doc = json.loads(out)
+    assert sorted(doc) == ["graph", "lower_bound", "nodes", "status", "upper_bound", "witness"]
+    assert doc["status"] == "budget" and doc["nodes"] == 51 and doc["graph"]["n"] == 10
+    code, exact, _ = run_cli(capsys, "exact", *graph_args, "--no-timestamp")
+    assert code == 0 and doc["lower_bound"] <= json.loads(exact)["value"] <= doc["upper_bound"]
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(doc["witness"]))
+    code, report, _ = run_cli(capsys, "verify", *graph_args, "--witness", str(witness))
+    report = json.loads(report)
+    assert code == 0 and report["valid"] and report["weight"] == doc["upper_bound"]
 
 
 def test_construct_verify_pipeline(capsys, tmp_path):

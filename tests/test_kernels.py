@@ -172,9 +172,10 @@ def _set_search_matches_reference(g, k_req, l_req):
     for t in range(g.n + 1):
         full = reference_set_search(nbrs, suf, t, k_req, l_req, 10**9)[2]
         for budget in _budget_ladder(full, 10**9):
-            want = reference_set_search(nbrs, suf, t, k_req, l_req, budget)
+            status, membership, nodes = reference_set_search(nbrs, suf, t, k_req, l_req, budget)
+            picks = [v for v in range(g.n) if membership[v]]
             got = set_search_fixed_size(*tables, t, k_req, budget)
-            assert got == want, (k_req, l_req, t, budget)
+            assert got == (status, picks, nodes), (k_req, l_req, t, budget)
     return tables
 
 
@@ -184,7 +185,7 @@ def _set_search_matches_reference(g, k_req, l_req):
 @example(gnp(12, 0.7, 2))
 @settings(max_examples=60, deadline=None)
 def test_set_search_matches_reference(g):
-    """Same (status, membership, nodes) as the loop before the prune tables for
+    """Same (status, picks, nodes) as the loop before the prune tables for
     every demand pair, size and a ladder of budgets around the unbudgeted count."""
     for k_req in range(4):
         for l_req in range(5):

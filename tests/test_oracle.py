@@ -210,8 +210,9 @@ def _bracket_spec(label, g, data):
 @settings(max_examples=80, deadline=None)
 def test_budget_stop_brackets_the_optimum(g, label, data):
     """A search stops on its budget iff the budget is below its full node
-    count; then lower_bound <= optimum <= upper_bound, and a function search's
-    incumbent is a valid witness of weight upper_bound."""
+    count; then lower_bound <= optimum <= upper_bound, and its witness (the
+    set search's (l-1)-core, the function search's incumbent) is valid and
+    weighs upper_bound."""
     spec = _bracket_spec(label, g, data)
     if not spec.feasibility(g)[0]:
         return
@@ -227,9 +228,9 @@ def test_budget_stop_brackets_the_optimum(g, label, data):
             partial = exc.partial
             assert budget < full.nodes_explored
             assert partial["lower_bound"] <= full.value <= partial["upper_bound"]
-            if spec.is_function_variant:
-                report = verify_function(g, spec, partial["witness"])
-                assert report.valid and report.weight == partial["upper_bound"]
+            verify = verify_function if spec.is_function_variant else verify_set
+            report = verify(g, spec, partial["witness"])
+            assert report.valid and report.weight == partial["upper_bound"]
         else:
             assert budget >= full.nodes_explored and res == full
 

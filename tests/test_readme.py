@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import multidom as md
-from multidom.cli import main
+from multidom.cli import main, parse_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -48,3 +48,27 @@ def test_cli_block_runs(capsys, monkeypatch, tmp_path):
         if argv[1] == "verify":
             report = json.loads(capsys.readouterr().out)
             assert report["valid"] is True and not report["deficiencies"]
+
+
+def _catalogue_rows():
+    """(spec label, reports, reports with --c) for each row of the README's
+    bound catalogue table."""
+    section = README.split("## Bound catalogue", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    return [tuple(re.findall(r"`([^`]+)`", cell) for cell in row) for row in rows]
+
+
+def test_bound_catalogue_table_is_what_bounds_for_spec_reports(tmp_path):
+    (tmp_path / "r.txt").write_text("1 2 1 2 1")
+    (tmp_path / "s.txt").write_text("1 1 2 1 1")
+    rows = _catalogue_rows()
+    assert [label for (label,), _, _ in rows] == [
+        "classical", "kdom:K", "ktuple:K", "totalk:K", "param:K,L", "bracek:K", "rs:R,S",
+        "totalrs:R,S"]
+    for (label,), names, names_with_c in rows:
+        text = (label.replace("K,L", "1,3").replace(":K", ":2")
+                .replace("R,S", f"{tmp_path / 'r.txt'},{tmp_path / 's.txt'}"))
+        spec = parse_spec(text)
+        assert [r.name for r in md.bounds_for_spec(spec, 3, 5, force=True)] == names, label
+        reports = md.bounds_for_spec(spec, 3, 5, c=3.0, force=True)
+        assert [r.name for r in reports] == names_with_c, label
