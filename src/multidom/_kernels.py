@@ -12,18 +12,20 @@ computing (Lamport, CACM 18(8), 1975; Knuth, TAOCP 4A, 7.1.3). The graphs
 the exact oracle accepts (n <= 20 by default) make ints of a few hundred
 bits, so each such add replaces an interpreted loop over n list entries.
 
-The set search takes its tables from ``prune_tables``, built once per graph
-and demand pair with numpy: ``pick``, what a pick adds to the slack of every
-vertex, ``gain``, so that one add decides whether a pick survives, and
-``after``, so that a pick pruned at a vertex v skips at once every later
-sibling that misses N[v]. The function search packs its demands, assigned
-sums and unassigned capacities itself, from the rows ``oracle.py`` cuts
-from the CSR arrays and the starting capacity sums from ``coverage``, the
-neighbourhood sums every other layer uses.
+The set search takes its tables from ``prune_tables``: ``pick``, what a pick
+adds to the slack of every vertex, ``gain``, so that one add decides whether
+a pick survives, and ``after``, so that a pick pruned at a vertex v skips at
+once every later sibling that misses N[v]. What reads only the graph is
+built with numpy once per graph and cached; each demand pair adds its own
+fields with one packed add per row. The function search packs its demands,
+assigned sums and unassigned capacities itself, from the rows ``oracle.py``
+cuts from the CSR arrays and the starting capacity sums from ``coverage``,
+the neighbourhood sums every other layer uses.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import repeat
 
 import numpy as np
@@ -206,7 +208,39 @@ def _pack(rows, width):
     return list(map(int.from_bytes, packed.tolist(), repeat("little")))
 
 
-def prune_tables(g, k_req, l_req) -> tuple[int, list, list, list]:
+# The spec-free part of prune_tables, per graph and field width. Callers run
+# the specs of one graph in a row: in one round of perfbench's exact-small,
+# 488 of 611 builds are for the graph of the build before, and a cache of 2
+# hits as often as one of 64. It stays that small because with limit_n
+# raised one graph's tables reach megabytes.
+TABLE_CACHE_SIZE = 2
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _graph_tables(g, width) -> tuple[tuple, tuple, tuple, tuple]:
+    """(base, after, unit, above) of g at fields of ``width`` bytes:
+    base[rem][u] packs [v in N[u]] + min(suf[u+1][v], rem) biased, for rem
+    up to min(Δ+1, n-1); unit[u] has 1 in field u, and above[u] has 1 in
+    every field above u."""
+    n = g.n
+    suffix = suffix_counts(g)
+    closed = suffix[:, :-1] - suffix[:, 1:]  # [u in N[v]], symmetric
+    top = min(g.max_degree + 1, n - 1)
+    layers = closed + np.minimum(suffix[:, 1:].T, np.arange(top + 1)[:, None, None])
+    packed = _pack(layers.reshape(-1, n), width)
+    base = tuple(tuple(packed[n * r : n * (r + 1)]) for r in range(top + 1))
+    bits = 8 * width
+    ones = _ones(bits, n)
+    unit = tuple(1 << bits * u for u in range(n))
+    above = tuple(ones >> bits * (u + 1) << bits * (u + 1) for u in range(n))
+    ids = np.arange(n)
+    first = np.where(closed == 1, ids, n)
+    after = np.full((n, n), n)
+    after[:, :-1] = np.minimum.accumulate(first[:, :0:-1], axis=1)[:, ::-1]
+    return base, tuple(map(tuple, after.tolist())), unit, above
+
+
+def prune_tables(g, k_req, l_req) -> tuple[int, list, list, tuple]:
     """(bits, pick, gain, after) for ``set_search_fixed_size`` on g with
     these demands.
 
@@ -221,32 +255,26 @@ def prune_tables(g, k_req, l_req) -> tuple[int, list, list, list]:
     where suf[x][v] = |{w in N[v] : w >= x}| (``suffix_counts``). The third
     term lets a vertex above u, which may still join D, ask only the smaller
     demand while picks remain; the last turns u's demand from k_req into
-    l_req. A closed neighbourhood has at most Δ+1 members, so every layer
-    with rem > Δ+1 is the layer Δ+1 list itself. pick[u] is gain[0][u]
-    without its bias: picking u adds [v in N[u]] - (l_req - k_req) * [v = u]
-    to the slack of each v. after[v][u] is the smallest member of N[v] above
-    u, or n if there is none.
+    l_req. The first two terms and ``after`` read only g, so they are
+    cached per graph, and the last two are added field-wise as packed ints.
+    A closed neighbourhood has at most Δ+1 members, so every layer with rem
+    > Δ+1 is the layer Δ+1 list itself. pick[u] is gain[0][u] without its
+    bias: picking u adds [v in N[u]] - (l_req - k_req) * [v = u] to the
+    slack of each v. after[v][u] is the smallest member of N[v] above u, or
+    n if there is none.
     """
     n = g.n
-    suffix = suffix_counts(g)
-    closed = suffix[:, :-1] - suffix[:, 1:]  # [u in N[v]], symmetric
-    ids = np.arange(n)
-    top = min(g.max_degree + 1, n - 1)
-    rem = np.arange(top + 1)[:, None, None]
-    layers = (
-        closed
-        - (l_req - k_req) * (ids == ids[:, None])
-        + np.minimum(suffix[:, 1:].T, rem)
-    )
-    layers[1:] += (k_req - min(k_req, l_req)) * (ids > ids[:, None])
     width = next(w for w in (1, 2, 4, 8) if 2 * n + 1 + 2 * (k_req + l_req) < 1 << (8 * w - 1))
     bits = 8 * width
-    packed = _pack(layers.reshape(-1, n), width)
-    gain = [packed[n * r : n * (r + 1)] for r in range(top + 1)]
+    base, after, unit, above = _graph_tables(g, width)
+    # u's own field asks l_req, not k_req; while picks remain, every field
+    # above u asks only min(k_req, l_req)
+    own = [-(l_req - k_req) * x for x in unit]
+    rest = [x + (k_req - min(k_req, l_req)) * y for x, y in zip(own, above)]
+    gain = [[b + d for b, d in zip(base[0], own)]]
+    gain += [[b + d for b, d in zip(row, rest)] for row in base[1:]]
+    top = len(base) - 1
     gain += [gain[top]] * (n - 1 - top)
     high = _ones(bits, n) << (bits - 1)
     pick = [row - high for row in gain[0]]
-    first = np.where(closed == 1, ids, n)
-    after = np.full((n, n), n)
-    after[:, :-1] = np.minimum.accumulate(first[:, :0:-1], axis=1)[:, ::-1]
-    return bits, pick, gain, after.tolist()
+    return bits, pick, gain, after

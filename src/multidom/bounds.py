@@ -11,15 +11,25 @@ caps for functions) is still reported but flagged vacuous.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from dataclasses import asdict, dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .errors import _integer
-from .verify import LABEL_LIMIT, DominationSpec
+from .verify import FUNCTION_VARIANTS, LABEL_LIMIT, DominationSpec
 
 NEG_INF = float("-inf")
+
+# The bound catalogue and the two parameter bundles read only a few scalars,
+# so each is memoised on exactly those. In one round of perfbench's
+# exact-small, bounds_for_spec is called 753 times on 85 keys,
+# ParametricParams.derive 755 times on 10 and RSParams.derive 284 times on
+# 12; construct-large's 18 calls hold 18 keys. A catalogue entry holds at
+# most ten reports: 256 entries of the longest row take about 1.5 MB.
+BOUNDS_CACHE_SIZE = 256
 
 
 # log_binomial sums t terms, and compare_bounds asks for C(delta, t) at every
@@ -93,7 +103,9 @@ class RSParams:
     log_b: float  # ln B_{s-1}
 
     @classmethod
+    @functools.lru_cache(maxsize=BOUNDS_CACHE_SIZE)
     def derive(cls, tau: int, s: int, delta: int, closed: bool = True) -> "RSParams":
+        # every caller passes checked Python ints, so the cached fields are ints
         slots = delta + 1 if closed else delta
         if slots < 1:
             raise ValueError("total variant needs delta >= 1")
@@ -137,7 +149,11 @@ class ParametricParams:
     @classmethod
     def derive(cls, k: int, l: int, delta: int) -> "ParametricParams":
         k, l = _integer(k, "k", 1, LABEL_LIMIT - 1), _integer(l, "l", 1, LABEL_LIMIT - 1)
-        delta = _integer(delta, "delta", 0)
+        return cls._derive(k, l, _integer(delta, "delta", 0))
+
+    @classmethod
+    @functools.lru_cache(maxsize=BOUNDS_CACHE_SIZE)
+    def _derive(cls, k: int, l: int, delta: int) -> "ParametricParams":
         phi = max(k, l - 1)
         log_b_pair = _log_add(log_binomial(delta, k - 1), log_binomial(delta, l - 2))
         return cls(
@@ -196,10 +212,20 @@ class BoundReport:
     absolute: float | None
     vacuous: bool | None
     forced: bool
-    params: dict
+    params: Mapping
+
+    def __post_init__(self):
+        # bounds_for_spec hands one cached report to every caller, so params
+        # is a read-only copy
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; a mappingproxy
+        # does not pickle
+        return type(self), tuple(self.to_dict().values())
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"params": dict(self.params)}
 
 
 def _report(
@@ -481,14 +507,20 @@ def bound_rv(k: int, delta: int, n: int, force: bool = False) -> BoundReport:
     def coeff() -> float:
         log_d1 = math.log(delta + 1)
         total = k * log_d1 / (delta + 1)
-        # leading terms whose logs lie 8 below ln ulp(total) are each under
-        # ulp/2000 and cannot change the float sum: skip them unevaluated,
-        # sparing a factorial and a power of delta+1 with up to k digits each
+        # Term i is (k-i)/(i! (delta+1)^(k-i)), at most k/i!, and from i =
+        # delta on each term is below the one before. Leading terms whose
+        # logs lie 8 below ln ulp(total) are each under ulp/2000 and cannot
+        # change the float sum: skip them unevaluated, sparing a factorial
+        # and a power of delta+1 with up to k digits each. Once k/i! lies
+        # that low too, so does every later term.
         floor, i = math.log(math.ulp(total)) - 8, 0
         while i < k and math.log(k - i) - math.lgamma(i + 1) - (k - i) * log_d1 < floor:
-            i += 1
+            i = k if math.log(k) - math.lgamma(i + 1) < floor else i + 1
         for i in range(i, k):
-            total += (k - i) / (math.factorial(i) * (delta + 1) ** (k - i))
+            term = (k - i) / (math.factorial(i) * (delta + 1) ** (k - i))
+            if i >= delta and term < math.ulp(total) / 2:
+                break  # it and every later, smaller term round back to total
+            total += term
         return total
 
     return _report("rv", n, None, {"delta": delta, "k": k}, applicable, reason, coeff, force)
@@ -609,31 +641,46 @@ def bounds_for_spec(
     gets the four (k,l) bounds. Classical and k-tuple sets are also <1,k>
     functions (caps 1, demand k, cap sum n), and total k-sets total <1,k>
     functions; these and the other specializations stand around the (k,l)
-    bounds. A threshold pair is added only when c is given.
+    bounds. A threshold pair is added only when c is given. Equal arguments
+    share their (read-only) reports; the list is the caller's own.
     """
     delta, n = _integer(delta, "delta", 0), _integer(n, "n", 1)
+    args = spec.cap_summary(n) if spec.is_function_variant else spec.requirements()
+    return list(_catalogue(spec.variant, args, delta, n, c, force, _spelling(c), _spelling(force)))
+
+
+def _spelling(x) -> tuple:
+    """The type and repr of an argument, which tell apart equal arguments
+    that report differently: 3 and 3.0 (params echo c), 0.0 and -0.0 (a
+    reason prints c), 0 and False (forced echoes a falsy force)."""
+    return type(x), repr(x)
+
+
+@functools.lru_cache(maxsize=BOUNDS_CACHE_SIZE)
+def _catalogue(variant: str, args: tuple[int, ...], delta: int, n: int, c: float | None,
+               force: bool, *spelling) -> tuple[BoundReport, ...]:
+    """bounds_for_spec on checked delta and n, with args the caps summary of
+    a function variant or the (k, l) of a set variant; spelling only keys
+    the cache."""
 
     def forms(group, args, *c_arg):
         return [bound(*args, delta, n, *c_arg, force) for bound in group]
 
-    v = spec.variant
-    if v == "total_rs":
-        return forms(_TOTAL_RS_FORMS, spec.cap_summary(n))
-    if spec.is_function_variant:
-        caps = spec.cap_summary(n)
-        out, thresholds, tail = forms(_RS_FORMS, caps), (_RS_THRESHOLDS, caps), []
+    if variant == "total_rs":
+        return tuple(forms(_TOTAL_RS_FORMS, args))
+    if variant in FUNCTION_VARIANTS:
+        out, thresholds, tail = forms(_RS_FORMS, args), (_RS_THRESHOLDS, args), []
     else:
-        kl = spec.requirements()
-        k = kl[0]
+        k = args[0]
         one_k = (1, k, n)  # the <1,k> embedding
-        out, thresholds, tail = forms(_KL_FORMS, kl), (_KL_THRESHOLDS, kl), []
-        if v == "classical":
-            return [bound_classical(delta, n), bound_caro_roditty(delta, n, force=force),
-                    *forms(_RS_FORMS[:2], one_k), *out]
-        if v == "k_tuple":
+        out, thresholds, tail = forms(_KL_FORMS, args), (_KL_THRESHOLDS, args), []
+        if variant == "classical":
+            return (bound_classical(delta, n), bound_caro_roditty(delta, n, force=force),
+                    *forms(_RS_FORMS[:2], one_k), *out)
+        if variant == "k_tuple":
             out = [*forms(_RS_FORMS, one_k), *out, bound_rv(k, delta, n, force=force)]
             thresholds = _KTUPLE_THRESHOLDS, (k,)
-        elif v == "total_k":
+        elif variant == "total_k":
             out += forms(_TOTAL_RS_FORMS, one_k)
             tail = [_report("caro_yuster", n, None, {"delta": delta, "k": k},
                             applicability_caro_yuster(k, delta),
@@ -641,4 +688,4 @@ def bounds_for_spec(
                             lambda: None)]
     if c is not None:
         out += forms(*thresholds, c)
-    return out + tail
+    return tuple(out + tail)

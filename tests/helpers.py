@@ -12,6 +12,7 @@ import numpy as np
 import math
 
 from multidom import Graph, cycle, complete, gnp, path, petersen
+from multidom._kernels import _ones, _pack, suffix_counts
 from multidom.bounds import (
     BoundReport,
     ParametricParams,
@@ -245,6 +246,59 @@ def reference_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_
         f"pairing model failed to produce a simple {d}-regular graph "
         f"on {n} vertices in {max_attempts} attempts"
     )
+
+
+# -- the prune tables as one numpy build per demand pair ---------------------
+#
+# _kernels.prune_tables must return the same bits, pick, gain and after as
+# this copy, cold or with the graph's tables cached; the kernel's rows may
+# be tuples where these are lists.
+
+
+def reference_prune_tables(g, k_req, l_req) -> tuple[int, list, list, list]:
+    """(bits, pick, gain, after) for ``set_search_fixed_size`` on g with
+    these demands.
+
+    Slack is packed in fields of ``bits`` bits, the smallest of 8, 16, 32
+    and 64 whose bias B exceeds 2n + 1 + 2(k_req + l_req) >= |slack + gain|.
+    gain[rem][u] holds, biased by B in each field,
+
+    gain[rem][u][v] = [v in N[u]] + min(suf[u+1][v], rem)
+                      + (k_req - min(k_req, l_req)) * [v > u] * [rem > 0]
+                      - (l_req - k_req) * [v = u],
+
+    where suf[x][v] = |{w in N[v] : w >= x}| (``suffix_counts``). The third
+    term lets a vertex above u, which may still join D, ask only the smaller
+    demand while picks remain; the last turns u's demand from k_req into
+    l_req. A closed neighbourhood has at most Δ+1 members, so every layer
+    with rem > Δ+1 is the layer Δ+1 list itself. pick[u] is gain[0][u]
+    without its bias: picking u adds [v in N[u]] - (l_req - k_req) * [v = u]
+    to the slack of each v. after[v][u] is the smallest member of N[v] above
+    u, or n if there is none.
+    """
+    n = g.n
+    suffix = suffix_counts(g)
+    closed = suffix[:, :-1] - suffix[:, 1:]  # [u in N[v]], symmetric
+    ids = np.arange(n)
+    top = min(g.max_degree + 1, n - 1)
+    rem = np.arange(top + 1)[:, None, None]
+    layers = (
+        closed
+        - (l_req - k_req) * (ids == ids[:, None])
+        + np.minimum(suffix[:, 1:].T, rem)
+    )
+    layers[1:] += (k_req - min(k_req, l_req)) * (ids > ids[:, None])
+    width = next(w for w in (1, 2, 4, 8) if 2 * n + 1 + 2 * (k_req + l_req) < 1 << (8 * w - 1))
+    bits = 8 * width
+    packed = _pack(layers.reshape(-1, n), width)
+    gain = [packed[n * r : n * (r + 1)] for r in range(top + 1)]
+    gain += [gain[top]] * (n - 1 - top)
+    high = _ones(bits, n) << (bits - 1)
+    pick = [row - high for row in gain[0]]
+    first = np.where(closed == 1, ids, n)
+    after = np.full((n, n), n)
+    after[:, :-1] = np.minimum.accumulate(first[:, :0:-1], axis=1)[:, ::-1]
+    return bits, pick, gain, after.tolist()
 
 
 # -- the set-search kernel before its prune tables --------------------------

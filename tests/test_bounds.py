@@ -1,9 +1,13 @@
+import copy
 import json
 import math
+import pickle
 import random
 import sys
 import threading
+import time
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidom import (
+    Graph,
     applicability_caro_yuster,
     bound_caro_roditty,
     bound_classical,
@@ -31,7 +36,11 @@ from multidom import (
     bound_total_rs,
     bound_total_rs_log,
     bounds_for_spec,
+    exact_function_number,
+    exact_set_number,
+    gnp,
     log_binomial,
+    tune_c,
 )
 from helpers import reference_bounds_for_spec
 from multidom import bounds
@@ -407,6 +416,9 @@ def test_rv_matches_the_full_factorial_sum():
     pairs = [(k, delta) for k in range(1, 40) for delta in range(0, 40)]
     pairs += [(k, 1000) for k in range(1, 80)] + [(k, 10**4) for k in range(1, 600, 7)]
     pairs += [(rnd.randint(1, 300), rnd.randint(0, 10**6)) for _ in range(300)]
+    # at delta = 0 the first terms are the largest; the sum stops where they
+    # fall below half an ulp
+    pairs += [(k, 0) for k in range(40, 400, 3)] + [(500, 1), (500, 2), (3000, 0)]
     for k, delta in pairs:
         got = bound_rv(k, delta, 1, force=True).coefficient
         assert got.hex() == reference_rv_coefficient(k, delta).hex(), (k, delta)
@@ -424,6 +436,20 @@ def test_rv_skips_terms_below_the_sums_precision(monkeypatch):
     calls.clear()
     bound_rv(5, 1000, 1)
     assert calls == [0, 1, 2, 3, 4]  # every term counts here
+
+
+def test_rv_at_the_largest_k_returns_at_once():
+    """k = 2**31 - 1 at delta = 0 is applicable and sums a few terms, not k;
+    at any other delta, no term past the first with k/i! below the sum's
+    precision is taken."""
+    bounds._catalogue.cache_clear()
+    start = time.perf_counter()
+    rep = next(r for r in bounds_for_spec(DominationSpec.k_tuple(LABEL_LIMIT - 1), 0, 5)
+               if r.name == "rv")
+    assert rep.applicable and math.isfinite(rep.coefficient)
+    for delta in (1, 10**6, 2**40):
+        assert math.isfinite(bound_rv(LABEL_LIMIT - 1, delta, 5, force=True).coefficient)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_threshold_ktuple_values():
@@ -587,25 +613,129 @@ def _catalogue_specs(n):
 
 
 def _catalogue(fn, *args, **kwargs):
-    """fn's reports as dicts, or the error it raised."""
+    """fn's reports as JSON, which tells 3 from 3.0 and -0.0 from 0.0, or
+    the error it raised. A numpy c makes numpy scalars of the values it
+    enters, which print by repr here; a forced ln form at delta = 0 divides
+    by 0**(c*c/2), which a numpy c turns into numpy's divide warning, an
+    error here."""
     try:
-        return [r.to_dict() for r in fn(*args, **kwargs)]
-    except (ArithmeticError, ValueError) as exc:
+        return json.dumps([r.to_dict() for r in fn(*args, **kwargs)], default=repr)
+    except (ArithmeticError, ValueError, RuntimeWarning) as exc:
         return type(exc), str(exc)
+
+
+# c and force values that compare equal but report apart sit side by side,
+# so a cache that keyed them as one would hand one the other's reports
+CATALOGUE_CS = (None, 0.5, 1.5, 3.0, 3, np.float64(3.0), 0.0, -0.0, math.nan)
+CATALOGUE_FORCES = (False, 0, True, 1)
 
 
 @pytest.mark.parametrize("n", [4, 100])
 def test_bounds_for_spec_matches_the_branch_by_branch_catalogue(n):
-    """The same reports, in the same order, as the catalogue spelled out
-    branch by branch (kept in helpers), over every variant, degree, c and force."""
+    """The same reports, in the same order and the same JSON, as the
+    catalogue spelled out branch by branch (kept in helpers), over every
+    variant, degree, c and force: cold, warm, and warm in reverse order."""
+    calls = [(delta, c, force) for delta in (0, 1, 2, 3, 8, 50, 2000)
+             for force in CATALOGUE_FORCES for c in CATALOGUE_CS]
+    assert len(calls) <= bounds.BOUNDS_CACHE_SIZE  # so the second pass is all hits
     for spec in _catalogue_specs(n):
-        for delta in (0, 1, 2, 3, 8, 50, 2000):
-            for c in (None, 0.5, 1.5, 3.0):
-                for force in (False, True):
-                    args = (spec, delta, n)
-                    want = _catalogue(reference_bounds_for_spec, *args, c=c, force=force)
-                    assert _catalogue(bounds_for_spec, *args, c=c, force=force) == want, \
-                        (spec.label(), delta, c, force)
+        want = [_catalogue(reference_bounds_for_spec, spec, delta, n, c=c, force=force)
+                for delta, c, force in calls]
+        bounds._catalogue.cache_clear()
+        for order in (range(len(calls)), range(len(calls)), reversed(range(len(calls)))):
+            for i in order:
+                delta, c, force = calls[i]
+                got = _catalogue(bounds_for_spec, spec, delta, n, c=c, force=force)
+                assert got == want[i], (spec.label(), delta, c, force)
+        # the cold pass made no hit and the warm passes nothing else
+        assert bounds._catalogue.cache_info().hits == 2 * sum(isinstance(w, str) for w in want)
+
+
+def test_shared_reports_are_read_only_and_copy_and_pickle_equal():
+    args = (DominationSpec.k_tuple(3), 9, 10)
+    reports = bounds_for_spec(*args, c=3.0)
+    again = bounds_for_spec(*args, c=3.0)
+    assert again == reports and again is not reports  # the list is the caller's own
+    for rep in reports:
+        with pytest.raises(TypeError):
+            rep.params["delta"] = 0
+        assert type(rep.params) is MappingProxyType and type(rep.to_dict()["params"]) is dict
+        for twin in (copy.copy(rep), copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+            assert twin == rep and twin.to_dict() == rep.to_dict()
+            assert type(twin.params) is MappingProxyType
+    params = {"delta": 1}
+    rep = bounds.BoundReport("x", True, "", 0.5, 1.0, False, False, params)
+    params["delta"] = 2  # the report keeps its own copy
+    assert rep.params == {"delta": 1}
+
+
+def _complement(g: Graph) -> Graph:
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    u, v = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
+    adj[u, v] = True
+    rows, cols = np.triu_indices(g.n, k=1)
+    keep = ~adj[rows, cols]
+    return Graph(g.n, np.column_stack((rows[keep], cols[keep])))
+
+
+def _threshold_size(spec: DominationSpec, n: int) -> int:
+    """The parameter of the spec's threshold pair: k, max(k, l) or max demand."""
+    if spec.is_function_variant:
+        return spec.cap_summary(n)[1]
+    return spec.k if spec.variant == "k_tuple" else max(spec.requirements())
+
+
+def test_every_bound_with_c_is_at_least_the_exact_value():
+    """Every applicable bound, the threshold forms included, against the
+    exact value on dense graphs (complements of G(n, p)) at c in {0.5, 1.5,
+    3, tuned}, and the ln forms on K_2000 at c = 0.5, where the value is
+    max(k, l) for a (k, l) set spec and k for bracek:k. Each name the
+    catalogue reports with c, but the coefficient-free caro_yuster, is
+    compared at least once."""
+    start = time.perf_counter()
+    names = {r.name for n in (4, 100) for spec in _catalogue_specs(n)[:-1]
+             for r in bounds_for_spec(spec, 8, n, c=3.0)}
+    compared = dict.fromkeys(sorted(names - {"caro_yuster"}), 0)
+    violations = []
+
+    def compare(label, exact, reports):
+        for rep in reports:
+            if rep.applicable and rep.absolute is not None:
+                compared[rep.name] += 1
+                if exact > rep.absolute + 1e-9:
+                    violations.append((label, rep.name, exact, rep.absolute))
+
+    for n in (8, 12, 16):
+        caps = [1 + v % 2 for v in range(n)]
+        demands = [1 + v % 3 % 2 for v in range(n)]
+        specs = [DominationSpec.classical(), DominationSpec.k_dominating(2),
+                 DominationSpec.k_tuple(2), DominationSpec.total_k(2),
+                 DominationSpec.parametric(1, 3), DominationSpec.brace_k(2),
+                 DominationSpec.rs(caps, demands), DominationSpec.total_rs(caps, demands)]
+        for p in (0.1, 0.2, 0.3):
+            for seed in range(3):
+                g = _complement(gnp(n, p, seed))
+                for spec in specs:
+                    if not spec.feasibility(g)[0]:
+                        continue
+                    search = exact_set_number if spec.is_set_variant else exact_function_number
+                    exact = search(g, spec, limit_n=n).value
+                    cs = [0.5, 1.5, 3.0]
+                    try:
+                        cs.append(tune_c(_threshold_size(spec, n), g.min_degree))
+                    except ValueError:  # no feasible c > 1 at this degree
+                        pass
+                    for c in cs:
+                        compare((n, p, seed, spec.label(), c), exact,
+                                bounds_for_spec(spec, g.min_degree, n, c=c))
+    for spec in (DominationSpec.k_dominating(2), DominationSpec.k_tuple(2),
+                 DominationSpec.total_k(2), DominationSpec.parametric(1, 3),
+                 DominationSpec.brace_k(2)):
+        exact = spec.k if spec.is_function_variant else max(spec.requirements())
+        compare(("K2000", spec.label()), exact, bounds_for_spec(spec, 1999, 2000, c=0.5))
+    assert violations == []
+    assert [name for name, count in compared.items() if count == 0] == []
+    assert time.perf_counter() - start < 3.0
 
 
 # -- forced evaluation outside a formula's domain ------------------------------------

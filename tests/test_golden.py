@@ -10,6 +10,7 @@ logged in CHANGES.md.
 
 import hashlib
 
+from multidom import _kernels, bounds
 from multidom.cli import main
 
 GNP = ["--family", "gnp", "--n", "60", "--p", "0.2", "--seed", "7"]
@@ -170,11 +171,15 @@ GOLDEN = {
 
 
 def test_seeded_outputs_match_golden_hashes(tmp_path):
+    """Every case from cold caches, then again in reverse order against the
+    caches the first pass left, so that a stale or collapsed key shows."""
     commands = _commands(tmp_path)
-    got = {
-        name: hashlib.sha256(_output(tmp_path, name, argv)).hexdigest()
-        for name, argv in commands.items()
-    }
-    assert set(got) == set(GOLDEN)
-    wrong = sorted(name for name in got if got[name] != GOLDEN[name])
-    assert not wrong, f"outputs changed: {wrong}"
+    for cached in (bounds._catalogue, bounds.ParametricParams._derive, bounds.RSParams.derive,
+                   _kernels._graph_tables):
+        cached.cache_clear()
+    for names in (list(commands), list(commands)[::-1]):
+        got = {name: hashlib.sha256(_output(tmp_path, name, commands[name])).hexdigest()
+               for name in names}
+        assert set(got) == set(GOLDEN)
+        wrong = sorted(name for name in got if got[name] != GOLDEN[name])
+        assert not wrong, f"outputs changed: {wrong}"

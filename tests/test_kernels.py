@@ -5,9 +5,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multidom
-from helpers import reference_function_search, reference_set_search
-from multidom import DominationSpec, cycle, exact_function_number, exact_set_number, gnp, petersen
+from helpers import reference_function_search, reference_prune_tables, reference_set_search
+from multidom import (
+    DominationSpec,
+    cycle,
+    exact_function_number,
+    exact_set_number,
+    gnp,
+    path,
+    petersen,
+)
 from multidom._kernels import (
+    _graph_tables,
     function_search_min_weight,
     prune_tables,
     set_search_fixed_size,
@@ -202,6 +211,27 @@ WIDTHS = [(3, 1, 8), (2, 60, 16), (100, 1, 16), (40_000, 2, 32),
 def test_set_search_matches_reference_at_every_field_width(k_req, l_req, bits):
     for g in (gnp(9, 0.5, 1), gnp(8, 0.3, 2), cycle(5), petersen()):
         assert _set_search_matches_reference(g, k_req, l_req)[0] == bits
+
+
+def _as_lists(bits, pick, gain, after):
+    return bits, pick, [list(row) for row in gain], [list(row) for row in after]
+
+
+def test_prune_tables_match_the_one_build_per_demand_pair_cold_and_warm():
+    """The cached graph tables plus each pair's packed adds give the same
+    tables as one numpy build per pair: cold, then warm in reverse order,
+    over every pair of range(4) x range(5) and every field width."""
+    graphs = (gnp(9, 0.5, 1), gnp(8, 0.3, 2), cycle(5), petersen(), gnp(12, 0.7, 0), path(1),
+              path(2))
+    pairs = [(k, l) for k in range(4) for l in range(5)] + [(k, l) for k, l, _ in WIDTHS]
+    cases = [(g, k, l) for g in graphs for k, l in pairs]
+    want = [reference_prune_tables(*case) for case in cases]
+    _graph_tables.cache_clear()
+    for order in (range(len(cases)), reversed(range(len(cases)))):
+        for i in order:
+            g, k, l = cases[i]
+            assert _as_lists(*prune_tables(g, k, l)) == want[i], (g, k, l)
+    assert _graph_tables.cache_info().hits > len(cases)
 
 
 def test_largest_k_dominating_takes_every_vertex():
