@@ -18,17 +18,17 @@ from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .errors import _integer
 from .verify import FUNCTION_VARIANTS, LABEL_LIMIT, DominationSpec
 
 NEG_INF = float("-inf")
 
-# The bound catalogue and the two parameter bundles read only a few scalars,
-# so each is memoised on exactly those. In one round of perfbench's
-# exact-small, bounds_for_spec is called 753 times on 85 keys,
-# ParametricParams.derive 755 times on 10 and RSParams.derive 284 times on
-# 12; construct-large's 18 calls hold 18 keys. A catalogue entry holds at
-# most ten reports: 256 entries of the longest row take about 1.5 MB.
+# The bound catalogue reads only a few scalars, so it is memoised on exactly
+# those. In one round of perfbench's exact-small, bounds_for_spec is called
+# 753 times on 85 keys; construct-large's 18 calls hold 18 keys. An entry
+# holds at most ten reports: 256 entries of the longest row take about 1.5 MB.
 BOUNDS_CACHE_SIZE = 256
 
 
@@ -72,6 +72,12 @@ def log_binomial(top: int, t: int) -> float:
         return acc
 
 
+def _plain(x):
+    """A numpy scalar as its Python value (.item()), anything else as it is,
+    so that a numpy c or force reports exactly as the Python one does."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def _log_add(a: float, b: float) -> float:
     """ln(e^a + e^b), tolerant of -inf operands."""
     if a == NEG_INF:
@@ -103,9 +109,7 @@ class RSParams:
     log_b: float  # ln B_{s-1}
 
     @classmethod
-    @functools.lru_cache(maxsize=BOUNDS_CACHE_SIZE)
     def derive(cls, tau: int, s: int, delta: int, closed: bool = True) -> "RSParams":
-        # every caller passes checked Python ints, so the cached fields are ints
         slots = delta + 1 if closed else delta
         if slots < 1:
             raise ValueError("total variant needs delta >= 1")
@@ -149,11 +153,7 @@ class ParametricParams:
     @classmethod
     def derive(cls, k: int, l: int, delta: int) -> "ParametricParams":
         k, l = _integer(k, "k", 1, LABEL_LIMIT - 1), _integer(l, "l", 1, LABEL_LIMIT - 1)
-        return cls._derive(k, l, _integer(delta, "delta", 0))
-
-    @classmethod
-    @functools.lru_cache(maxsize=BOUNDS_CACHE_SIZE)
-    def _derive(cls, k: int, l: int, delta: int) -> "ParametricParams":
+        delta = _integer(delta, "delta", 0)
         phi = max(k, l - 1)
         log_b_pair = _log_add(log_binomial(delta, k - 1), log_binomial(delta, l - 2))
         return cls(
@@ -242,7 +242,7 @@ def _report(
     forced one that raises an ArithmeticError or ValueError, or any
     non-finite result, gives no coefficient; non-finite params become None,
     so to_dict() is strict JSON. cap_absolute is the trivial bound, n when None."""
-    n = _integer(n, "n", 1)
+    n, force = _integer(n, "n", 1), _plain(force)
     cap_absolute = n if cap_absolute is None else cap_absolute
     coefficient = absolute = None
     if applicable or force:
@@ -531,22 +531,22 @@ def _threshold_coeff(size: int, delta: int, c: float) -> float:
 
 
 def _threshold(name: str, size: int, delta: int, n: int, c: float, cap: int | None,
-               params: dict, force: bool, degree_gate: Callable[[int], tuple[bool, str]],
+               params: dict, force: bool, degree_gate: Callable[[int, float], tuple[bool, str]],
                extra_gate: tuple[bool, str] = (True, "")) -> BoundReport:
     """The c-form (c/(delta+1) + e^(-size(c+1/c-2)/2)) size n, gated on c > 1,
-    then extra_gate, then degree_gate(delta); force does not pass a failed
-    extra_gate. Checks delta, which leads the params."""
-    delta = _integer(delta, "delta", 0)
-    applicable, reason = _gate((c > 1, f"needs c > 1, got c={c}"), extra_gate, degree_gate(delta))
-    return _report(name, n, cap, {"delta": delta, **params}, applicable, reason,
+    then extra_gate, then degree_gate(delta, c); force does not pass a failed
+    extra_gate. Checks delta, which leads the params, and echoes c after them."""
+    delta, c = _integer(delta, "delta", 0), _plain(c)
+    applicable, reason = _gate((c > 1, f"needs c > 1, got c={c}"), extra_gate, degree_gate(delta, c))
+    return _report(name, n, cap, {"delta": delta, **params, "c": c}, applicable, reason,
                    lambda: _threshold_coeff(size, delta, c) if extra_gate[0] else None, force)
 
 
 def bound_threshold_ktuple(k: int, delta: int, n: int, c: float, force: bool = False) -> BoundReport:
     """k-tuple bound (c/(delta+1) + e^(-k(c+1/c-2)/2)) k n under delta >= ck-1, c > 1."""
     k = _integer(k, "k", 1, LABEL_LIMIT - 1)
-    return _threshold("ktuple_threshold", k, delta, n, c, None, {"k": k, "c": c}, force,
-                      lambda delta: (delta >= c * k - 1, f"needs delta >= ck-1 = {c * k - 1:.3f}"))
+    return _threshold("ktuple_threshold", k, delta, n, c, None, {"k": k}, force,
+                      lambda delta, c: (delta >= c * k - 1, f"needs delta >= ck-1 = {c * k - 1:.3f}"))
 
 
 def bound_threshold_parametric(
@@ -556,8 +556,8 @@ def bound_threshold_parametric(
     k, l = _integer(k, "k", 1, LABEL_LIMIT - 1), _integer(l, "l", 1, LABEL_LIMIT - 1)
     mu = max(k, l)
     return _threshold(
-        "parametric_threshold", mu, delta, n, c, None, {"k": k, "l": l, "mu": mu, "c": c}, force,
-        lambda delta: (delta >= c * mu - 1, f"needs delta >= c*mu-1 = {c * mu - 1:.3f}"))
+        "parametric_threshold", mu, delta, n, c, None, {"k": k, "l": l, "mu": mu}, force,
+        lambda delta, c: (delta >= c * mu - 1, f"needs delta >= c*mu-1 = {c * mu - 1:.3f}"))
 
 
 def bound_threshold_rs(
@@ -566,8 +566,8 @@ def bound_threshold_rs(
     """Capped-function threshold bound with s = max demand under (delta+1)tau >= cs, c > 1."""
     tau, s, cap_sum = _caps(tau, s, cap_sum)
     return _threshold(
-        "rs_threshold", s, delta, n, c, cap_sum, {"tau": tau, "s": s, "c": c}, force,
-        lambda delta: ((delta + 1) * tau >= c * s, f"needs (delta+1)*tau >= c*s = {c * s:.3f}"),
+        "rs_threshold", s, delta, n, c, cap_sum, {"tau": tau, "s": s}, force,
+        lambda delta, c: ((delta + 1) * tau >= c * s, f"needs (delta+1)*tau >= c*s = {c * s:.3f}"),
         (s >= 1, _ZERO_DEMAND))
 
 
@@ -576,21 +576,21 @@ def _ln_threshold(name: str, size: int, delta: int, n: int, c: float,
                   extra_gate: tuple[bool, str] = (True, "")) -> BoundReport:
     """The ln-form (ln(delta)/(delta+1) + size/delta^(c^2/2)) n, gated on
     extra_gate, then 0 < c < 1, then size <= (1-c) ln delta. Checks delta,
-    which leads the params."""
-    delta = _integer(delta, "delta", 0)
+    which leads the params, and echoes c after them."""
+    delta, c = _integer(delta, "delta", 0), _plain(c)
     log_delta = math.log(delta) if delta >= 1 else NEG_INF
     applicable, reason = _gate(
         extra_gate, (0.0 < c < 1.0, f"needs 0 < c < 1, got c={c}"),
         (size <= (1.0 - c) * log_delta,
          f"needs parameter <= (1-c)*ln(delta) = {(1 - c) * log_delta:.3f}"))
-    return _report(name, n, cap, {"delta": delta, **params}, applicable, reason,
+    return _report(name, n, cap, {"delta": delta, **params, "c": c}, applicable, reason,
                    lambda: log_delta / (delta + 1) + size / delta ** (0.5 * c * c), force)
 
 
 def bound_ln_threshold_ktuple(k: int, delta: int, n: int, c: float, force: bool = False) -> BoundReport:
     """k-tuple bound (ln(delta)/(delta+1) + k/delta^(c^2/2)) n under k <= (1-c) ln delta."""
     k = _integer(k, "k", 1, LABEL_LIMIT - 1)
-    return _ln_threshold("ktuple_ln_threshold", k, delta, n, c, None, {"k": k, "c": c}, force)
+    return _ln_threshold("ktuple_ln_threshold", k, delta, n, c, None, {"k": k}, force)
 
 
 def bound_ln_threshold_parametric(
@@ -600,7 +600,7 @@ def bound_ln_threshold_parametric(
     k, l = _integer(k, "k", 1, LABEL_LIMIT - 1), _integer(l, "l", 1, LABEL_LIMIT - 1)
     mu = max(k, l)
     return _ln_threshold("parametric_ln_threshold", mu, delta, n, c, None,
-                         {"k": k, "l": l, "mu": mu, "c": c}, force)
+                         {"k": k, "l": l, "mu": mu}, force)
 
 
 def bound_ln_threshold_rs(
@@ -610,7 +610,7 @@ def bound_ln_threshold_rs(
     implies the existence condition (delta+1)tau >= s when tau >= 1."""
     tau, s, cap_sum = _caps(tau, s, cap_sum)
     return _ln_threshold("rs_ln_threshold", s, delta, n, c, cap_sum,
-                         {"tau": tau, "s": s, "c": c}, force, (tau >= 1, "needs min cap tau >= 1"))
+                         {"tau": tau, "s": s}, force, (tau >= 1, "needs min cap tau >= 1"))
 
 
 def applicability_caro_yuster(k: int, delta: int) -> bool:
@@ -645,6 +645,7 @@ def bounds_for_spec(
     share their (read-only) reports; the list is the caller's own.
     """
     delta, n = _integer(delta, "delta", 0), _integer(n, "n", 1)
+    c, force = _plain(c), _plain(force)
     args = spec.cap_summary(n) if spec.is_function_variant else spec.requirements()
     return list(_catalogue(spec.variant, args, delta, n, c, force, _spelling(c), _spelling(force)))
 

@@ -614,18 +614,16 @@ def _catalogue_specs(n):
 
 def _catalogue(fn, *args, **kwargs):
     """fn's reports as JSON, which tells 3 from 3.0 and -0.0 from 0.0, or
-    the error it raised. A numpy c makes numpy scalars of the values it
-    enters, which print by repr here; a forced ln form at delta = 0 divides
-    by 0**(c*c/2), which a numpy c turns into numpy's divide warning, an
-    error here."""
+    the error it raised."""
     try:
-        return json.dumps([r.to_dict() for r in fn(*args, **kwargs)], default=repr)
-    except (ArithmeticError, ValueError, RuntimeWarning) as exc:
+        return json.dumps([r.to_dict() for r in fn(*args, **kwargs)])
+    except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
 
 
 # c and force values that compare equal but report apart sit side by side,
-# so a cache that keyed them as one would hand one the other's reports
+# so a cache that keyed them as one would hand one the other's reports; a
+# numpy c reports as its Python value and shares that value's entry
 CATALOGUE_CS = (None, 0.5, 1.5, 3.0, 3, np.float64(3.0), 0.0, -0.0, math.nan)
 CATALOGUE_FORCES = (False, 0, True, 1)
 
@@ -638,17 +636,54 @@ def test_bounds_for_spec_matches_the_branch_by_branch_catalogue(n):
     calls = [(delta, c, force) for delta in (0, 1, 2, 3, 8, 50, 2000)
              for force in CATALOGUE_FORCES for c in CATALOGUE_CS]
     assert len(calls) <= bounds.BOUNDS_CACHE_SIZE  # so the second pass is all hits
+    shared = [isinstance(c, np.generic) for _, c, _ in calls]
     for spec in _catalogue_specs(n):
-        want = [_catalogue(reference_bounds_for_spec, spec, delta, n, c=c, force=force)
-                for delta, c, force in calls]
+        want = [_catalogue(reference_bounds_for_spec, spec, delta, n,
+                           c=c.item() if is_np else c, force=force)
+                for (delta, c, force), is_np in zip(calls, shared)]
         bounds._catalogue.cache_clear()
         for order in (range(len(calls)), range(len(calls)), reversed(range(len(calls)))):
             for i in order:
                 delta, c, force = calls[i]
                 got = _catalogue(bounds_for_spec, spec, delta, n, c=c, force=force)
                 assert got == want[i], (spec.label(), delta, c, force)
-        # the cold pass made no hit and the warm passes nothing else
-        assert bounds._catalogue.cache_info().hits == 2 * sum(isinstance(w, str) for w in want)
+        # the cold pass hit only where a numpy c met its Python value, and
+        # the warm passes hit every entry
+        hits = sum(isinstance(w, str) * (2 + is_np) for w, is_np in zip(want, shared))
+        assert bounds._catalogue.cache_info().hits == hits
+
+
+# every public bound with a force argument, by its arguments ahead of
+# (delta, n), and whether c follows n
+FORCED_BOUNDS = (
+    (bound_caro_roditty, (), False), (bound_rv, (2,), False),
+    *((fn, (2, 3, 40), False) for fn in (bound_rs, bound_rs_log, bound_rs_log_optimized,
+                                          bound_total_rs, bound_total_rs_log)),
+    *((fn, (1, 3), False) for fn in (bound_parametric, bound_parametric_log,
+                                      bound_parametric_alt, bound_parametric_alt_log)),
+    (bound_threshold_ktuple, (2,), True), (bound_ln_threshold_ktuple, (1,), True),
+    (bound_threshold_parametric, (1, 3), True), (bound_ln_threshold_parametric, (1, 1), True),
+    (bound_threshold_rs, (2, 3, 40), True), (bound_ln_threshold_rs, (2, 1, 40), True),
+)
+
+
+@pytest.mark.parametrize("c", [np.float64(3.0), np.float64(0.5), np.int64(3)])
+@pytest.mark.parametrize("force", [np.True_, np.False_])
+def test_numpy_c_and_force_report_as_their_python_values(c, force):
+    """Strict JSON, byte for byte that of the same call with c.item() and
+    force.item(), from bounds_for_spec and every bound taking c or force."""
+
+    def dump(reports):
+        return json.dumps([r.to_dict() for r in reports], allow_nan=False)
+
+    for delta in (0, 1, 8, 50, 2000):
+        for spec in _catalogue_specs(20)[:-1]:  # the last spec raises
+            got = dump(bounds_for_spec(spec, delta, 20, c=c, force=force))
+            assert got == dump(bounds_for_spec(spec, delta, 20, c=c.item(), force=force.item()))
+        for fn, args, takes_c in FORCED_BOUNDS:
+            cs = ((c,), (c.item(),)) if takes_c else ((), ())
+            got = dump([fn(*args, delta, 100, *cs[0], force=force)])
+            assert got == dump([fn(*args, delta, 100, *cs[1], force=force.item())]), fn.__name__
 
 
 def test_shared_reports_are_read_only_and_copy_and_pickle_equal():

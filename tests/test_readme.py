@@ -1,5 +1,7 @@
-"""Every python block of README.md runs as written, and so does its CLI walk-through."""
+"""Every python block of README.md runs as written, and so does its CLI
+walk-through; its tables match the code."""
 
+import ast
 import json
 import re
 import shlex
@@ -72,3 +74,33 @@ def test_bound_catalogue_table_is_what_bounds_for_spec_reports(tmp_path):
         assert [r.name for r in md.bounds_for_spec(spec, 3, 5, force=True)] == names, label
         reports = md.bounds_for_spec(spec, 3, 5, c=3.0, force=True)
         assert [r.name for r in reports] == names_with_c, label
+
+
+def _cached_functions() -> set[str]:
+    """module.name (module.Class.name for a method) of every function in
+    src/multidom decorated with functools.lru_cache or functools.cache."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in child.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if ast.unparse(dec) in ("functools.lru_cache", "functools.cache",
+                                            "lru_cache", "cache"):
+                        found.add(prefix + child.name)
+
+    for path in (ROOT / "src" / "multidom").glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+    return found
+
+
+def test_cache_table_lists_every_cache_in_the_code():
+    """The rows of "Caches and fast paths" whose kind is a functools cache
+    name exactly the cached functions of the package."""
+    section = README.split("## Caches and fast paths", 1)[1].split("\n#", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    listed = {re.search(r"`([^`]+)`", row[0])[1] for row in rows if "`functools." in row[1]}
+    assert listed == _cached_functions()

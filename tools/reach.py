@@ -15,6 +15,9 @@ left out.
 Usage, from the root of the repository:
 
     PYTHONPATH=src python tools/reach.py
+
+Under ``python -O`` the same run also tests the code with every assert
+outside the test modules stripped; the CI job runs it that way.
 """
 
 from __future__ import annotations
