@@ -192,10 +192,10 @@ def _cmd_exact(args) -> dict:
     except ResourceLimitError as exc:
         if exc.partial is None:  # refused before the search began
             raise
-        # a budget stop: main writes this bracket to stdout and exits 1
-        bracket = {key: exc.partial[key] for key in ("lower_bound", "upper_bound", "nodes")}
+        # a budget stop: main writes the library's bracket to stdout, its
+        # witness in the form verify reads, and exits 1
         raise ResourceLimitError(str(exc), partial={
-            "status": "budget", **bracket, "witness": _witness_dict(exc.partial["witness"]),
+            **exc.partial, "status": "budget", "witness": _witness_dict(exc.partial["witness"]),
             **_about(g)}) from None
     return {**result.to_dict(), **_about(g)}
 
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Multiple-domination bounds, constructions and exact solvers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[], help="generate a family graph and write it out")
+    p = sub.add_parser("gen", help="generate a family graph and write it out")
     _add_graph_args(p)
     _add_output_args(p, formats=GRAPH_FORMATS)
     p.set_defaults(func=_cmd_gen)

@@ -70,9 +70,13 @@ class NotApplicableError(MultidomError, ValueError):
 
 
 class ResourceLimitError(MultidomError, RuntimeError):
-    """An exact search refused to run or exceeded its configured limits.
+    """A computation refused to run or exceeded its configured limits.
 
-    ``partial`` holds whatever information was gathered before giving up.
+    ``partial`` is None for a refusal, such as an exact search over limit_n
+    or a random_regular draw out of attempts. For an exact search's budget
+    stop it is the bracket of the optimum: a dict with exactly the
+    keys ``lower_bound``, ``upper_bound``, ``witness`` (valid, of weight
+    upper_bound) and ``nodes`` (the search nodes explored).
     """
 
     def __init__(self, message: str, partial: object = None):

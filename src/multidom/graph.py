@@ -315,6 +315,8 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 
 def _check_vertex_count(n: int, lineno: int | None = None) -> None:
+    if n < 1:
+        raise GraphFormatError(f"vertex count {n} is below 1", lineno)
     if n > MAX_VERTICES:
         raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
 
@@ -400,6 +402,7 @@ def _edge_list_loop(lines: list[str]) -> Graph:
             body = line[1:].strip()
             if body.startswith("n=") and declared_n is None:
                 declared_n = _parse_int(body[2:].strip(), lineno, "vertex count")
+                _check_vertex_count(declared_n, lineno)
             continue
         parts = line.split()
         if len(parts) != 2:

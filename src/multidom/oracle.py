@@ -6,12 +6,19 @@ domination number by definition); function variants run a depth-first
 assignment over vertices ordered by ascending degree, so small closed
 neighborhoods complete early and prune hard. Resource limits are explicit
 inputs and exceeding them refuses loudly rather than truncating silently.
+
+A search ends one of three ways. A refusal (n above limit_n) raises
+ResourceLimitError with no ``partial``. A budget stop raises it with the
+bracket lower_bound <= value <= upper_bound, a witness of weight
+upper_bound and the nodes explored. A finished search returns an
+ExactResult whose witness has been verified and weighs the value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -55,6 +62,24 @@ def _admit(g: Graph, spec: DominationSpec, limit_n: int, node_budget: int) -> in
     return node_budget
 
 
+def _budget_stop(message: str, lower: int, upper: int, witness, nodes: int) -> NoReturn:
+    """Raise the budget stop of a search: ResourceLimitError whose
+    ``partial`` brackets the optimum, lower_bound <= value <= upper_bound,
+    with a valid ``witness`` of weight upper_bound and the ``nodes``
+    explored."""
+    raise ResourceLimitError(message, partial={
+        "lower_bound": lower, "upper_bound": upper, "witness": witness, "nodes": nodes})
+
+
+def _verified(g: Graph, spec: DominationSpec, value: int, witness, nodes: int) -> ExactResult:
+    """The result of a finished search, once its witness verifies and weighs value."""
+    verify = verify_set if spec.is_set_variant else verify_function
+    report = verify(g, spec, witness)
+    if not report.valid or report.weight != value:
+        raise MultidomError("internal: search returned an invalid witness")
+    return ExactResult(value, witness, nodes, spec)
+
+
 def exact_set_number(
     g: Graph,
     spec: DominationSpec,
@@ -63,8 +88,8 @@ def exact_set_number(
 ) -> ExactResult:
     """Minimum cardinality of a witness set for a set-type spec.
 
-    Running out of node_budget raises ResourceLimitError; its ``partial``
-    brackets the value with ``lower_bound`` (the size reached) and
+    Running out of node_budget at size t raises ResourceLimitError; its
+    ``partial`` brackets the value with ``lower_bound`` = t and
     ``upper_bound``, the size of ``witness``: the (l-1)-core as a tuple,
     always a witness."""
     if not spec.is_set_variant:
@@ -85,17 +110,11 @@ def exact_set_number(
             # every size below t is ruled out: from t_start up by exhausted
             # searches, below t_start by the counting bound
             core = tuple(np.flatnonzero(_guaranteed_witness(g, spec)).tolist())
-            raise ResourceLimitError(
-                f"node budget {node_budget} exhausted at size {t}; "
-                f"the domination number is at least {t}",
-                partial={"size_reached": t, "nodes": nodes_total, "lower_bound": t,
-                         "upper_bound": len(core), "witness": core},
-            )
+            _budget_stop(f"node budget {node_budget} exhausted at size {t}; "
+                         f"the domination number is at least {t}",
+                         t, len(core), core, nodes_total)
         if status == 1:
-            witness = tuple(picks)
-            if not verify_set(g, spec, witness).valid:
-                raise MultidomError("internal: search returned an invalid witness")
-            return ExactResult(t, witness, nodes_total, spec)
+            return _verified(g, spec, t, tuple(picks), nodes_total)
     raise MultidomError("internal: the (l-1)-core of G should satisfy any feasible set spec")
 
 
@@ -110,7 +129,7 @@ def exact_function_number(
     Running out of node_budget raises ResourceLimitError; its ``partial``
     brackets the value with ``lower_bound`` = max(max s, ceil(sum s / w)),
     w = Δ+1 closed or Δ open, and ``upper_bound``, the weight of the
-    incumbent ``witness`` (also ``best_weight_so_far``)."""
+    incumbent ``witness``."""
     if not spec.is_function_variant:
         raise ValueError(f"exact_function_number needs a function variant, got {spec.variant}")
     node_budget = _admit(g, spec, limit_n, node_budget)
@@ -134,12 +153,5 @@ def exact_function_number(
         # w = 0 only with open rows and no edges, where every demand is 0
         w = max(g.max_degree + closed, 1)
         lower = max(int(demands.max()), -(-int(demands.sum()) // w))
-        raise ResourceLimitError(
-            f"node budget {node_budget} exhausted",
-            partial={"best_weight_so_far": best_w, "nodes": nodes, "lower_bound": lower,
-                     "upper_bound": best_w, "witness": witness},
-        )
-    report = verify_function(g, spec, witness)
-    if not report.valid or report.weight != best_w:
-        raise MultidomError("internal: search returned an invalid witness")
-    return ExactResult(best_w, witness, nodes, spec)
+        _budget_stop(f"node budget {node_budget} exhausted", lower, best_w, witness, nodes)
+    return _verified(g, spec, best_w, witness, nodes)

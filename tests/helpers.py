@@ -5,13 +5,15 @@ These deliberately work off plain adjacency lists read from
 so they can serve as ground truth.
 """
 
+import ast
+import importlib
+import math
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
-import math
-
-from multidom import Graph, cycle, complete, gnp, path, petersen
+from multidom import Graph, bounds, cycle, complete, gnp, path, petersen
 from multidom._kernels import _ones, _pack, suffix_counts
 from multidom.bounds import (
     BoundReport,
@@ -43,6 +45,58 @@ from multidom.errors import GraphFormatError, MultidomError, ResourceLimitError,
 from multidom.graph import MAX_VERTICES
 from multidom.graph import coverage as graph_coverage
 from multidom.verify import DominationSpec, VertexFunction, _core, verify_function, verify_set
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "multidom"
+
+
+def cached_functions() -> set[str]:
+    """module.name (module.Class.name for a method) of every function in
+    src/multidom decorated with functools.lru_cache or functools.cache."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in child.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if ast.unparse(dec) in ("functools.lru_cache", "functools.cache",
+                                            "lru_cache", "cache"):
+                        found.add(prefix + child.name)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+    return found
+
+
+def package_attribute(name: str):
+    """The object module.name (module.Class.name, ...) names in multidom;
+    AttributeError when there is none."""
+    module, *attrs = name.split(".")
+    found = importlib.import_module(f"multidom.{module}")
+    for attr in attrs:
+        found = getattr(found, attr)
+    return found
+
+
+def clear_caches() -> None:
+    """Empty every functools cache of the package and log_binomial's prefix
+    store, so that the next call starts cold."""
+    for name in cached_functions():
+        package_attribute(name).cache_clear()
+    bounds._log_binomial_prefixes.clear()
+
+
+def read_graph6(line: bytes) -> Graph:
+    """One graph6 line of a graph on 1 to 62 vertices: the byte n + 63, then
+    the upper triangle column by column, (0,1), (0,2), (1,2), (0,3), ...,
+    six bits to a byte, each byte plus 63, high bit first."""
+    n, *packed = (c - 63 for c in line.strip())
+    bits = [(byte >> shift) & 1 for byte in packed for shift in range(5, -1, -1)]
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
 def adjacency(g: Graph) -> list[tuple[int, ...]]:
@@ -139,6 +193,8 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 
 def _check_vertex_count(n: int, lineno: int | None = None) -> None:
+    if n < 1:
+        raise GraphFormatError(f"vertex count {n} is below 1", lineno)
     if n > MAX_VERTICES:
         raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
 
@@ -156,6 +212,7 @@ def reference_read_edge_list(text: str) -> Graph:
             body = line[1:].strip()
             if body.startswith("n=") and declared_n is None:
                 declared_n = _parse_int(body[2:].strip(), lineno, "vertex count")
+                _check_vertex_count(declared_n, lineno)
             continue
         parts = line.split()
         if len(parts) != 2:

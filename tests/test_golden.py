@@ -10,7 +10,7 @@ logged in CHANGES.md.
 
 import hashlib
 
-from multidom import _kernels, bounds
+from helpers import clear_caches
 from multidom.cli import main
 
 GNP = ["--family", "gnp", "--n", "60", "--p", "0.2", "--seed", "7"]
@@ -174,8 +174,7 @@ def test_seeded_outputs_match_golden_hashes(tmp_path):
     """Every case from cold caches, then again in reverse order against the
     caches the first pass left, so that a stale or collapsed key shows."""
     commands = _commands(tmp_path)
-    for cached in (bounds._catalogue, _kernels._graph_tables):
-        cached.cache_clear()
+    clear_caches()
     for names in (list(commands), list(commands)[::-1]):
         got = {name: hashlib.sha256(_output(tmp_path, name, commands[name])).hexdigest()
                for name in names}

@@ -401,3 +401,12 @@ def test_vertex_count_is_bounded_before_allocating(text):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("text,line,n", [("# n=0\n", 1, 0), ("# n=0\n0 1\n", 1, 0),
+                                         ("# x\n# n=-2\n0 1\n", 2, -2), ("p edge 0 0\n", 1, 0),
+                                         ("c x\np edge -5 1\ne 1 2\n", 2, -5)])
+def test_a_declared_vertex_count_below_one_is_an_error_on_its_header(text, line, n):
+    with pytest.raises(GraphFormatError, match=f"^line {line}: vertex count {n} is below 1$") as exc:
+        read_graph(text)
+    assert exc.value.line == line

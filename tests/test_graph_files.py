@@ -114,7 +114,7 @@ def test_edge_list_reader_matches_reference(text):
 @example("p edge 3 1\ne 1 2 e\n")  # the kind token again inside a line
 @example("p edge 3 2\ne 1 2\ne 2 1\n")  # duplicate in the other orientation
 @example(f"p edge 3 1\ne 1 {2**63}\n")  # vertex id beyond int64
-@example("p edge 0 0\n")  # Graph rejects n = 0
+@example("p edge 0 0\n")  # a vertex count below 1, on the problem line
 @example(f"p edge {-10**30} 1\ne 1 2\n")
 @example("p edge 3 1\np edge 3 1\n")
 @example("e 1 2\np edge 3 1\n")

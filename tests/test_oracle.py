@@ -155,8 +155,7 @@ def test_resource_guards():
     with pytest.raises(ResourceLimitError) as exc:
         exact_set_number(g, DominationSpec.classical(), node_budget=3)
     assert exc.value.partial is not None
-    t = exc.value.partial["size_reached"]
-    assert exc.value.partial["lower_bound"] == t
+    t = exc.value.partial["lower_bound"]
     assert str(exc.value).endswith(f"; the domination number is at least {t}")
     assert exact_set_number(g, DominationSpec.classical()).value >= t
 
@@ -175,8 +174,8 @@ def test_function_search_budget_stop_reports_its_partial():
         exact_function_number(petersen(), DominationSpec.brace_k(2), node_budget=5)
     # lower bound max(max s, ceil(sum s / (Δ+1))) = max(2, ceil(20 / 4)); the
     # incumbent is still the all-caps function
-    assert exc.value.partial == {"best_weight_so_far": 20, "nodes": 6, "lower_bound": 5,
-                                 "upper_bound": 20, "witness": VertexFunction((2,) * 10)}
+    assert exc.value.partial == {"nodes": 6, "lower_bound": 5, "upper_bound": 20,
+                                 "witness": VertexFunction((2,) * 10)}
 
 
 def _bracket_spec(label, g, data):
@@ -226,6 +225,7 @@ def test_budget_stop_brackets_the_optimum(g, label, data):
             res = search(g, spec, limit_n=g.n, node_budget=budget)
         except ResourceLimitError as exc:
             partial = exc.partial
+            assert set(partial) == {"lower_bound", "upper_bound", "witness", "nodes"}
             assert budget < full.nodes_explored
             assert partial["lower_bound"] <= full.value <= partial["upper_bound"]
             verify = verify_function if spec.is_function_variant else verify_set

@@ -1,7 +1,6 @@
 """Every python block of README.md runs as written, and so does its CLI
 walk-through; its tables match the code."""
 
-import ast
 import json
 import re
 import shlex
@@ -10,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import multidom as md
+from helpers import cached_functions, package_attribute
 from multidom.cli import main, parse_spec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,31 +76,20 @@ def test_bound_catalogue_table_is_what_bounds_for_spec_reports(tmp_path):
         assert [r.name for r in reports] == names_with_c, label
 
 
-def _cached_functions() -> set[str]:
-    """module.name (module.Class.name for a method) of every function in
-    src/multidom decorated with functools.lru_cache or functools.cache."""
-    found = set()
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for dec in child.decorator_list:
-                    dec = dec.func if isinstance(dec, ast.Call) else dec
-                    if ast.unparse(dec) in ("functools.lru_cache", "functools.cache",
-                                            "lru_cache", "cache"):
-                        found.add(prefix + child.name)
-
-    for path in (ROOT / "src" / "multidom").glob("*.py"):
-        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
-    return found
+def _cache_rows() -> list[list[str]]:
+    """The cells of each row of the "Caches and fast paths" table."""
+    section = README.split("## Caches and fast paths", 1)[1].split("\n#", 1)[0]
+    return [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
 
 
 def test_cache_table_lists_every_cache_in_the_code():
     """The rows of "Caches and fast paths" whose kind is a functools cache
     name exactly the cached functions of the package."""
-    section = README.split("## Caches and fast paths", 1)[1].split("\n#", 1)[0]
-    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
-    listed = {re.search(r"`([^`]+)`", row[0])[1] for row in rows if "`functools." in row[1]}
-    assert listed == _cached_functions()
+    listed = {re.search(r"`([^`]+)`", row[0])[1] for row in _cache_rows()
+              if "`functools." in row[1]}
+    assert listed == cached_functions()
+
+
+@pytest.mark.parametrize("row", _cache_rows(), ids=lambda row: row[0].strip("| `"))
+def test_each_cache_table_row_names_code_in_the_package(row):
+    package_attribute(re.search(r"`([^`]+)`", row[0])[1])
