@@ -109,6 +109,7 @@ def _construct(
     spec.check_feasible(g)  # once; the trials are checked without repeating it
     plan = _parametric_plan if spec.is_set_variant else _capped_plan
     params, notes, target, draw = plan(g, spec)
+    model = spec.model(g.n)
     threshold = math.ceil(target)
     cap = max(1, TRIAL_BLOCK_CELLS // (g.n + 2 * g.m))
     trace: list[int] = []
@@ -119,7 +120,7 @@ def _construct(
         # 1, 2, 4, ... up to the cell cap
         stop = min(max_trials, start + min(max(start, 1), cap))
         rows, row_notes = draw([_trial_rng(seed, i) for i in range(start, stop)])
-        valid = _rows_valid(g, spec, rows)
+        valid = _rows_valid(g, model, rows)
         for j, weight in enumerate(rows.sum(axis=1).tolist()):
             if not valid[j]:
                 raise MultidomError(f"internal: trial {start + j} failed verification")
@@ -253,7 +254,7 @@ def _capped_trial(
 def _capped_plan(g: Graph, spec: DominationSpec):
     """(params, notes, target, draw) of the capped-function construction."""
     delta = g.min_degree
-    closed = not spec.uses_open_neighborhoods
+    closed = spec.model(g.n)[0]
     tau, s, _ = spec.cap_summary(g.n)
     if s < 1:
         zero = _fixed(np.zeros(g.n, dtype=np.int64))

@@ -133,11 +133,10 @@ def exact_function_number(
     if not spec.is_function_variant:
         raise ValueError(f"exact_function_number needs a function variant, got {spec.variant}")
     node_budget = _admit(g, spec, limit_n, node_budget)
-    caps, demands = spec.vectors(g.n)
+    closed, _, caps, demands = spec.model(g.n)
     # search position i holds vertex perm[i]; vertex v sits at position inv[v]
     order = np.argsort(g.degrees, kind="stable")
     perm, inv = order.tolist(), np.argsort(order)
-    closed = not spec.uses_open_neighborhoods
     indptr, indices = g.csr()
     ptr, idx = indptr.tolist(), inv.take(indices).tolist()
     # the open row of perm[i] in search positions, and i itself when closed

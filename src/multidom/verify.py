@@ -195,11 +195,29 @@ class DominationSpec:
     def cap_summary(self, n: int) -> tuple[int, int, int]:
         """(tau, s, cap_sum): min cap, max demand and sum of the caps over n
         vertices, the three numbers the capped-function bounds read, as
-        Python ints. Function variants only."""
+        Python ints. A set variant is the <1,k> function: (1, k, n)."""
         if self.variant == "brace_k":
             return self.k, self.k, self.k * _integer(n, "n", 1)
+        if self.is_set_variant:
+            return 1, self.requirements()[0], _integer(n, "n", 1)
         caps, demands = self.vectors(n)
         return int(caps.min()), int(demands.max()), int(caps.sum())
+
+    def model(self, n: int) -> tuple[bool, int, int | np.ndarray, int | np.ndarray]:
+        """(closed, shift, caps, demands): the covering condition of the spec
+        on n vertices. A witness is integer labels 0 <= x <= caps with
+        coverage(g, x, closed) + shift * x >= demands.
+
+        A set variant with (k, l) = requirements() is (True, k - l, 1, k):
+        a non-member needs k closed coverage, a member k - (k - l) = l. Its
+        caps and demands are ints that broadcast over n, so it allocates
+        nothing. A function variant is (closed, 0, *vectors(n)), open for
+        total_rs.
+        """
+        if self.is_set_variant:
+            k, l = self.requirements()
+            return True, k - l, 1, k
+        return (not self.uses_open_neighborhoods, 0, *self.vectors(n))
 
     # -- feasibility ----------------------------------------------------------
 
@@ -212,28 +230,26 @@ class DominationSpec:
         outside C has at least k neighbours in C, and C is then one.
         Function variants: the (closed or open) neighbourhood caps of every
         vertex must sum to at least its demand; the all-caps function is
-        then a witness. Each neighbourhood holds delta + 1 caps (delta when
-        open), each at least tau, so tau (delta + 1) >= max s (tau delta
-        when open) settles it at once, as delta >= l - 1 does for sets.
+        then a witness. One shortcut settles both from scalars: with
+        model() = (closed, shift, ...) and cap_summary() = (tau, s, _),
+        labelling every vertex with its cap gives every vertex at least
+        tau (delta + closed + shift), so tau (delta + closed + shift) >= s
+        is enough; for sets it reads delta >= l - 1, where C = V.
         Otherwise the guaranteed witness is checked with the requirement
         check verification uses; core members always meet l, so a short
         vertex lies outside C.
         """
-        if self.is_set_variant:
-            l = self.requirements()[1]
-            if g.min_degree >= l - 1:
-                return True, ""  # C = V
-            what = f"neighbours in the {l - 1}-core number"
-        else:
-            closed = not self.uses_open_neighborhoods
-            tau, s, _ = self.cap_summary(g.n)
-            if tau * (g.min_degree + closed) >= s:
-                return True, ""  # every neighbourhood holds min_degree + closed caps of tau
-            what = f"{'closed' if closed else 'open'} neighborhood caps sum to"
-        have, need = _sums(g, self, _guaranteed_witness(g, self))
+        closed, shift, _, _ = model = self.model(g.n)
+        tau, s, _ = self.cap_summary(g.n)
+        if tau * (g.min_degree + closed + shift) >= s:
+            return True, ""
+        have, need = _sums(g, model, _guaranteed_witness(g, self))
         short = np.flatnonzero(have < need)
         if short.size:
             i = short[0]
+            what = (f"neighbours in the {self.requirements()[1] - 1}-core number"
+                    if self.is_set_variant
+                    else f"{'closed' if closed else 'open'} neighborhood caps sum to")
             return False, f"vertex {i}: {what} {have[i]} < demand {need[i]}"
         return True, ""
 
@@ -329,24 +345,26 @@ def _deficiencies(achieved: np.ndarray, required: np.ndarray) -> tuple[tuple[int
     return tuple(zip(short.tolist(), required[short].tolist(), achieved[short].tolist()))
 
 
-def _sums(g: Graph, spec: DominationSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sums(g: Graph, model: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(achieved, required): the neighbourhood sums of the labels x, of
-    shape (n,) or (T, n), and the demands they must meet. Set variants
-    take 0/1 rows and closed sums (see ``DominationSpec.requirements``)."""
-    if spec.is_set_variant:
-        k_req, l_req = spec.requirements()
-        return coverage(g, x, closed=True), np.where(x == 1, l_req, k_req)
-    return coverage(g, x, closed=not spec.uses_open_neighborhoods), spec.vectors(g.n)[1]
+    shape (n,) or (T, n), and the demands they must meet under the spec's
+    ``model()``, demands - shift * x; for a set, l at members and k
+    elsewhere."""
+    closed, shift, _, demands = model
+    return coverage(g, x, closed), demands - shift * x
 
 
-def _rows_valid(g: Graph, spec: DominationSpec, rows: np.ndarray) -> np.ndarray:
-    """Whether each row of the (T, n) array is a witness of spec: a 0/1
-    set indicator, or labels within the caps, meeting every demand."""
-    achieved, required = _sums(g, spec, rows)
-    valid = (achieved >= required).all(axis=1)
-    if spec.is_function_variant:
-        valid &= (rows <= spec.vectors(g.n)[0]).all(axis=1)
-    return valid
+def _rows_valid(g: Graph, model: tuple, rows: np.ndarray) -> np.ndarray:
+    """Whether each row of the (T, n) array is a witness under the spec's
+    ``model()``: labels within the caps meeting every demand."""
+    achieved, required = _sums(g, model, rows)
+    return (achieved >= required).all(axis=1) & (rows <= model[2]).all(axis=1)
+
+
+def _report(g: Graph, model: tuple, x: np.ndarray, weight: int) -> VerifyReport:
+    """The report on the labels x, of the given weight, under model."""
+    deficiencies = _deficiencies(*_sums(g, model, x))
+    return VerifyReport(not deficiencies, weight, deficiencies)
 
 
 def _indicator(members: Iterable[int], n: int) -> np.ndarray:
@@ -377,8 +395,7 @@ def verify_set(g: Graph, spec: DominationSpec, members: Iterable[int]) -> Verify
     if not spec.is_set_variant:
         raise ValueError(f"verify_set needs a set variant, got {spec.variant}")
     x = _indicator(members, g.n)
-    deficiencies = _deficiencies(*_sums(g, spec, x))
-    return VerifyReport(not deficiencies, int(x.sum()), deficiencies)
+    return _report(g, spec.model(g.n), x, int(x.sum()))
 
 
 def verify_function(g: Graph, spec: DominationSpec, f: VertexFunction) -> VerifyReport:
@@ -389,7 +406,7 @@ def verify_function(g: Graph, spec: DominationSpec, f: VertexFunction) -> Verify
     """
     if not spec.is_function_variant:
         raise ValueError(f"verify_function needs a function variant, got {spec.variant}")
-    caps = spec.vectors(g.n)[0]
+    _, _, caps, _ = model = spec.model(g.n)
     if len(f.values) != g.n:
         raise ValueError(f"function has {len(f.values)} values, graph has n={g.n}")
     values = f._array
@@ -397,5 +414,4 @@ def verify_function(g: Graph, spec: DominationSpec, f: VertexFunction) -> Verify
     if over.size:
         v = over[0]
         raise CapViolationError(f"f({v}) = {values[v]} exceeds cap {caps[v]}")
-    deficiencies = _deficiencies(*_sums(g, spec, values))
-    return VerifyReport(not deficiencies, f.weight, deficiencies)
+    return _report(g, model, values, f.weight)

@@ -293,7 +293,7 @@ def test_mean_weight_tracks_bound_on_small_gnp():
     assert np.mean(weights) <= target * 1.05
 
 
-def _no_row_valid(g, spec, rows):
+def _no_row_valid(g, model, rows):
     return np.zeros(len(rows), dtype=bool)
 
 
@@ -311,8 +311,8 @@ def _invalid_row(bad_block: int, bad_row: int):
     calls = []
     real = multidom.construct._rows_valid
 
-    def check(g, spec, rows):
-        valid = real(g, spec, rows)
+    def check(g, model, rows):
+        valid = real(g, model, rows)
         if len(calls) == bad_block:
             valid[bad_row] = False
         calls.append(len(rows))
@@ -347,7 +347,7 @@ def test_invalid_trial_witness_is_caught_under_python_O():
     script = (
         "import sys, numpy, multidom.construct\n"
         "from multidom.cli import main\n"
-        "multidom.construct._rows_valid = lambda g, spec, rows: numpy.zeros(len(rows), bool)\n"
+        "multidom.construct._rows_valid = lambda g, model, rows: numpy.zeros(len(rows), bool)\n"
         "sys.exit(main(['construct', '--family', 'cycle', '--n', '5', '--spec', 'classical']))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(multidom.__file__)))
@@ -463,9 +463,9 @@ def test_blocks_match_when_the_cell_cap_splits_a_run(monkeypatch):
     sizes = []
     real = multidom.construct._rows_valid
 
-    def recorded(g, spec, rows):
+    def recorded(g, model, rows):
         sizes.append(len(rows))
-        return real(g, spec, rows)
+        return real(g, model, rows)
 
     monkeypatch.setattr(multidom.construct, "_rows_valid", recorded)
     for cells, want in ((multidom.construct.TRIAL_BLOCK_CELLS, [1, 1, 2, 4, 8, 4]),

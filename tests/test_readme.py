@@ -93,3 +93,26 @@ def test_cache_table_lists_every_cache_in_the_code():
 @pytest.mark.parametrize("row", _cache_rows(), ids=lambda row: row[0].strip("| `"))
 def test_each_cache_table_row_names_code_in_the_package(row):
     package_attribute(re.search(r"`([^`]+)`", row[0])[1])
+
+
+def test_the_feasibility_row_states_when_the_shortcut_answers(monkeypatch):
+    """The feasibility row's condition, τ·(δ + closed + shift) ≥ max s,
+    holds exactly when feasibility answers without the guaranteed witness."""
+    row = next(row for row in _cache_rows() if "`verify.DominationSpec.feasibility`" in row[0])
+    assert "τ·(δ + closed + shift) ≥ max s for every variant" in row[2]
+    peeled = []
+    real = md.verify._guaranteed_witness
+    monkeypatch.setattr(md.verify, "_guaranteed_witness",
+                        lambda g, spec: peeled.append(spec) or real(g, spec))
+    specs = [md.DominationSpec.classical(), md.DominationSpec.k_dominating(2),
+             md.DominationSpec.k_tuple(2), md.DominationSpec.total_k(2),
+             md.DominationSpec.parametric(1, 3), md.DominationSpec.brace_k(2)]
+    for g in (md.path(4), md.cycle(5), md.complete(4), md.gnp(8, 0.5, 1)):
+        caps = [1 + v % 3 for v in range(g.n)]
+        for spec in specs + [md.DominationSpec.rs(caps, [3] * g.n),
+                             md.DominationSpec.total_rs(caps, [2] * g.n)]:
+            closed, shift, _, _ = spec.model(g.n)
+            tau, s, _ = spec.cap_summary(g.n)
+            peeled.clear()
+            spec.feasibility(g)
+            assert (peeled == []) == (tau * (g.min_degree + closed + shift) >= s), spec.label()

@@ -24,7 +24,14 @@ from multidom import (
     verify_set,
 )
 from multidom.bounds import bounds_for_spec
-from multidom.verify import LABEL_LIMIT, _guaranteed_witness, _sums
+from multidom.verify import (
+    FUNCTION_VARIANTS,
+    LABEL_LIMIT,
+    SET_VARIANTS,
+    _guaranteed_witness,
+    _rows_valid,
+    _sums,
+)
 
 
 def test_verify_set_examples():
@@ -489,9 +496,13 @@ def test_vectors_stay_tuples_of_python_ints(entries):
 
 
 def _full_feasibility(g, spec):
-    """A function variant's feasibility from the all-caps witness alone."""
-    what = f"{'open' if spec.uses_open_neighborhoods else 'closed'} neighborhood caps sum to"
-    have, need = _sums(g, spec, _guaranteed_witness(g, spec))
+    """Feasibility from the guaranteed witness alone, the (l-1)-core of a
+    set variant or the all-caps function, with no shortcut."""
+    if spec.is_set_variant:
+        what = f"neighbours in the {spec.requirements()[1] - 1}-core number"
+    else:
+        what = f"{'open' if spec.uses_open_neighborhoods else 'closed'} neighborhood caps sum to"
+    have, need = _sums(g, spec.model(g.n), _guaranteed_witness(g, spec))
     short = np.flatnonzero(have < need)
     if short.size:
         i = short[0]
@@ -500,13 +511,17 @@ def _full_feasibility(g, spec):
 
 
 @given(st.integers(1, 14), st.floats(0, 1), st.integers(0, 2**16), st.data())
-@settings(max_examples=150, deadline=None)
-def test_function_feasibility_matches_the_full_check(n, p, seed, data):
-    # the tau (delta + 1) >= max s shortcut never changes a verdict or reason
+@settings(max_examples=200, deadline=None)
+def test_feasibility_matches_the_full_check(n, p, seed, data):
+    # the tau (delta + closed + shift) >= max s shortcut never changes a verdict or reason
     g = gnp(n, p, seed)
-    variant = data.draw(st.sampled_from(["rs", "total_rs", "brace_k"]))
+    variant = data.draw(st.sampled_from(["rs", "total_rs", "brace_k", "parametric"]))
     if variant == "brace_k":
         spec = DominationSpec.brace_k(data.draw(st.integers(1, 4)))
+    elif variant == "parametric":
+        k = data.draw(st.integers(1, 3))
+        spec = DominationSpec.parametric(k, data.draw(st.integers(1, k + 3)))
+        event(f"shortcut: {g.min_degree >= spec.l - 1}")
     else:
         caps = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
         slots = g.min_degree + (variant == "rs")  # caps each neighbourhood holds at least
@@ -516,3 +531,76 @@ def test_function_feasibility_matches_the_full_check(n, p, seed, data):
         spec = getattr(DominationSpec, variant)(caps, demands)
         event(f"shortcut: {min(caps) * slots >= max(demands)}")
     assert spec.feasibility(g) == _full_feasibility(g, spec)
+
+
+def _variant_sums(g, spec, x):
+    """(achieved, required) in each variant's own terms, vertex by vertex:
+    a set's closed sums against l at members and k elsewhere, a function's
+    closed (open for total_rs) sums against its demands."""
+    closed = spec.is_set_variant or not spec.uses_open_neighborhoods
+    achieved = np.array([sum(x[u] for u in g.neighbors(v)) + closed * x[v] for v in range(g.n)])
+    if spec.is_set_variant:
+        k, l = spec.requirements()
+        return achieved, np.where(x == 1, l, k)
+    return achieved, spec.vectors(g.n)[1]
+
+
+@given(st.integers(1, 12), st.floats(0, 1), st.integers(0, 2**16), st.data())
+@settings(max_examples=400, deadline=None)
+def test_the_model_agrees_with_the_verifiers(n, p, seed, data):
+    g = gnp(n, p, seed)
+    variant = data.draw(st.sampled_from(SET_VARIANTS + FUNCTION_VARIANTS))
+    k = data.draw(st.integers(1, 4))
+    if variant == "classical":
+        spec = DominationSpec.classical()
+    elif variant == "parametric":
+        # l < k, l = k, l = k + 1 and l >= k + 2
+        spec = DominationSpec.parametric(k, data.draw(st.integers(1, k + 4)))
+        event(f"l - k: {min(spec.l - spec.k, 2)}")
+    elif variant in ("rs", "total_rs"):
+        caps = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        top = 3 * (g.max_degree + 1)
+        demands = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        spec = getattr(DominationSpec, variant)(caps, demands)
+    else:
+        spec = getattr(DominationSpec, variant)(k)
+    caps = [1] * n if spec.is_set_variant else spec.vectors(n)[0].tolist()
+    if data.draw(st.booleans()):
+        x = np.array([data.draw(st.integers(0, cap + 1)) for cap in caps], dtype=np.int64)
+    else:  # the all-caps row with up to two labels moved, near the boundary of validity
+        x = np.array(caps, dtype=np.int64)
+        for v in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            x[v] = data.draw(st.integers(0, caps[v] + 1))
+    if spec.is_set_variant:
+        # a row with a label above 1 is no set
+        valid = x.max() <= 1 and verify_set(g, spec, np.flatnonzero(x).tolist()).valid
+    else:
+        try:
+            valid = verify_function(g, spec, VertexFunction(x)).valid
+        except CapViolationError:
+            valid = False
+    event(f"valid: {valid}")
+    model = spec.model(n)
+    assert _rows_valid(g, model, x[None]).tolist() == [valid]
+    if spec.is_function_variant or x.max() <= 1:
+        for got, want in zip(_sums(g, model, x), _variant_sums(g, spec, x)):
+            assert np.broadcast_to(got, n).tolist() == np.broadcast_to(want, n).tolist()
+
+
+def test_set_models_are_plain_ints():
+    # the feasibility shortcut reads them on every construction and search
+    for spec, want in ((DominationSpec.classical(), (True, 0, 1, 1)),
+                       (DominationSpec.k_dominating(3), (True, 2, 1, 3)),
+                       (DominationSpec.k_tuple(2), (True, 0, 1, 2)),
+                       (DominationSpec.total_k(2), (True, -1, 1, 2)),
+                       (DominationSpec.parametric(1, 4), (True, -3, 1, 1))):
+        assert spec.model(7) == want and all(type(v) in (bool, int) for v in spec.model(7))
+        assert spec.cap_summary(7) == (1, want[3], 7)
+
+
+def test_a_set_row_above_its_cap_is_not_a_witness():
+    # [2, 0, 0, 1, 0] meets every closed demand of domination on C5, but a
+    # set holds a vertex once
+    model = DominationSpec.classical().model(5)
+    assert _rows_valid(cycle(5), model, np.array([[2, 0, 0, 1, 0]])).tolist() == [False]
+    assert _rows_valid(cycle(5), model, np.array([[1, 0, 0, 1, 0]])).tolist() == [True]
